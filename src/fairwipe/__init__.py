@@ -30,8 +30,10 @@ from .graph import (
     GraphDataset,
     PropagationOperator,
     aggregate,
+    aggregate_hops,
     build_propagation,
     degree_stats,
+    reaggregate,
     remove_edges,
     remove_nodes,
     zero_feature_columns,

@@ -186,8 +186,9 @@ def _evaluate(dataset: GraphDataset, agg, model: TrainedModel) -> FairnessReport
     test = dataset.test_mask
     accuracy = float((preds[test] == dataset.labels[test]).mean())
     delta_sp, delta_eo = fairness.fairness_metrics(preds, dataset.labels, dataset.sensitive, test)
-    raw_sp, bound = fairness.raw_sp_and_bound(agg.values, model.weights, dataset.sensitive, model.lam)
-    rho_norm = fairness.pearson_correlations(agg.values, dataset.sensitive).norm
+    raw_sp, bound, rho_norm = fairness._raw_sp_bound_and_rho_norm(
+        agg.values, model.weights, dataset.sensitive, model.lam
+    )
     alpha1, alpha2 = fairness.alpha_diagnostics(dataset)
     return FairnessReport(
         accuracy=accuracy,

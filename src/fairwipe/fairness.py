@@ -51,8 +51,6 @@ class FairnessReport:
     rho_norm: float
     alpha1: float
     alpha2: float
-    wall_time_unlearn: float | None = None
-    wall_time_retrain: float | None = None
 
 
 def _check_binary_groups(s: np.ndarray) -> np.ndarray:
@@ -91,11 +89,19 @@ def pearson_correlations(columns: np.ndarray, s: np.ndarray) -> CorrelationVecto
 
 
 def _top_k(scores: np.ndarray, candidates: np.ndarray, k: int, kind: str) -> SelectionResult:
-    if candidates.ndim == 1:
-        order = np.lexsort((candidates, -scores))
+    """Sort by descending score, ties by lowest candidate, and take the first k.
+
+    Only the candidates scoring at least the k-th highest score can be chosen,
+    so a partition keeps those and the sort runs on them alone.
+    """
+    kth = -np.partition(-scores, k - 1)[k - 1]
+    keep = np.flatnonzero(scores >= kth)
+    top_scores, top = scores[keep], candidates[keep]
+    if top.ndim == 1:
+        order = np.lexsort((top, -top_scores))
     else:
-        order = np.lexsort((candidates[:, 1], candidates[:, 0], -scores))
-    chosen = candidates[order[:k]]
+        order = np.lexsort((top[:, 1], top[:, 0], -top_scores))
+    chosen = top[order[:k]]
     return SelectionResult(kind=kind, chosen=chosen, scores=scores, candidates=candidates, budget=k)
 
 
@@ -250,6 +256,12 @@ def raw_sp_and_bound(
     columns (zeroed columns included, so the bound shrinks as columns are
     removed).
     """
+    raw_sp, bound, _ = _raw_sp_bound_and_rho_norm(matrix, weights, s, lam, loss, sigma)
+    return raw_sp, bound
+
+
+def _raw_sp_bound_and_rho_norm(matrix, weights, s, lam, loss=LOGISTIC, sigma=None):
+    """:func:`raw_sp_and_bound` plus the ``||rho||`` it was computed from."""
     matrix = np.asarray(matrix, dtype=np.float64)
     s = _check_binary_groups(s)
     scores = matrix @ np.asarray(weights, dtype=np.float64)
@@ -262,7 +274,7 @@ def raw_sp_and_bound(
         sigma = float(np.sqrt(matrix.var(axis=0).mean()))
     rho_norm = pearson_correlations(matrix, s).norm
     bound = loss.c * n**1.5 * s_bar * sigma * rho_norm / (n0 * n1 * lam)
-    return raw_sp, float(bound)
+    return raw_sp, float(bound), rho_norm
 
 
 def alpha_diagnostics(dataset: GraphDataset):

@@ -1,12 +1,14 @@
 """Graph data model, normalized propagation, multi-hop aggregation, and structural edits.
 
 All values are immutable after construction: structural edits (edge/node removal,
-feature zeroing) return new :class:`GraphDataset` instances, and the propagation
-operator is re-derived from scratch after every edit.
+feature zeroing) return new :class:`GraphDataset` instances. :func:`aggregate`
+propagates from scratch; :func:`reaggregate` carries the per-hop blocks of one
+graph over to an edited copy and recomputes only the rows the edit can reach.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,11 +77,17 @@ class GraphDataset:
         return self.adjacency.nnz // 2
 
     def edge_pairs(self) -> np.ndarray:
-        """All undirected edges as an (n_edges, 2) array of pairs with i < j."""
-        coo = sp.triu(self.adjacency, k=1).tocoo()
-        pairs = np.column_stack([coo.row, coo.col])
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        return pairs[order]
+        """All undirected edges as an (n_edges, 2) array of pairs with i < j, sorted by (i, j).
+
+        The upper triangle is read row by row from the CSR arrays, which is
+        already lexicographic once each row's column indices are sorted.
+        """
+        adj = self.adjacency
+        if not adj.has_sorted_indices:
+            adj = adj.sorted_indices()
+        rows = np.repeat(np.arange(self.n_nodes, dtype=adj.indices.dtype), np.diff(adj.indptr))
+        upper = adj.indices > rows
+        return np.column_stack([rows[upper], adj.indices[upper]])
 
 
 @dataclass(frozen=True)
@@ -99,12 +107,11 @@ class AggregatedFeatures:
     """Multi-hop aggregated node representations.
 
     ``values`` has shape N x F for single-branch aggregation and N x F(L+1)
-    for the concatenated multi-hop variant. ``source_dims`` records (N, F, L).
+    for the concatenated multi-hop variant.
     """
 
     values: np.ndarray
     scheme: str
-    source_dims: tuple[int, int, int]
 
     @property
     def width(self) -> int:
@@ -132,13 +139,53 @@ class DegreeStats:
         return self.inter_edges + self.intra_edges
 
 
+def _row_normalize(a_bar: sp.csr_matrix) -> sp.csr_matrix:
+    """Scale every row of ``a_bar`` (adjacency rows plus their self-loops) in place to sum to 1."""
+    inv_deg = 1.0 / np.asarray(a_bar.sum(axis=1)).ravel()
+    a_bar.data *= np.repeat(inv_deg, np.diff(a_bar.indptr))
+    return a_bar
+
+
 def build_propagation(dataset: GraphDataset, hops: int) -> PropagationOperator:
     """Left-normalize the adjacency with self-loops: every row of the result sums to 1."""
-    n = dataset.n_nodes
-    a_bar = (dataset.adjacency + sp.identity(n, format="csr")).tocsr()
-    inv_deg = 1.0 / np.asarray(a_bar.sum(axis=1)).ravel()
-    p = sp.diags(inv_deg).dot(a_bar).tocsr()
-    return PropagationOperator(matrix=p, hops=hops)
+    a_bar = (dataset.adjacency + sp.identity(dataset.n_nodes, format="csr")).tocsr()
+    return PropagationOperator(matrix=_row_normalize(a_bar), hops=hops)
+
+
+def _propagation_rows(adjacency: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
+    """The listed rows of the propagation matrix, built from those adjacency rows alone."""
+    m = rows.size
+    loops = sp.csr_matrix((np.ones(m), rows, np.arange(m + 1)), shape=(m, adjacency.shape[1]))
+    return _row_normalize((adjacency[rows] + loops).tocsr())
+
+
+def _propagate_hops(features: np.ndarray, matrix: sp.csr_matrix, hops: int):
+    """Yield the hop blocks ``X, PX, ..., P^L X`` one at a time."""
+    z = features
+    yield z
+    for _ in range(hops):
+        z = np.asarray(matrix.dot(z))
+        yield z
+
+
+def _combine(blocks, scheme: str, hops: int) -> np.ndarray:
+    """SGC keeps the last hop block; GPR concatenates all of them scaled by 1/(L+1).
+
+    ``blocks`` may be a generator, in which case SGC holds one hop at a time.
+    """
+    if scheme == SGC:
+        return deque(blocks, maxlen=1)[0]
+    values = np.hstack(list(blocks), dtype=np.float64)
+    values /= hops + 1
+    return values
+
+
+def _check_aggregation(dataset: GraphDataset, prop: PropagationOperator, scheme: str) -> None:
+    p = prop.matrix
+    if p.shape[1] != dataset.n_nodes:
+        raise ValueError(f"propagation is {p.shape[0]}x{p.shape[1]} but features have {dataset.n_nodes} rows")
+    if scheme not in (SGC, GPR):
+        raise ValueError(f"unknown aggregation scheme: {scheme!r}")
 
 
 def aggregate(dataset: GraphDataset, prop: PropagationOperator, scheme: str = SGC) -> AggregatedFeatures:
@@ -147,57 +194,134 @@ def aggregate(dataset: GraphDataset, prop: PropagationOperator, scheme: str = SG
     ``sgc`` returns the L-fold propagated features; ``gpr`` returns the
     1/(L+1)-scaled horizontal concatenation of all hop powers from 0 to L.
     """
-    x = dataset.features
-    p = prop.matrix
-    if p.shape[1] != x.shape[0]:
-        raise ValueError(f"propagation is {p.shape[0]}x{p.shape[1]} but features have {x.shape[0]} rows")
-    n, f = x.shape
-    hops = prop.hops
-    if scheme == SGC:
-        z = x
-        for _ in range(hops):
-            z = p.dot(z)
-        values = np.asarray(z)
-    elif scheme == GPR:
-        blocks = [x]
-        z = x
-        for _ in range(hops):
-            z = p.dot(z)
-            blocks.append(np.asarray(z))
-        values = np.hstack(blocks) / (hops + 1)
+    _check_aggregation(dataset, prop, scheme)
+    blocks = _propagate_hops(dataset.features, prop.matrix, prop.hops)
+    return AggregatedFeatures(values=_combine(blocks, scheme, prop.hops), scheme=scheme)
+
+
+def aggregate_hops(
+    dataset: GraphDataset, prop: PropagationOperator, scheme: str = SGC
+) -> tuple[AggregatedFeatures, list[np.ndarray]]:
+    """:func:`aggregate`, also returning the hop blocks ``X, PX, ..., P^L X`` for :func:`reaggregate`."""
+    _check_aggregation(dataset, prop, scheme)
+    blocks = list(_propagate_hops(dataset.features, prop.matrix, prop.hops))
+    return AggregatedFeatures(values=_combine(blocks, scheme, prop.hops), scheme=scheme), blocks
+
+
+def reaggregate(
+    before: GraphDataset,
+    after: GraphDataset,
+    aggregated: AggregatedFeatures,
+    blocks: list[np.ndarray],
+) -> AggregatedFeatures:
+    """Aggregate ``after`` from ``before``'s hop blocks, recomputing only the rows that can change.
+
+    ``blocks`` and ``aggregated`` come from :func:`aggregate_hops` on ``before``
+    (or from an earlier call of this function); ``blocks`` is updated in place
+    to ``after``'s hop blocks, ``aggregated`` is left as it was. ``after`` must
+    differ from ``before`` only by removed edges and changed feature rows, as
+    the removal requests produce. Row i of hop k can then change only if
+
+    - i's degree changed: with edges only removed, these are exactly the rows
+      whose propagation row changed;
+    - i changed at hop k-1, or is a neighbour in ``after`` of such a row;
+
+    with the changed feature rows as hop 0's set. Only those rows of
+    ``after``'s propagation matrix are built; once the set covers more than
+    half the graph the hop is the full product. The result equals
+    ``aggregate(after, build_propagation(after, L), scheme)``.
+    """
+    hops = len(blocks) - 1
+    scheme = aggregated.scheme
+    n = after.n_nodes
+    adj = after.adjacency
+    degree_changed = np.diff(adj.indptr) != np.diff(before.adjacency.indptr)
+    if after.features is before.features:
+        changed = np.zeros(n, dtype=bool)
     else:
-        raise ValueError(f"unknown aggregation scheme: {scheme!r}")
-    return AggregatedFeatures(values=values, scheme=scheme, source_dims=(n, f, hops))
+        changed = (after.features != before.features).any(axis=1)
+    blocks[0] = after.features
+    rows = np.flatnonzero(changed)
+    # Per hop: the recomputed rows, or None once the hop is the full product.
+    row_sets = [rows]
+    p = None
+    for k in range(1, hops + 1):
+        if rows is not None:
+            if rows.size:
+                changed[adj[rows].indices] = True
+            changed |= degree_changed
+            rows = np.flatnonzero(changed)
+            if 2 * rows.size > n:
+                rows = None
+        if rows is None:
+            if p is None:
+                p = build_propagation(after, hops).matrix
+            blocks[k] = np.asarray(p.dot(blocks[k - 1]))
+        elif rows.size:
+            if scheme == SGC and k == hops:
+                # The last SGC block is ``aggregated.values``: edit a copy.
+                blocks[k] = blocks[k].copy()
+            blocks[k][rows] = _propagation_rows(adj, rows).dot(blocks[k - 1])
+        row_sets.append(rows)
+    if scheme == SGC:
+        return AggregatedFeatures(values=blocks[hops], scheme=scheme)
+    values = aggregated.values.copy()
+    f = after.n_features
+    for k, rows in enumerate(row_sets):
+        cols = slice(k * f, (k + 1) * f)
+        if rows is None:
+            np.divide(blocks[k], hops + 1, out=values[:, cols])
+        elif rows.size:
+            values[rows, cols] = blocks[k][rows] / (hops + 1)
+    return AggregatedFeatures(values=values, scheme=scheme)
 
 
 def _canonical_pairs(edges) -> np.ndarray:
-    pairs = np.atleast_2d(np.asarray(sorted((min(i, j), max(i, j)) for i, j in edges), dtype=np.int64))
-    if pairs.size and (pairs[:, 0] == pairs[:, 1]).any():
+    """The pairs as (min, max) rows in lexicographic order; self-loops are rejected."""
+    pairs = np.asarray(edges, dtype=np.int64)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("edges must be (i, j) pairs")
+    pairs = np.sort(pairs, axis=1)
+    if (pairs[:, 0] == pairs[:, 1]).any():
         raise ValueError("self-loops are not valid edges")
-    return pairs
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
 
 def remove_edges(dataset: GraphDataset, edges) -> GraphDataset:
     """Delete both directed entries of each undirected pair; everything else is unchanged.
 
     The request is atomic: if any listed edge is absent, nothing is removed.
+    Pair direction does not matter and a repeated pair removes its edge once.
+    Both CSR positions of every pair are found by one search over the sorted
+    ``row * n + col`` keys; the edit drops them and shifts ``indptr``.
     """
     edges = list(edges)
     if not edges:
         return dataset
     pairs = _canonical_pairs(edges)
-    adj = dataset.adjacency
-    present = np.asarray(adj[pairs[:, 0], pairs[:, 1]]).ravel()
-    if (present == 0).any():
-        missing = pairs[present == 0][0]
-        raise ValueError(f"edge {tuple(missing)} not present; rejecting the whole request")
     n = dataset.n_nodes
-    coo = adj.tocoo()
-    lo = np.minimum(coo.row, coo.col).astype(np.int64)
-    hi = np.maximum(coo.row, coo.col).astype(np.int64)
-    doomed = np.isin(lo * n + hi, pairs[:, 0] * n + pairs[:, 1])
-    keep = ~doomed
-    new_adj = sp.csr_matrix((coo.data[keep], (coo.row[keep], coo.col[keep])), shape=(n, n))
+    if pairs.min() < 0 or pairs.max() >= n:
+        raise IndexError(f"edge index out of range [0, {n})")
+    adj = dataset.adjacency
+    if not adj.has_canonical_format:
+        adj = adj.copy()
+        adj.sum_duplicates()
+    keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(adj.indptr)) * n + adj.indices
+    wanted = np.concatenate([pairs[:, 0] * n + pairs[:, 1], pairs[:, 1] * n + pairs[:, 0]])
+    pos = np.searchsorted(keys, wanted)
+    found = pos < keys.size
+    found[found] = keys[pos[found]] == wanted[found]
+    present = found[: len(pairs)] & found[len(pairs) :]
+    if not present.all():
+        missing = pairs[~present][0]
+        raise ValueError(f"edge {tuple(missing)} not present; rejecting the whole request")
+    doomed = np.unique(pos)
+    indptr = adj.indptr.copy()
+    indptr[1:] -= np.cumsum(np.bincount(keys[doomed] // n, minlength=n)).astype(indptr.dtype)
+    new_adj = sp.csr_matrix(
+        (np.delete(adj.data, doomed), np.delete(adj.indices, doomed), indptr), shape=(n, n)
+    )
+    new_adj.has_canonical_format = True
     return GraphDataset(
         adjacency=new_adj,
         features=dataset.features,
@@ -274,11 +398,11 @@ def degree_stats(dataset: GraphDataset) -> DegreeStats:
     """
     s = np.asarray(dataset.sensitive, dtype=np.int64)
     adj = dataset.adjacency
-    coo = adj.tocoo()
-    degree = np.bincount(coo.row, minlength=dataset.n_nodes)
-    inter_degree = np.bincount(
-        coo.row, weights=(s[coo.row] != s[coo.col]), minlength=dataset.n_nodes
-    ).astype(np.int64)
+    degree = np.diff(adj.indptr).astype(np.int64)
+    # Neighbours in group 1, counted by one product over the stored pattern.
+    pattern = sp.csr_matrix((np.ones(adj.nnz, dtype=np.int64), adj.indices, adj.indptr), shape=adj.shape)
+    in_group1 = pattern @ s
+    inter_degree = np.where(s == 1, degree - in_group1, in_group1)
     intra_degree = degree - inter_degree
     n_inter = int(inter_degree.sum()) // 2
     n_intra = int(intra_degree.sum()) // 2
@@ -287,9 +411,9 @@ def degree_stats(dataset: GraphDataset) -> DegreeStats:
     b0 = int(((s == 0) & (inter_degree > 0)).sum())
     b1 = int(((s == 1) & (inter_degree > 0)).sum())
     return DegreeStats(
-        degree=degree.astype(np.int64),
+        degree=degree,
         inter_degree=inter_degree,
-        intra_degree=intra_degree.astype(np.int64),
+        intra_degree=intra_degree,
         group_sizes=(g0, g1),
         boundary_sizes=(b0, b1),
         inter_edges=n_inter,

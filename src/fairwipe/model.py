@@ -141,7 +141,9 @@ def logistic_hessian(z_rows, sigmoid, lam):
     block = np.empty((min(m, _HESSIAN_BLOCK_ROWS), d))
     for start in range(0, m, _HESSIAN_BLOCK_ROWS):
         stop = min(start + _HESSIAN_BLOCK_ROWS, m)
-        a = np.multiply(z_rows[start:stop], root[start:stop, None], out=block[: stop - start])
+        # einsum scales the rows in one pass; a broadcast multiply runs one
+        # short inner loop per row.
+        a = np.einsum("ij,i->ij", z_rows[start:stop], root[start:stop], out=block[: stop - start])
         h += a.T @ a
     h[np.diag_indices(d)] += lam * m
     return h

@@ -108,7 +108,6 @@ class UnlearnResult:
     updated_weights: np.ndarray
     delta_vector: np.ndarray
     residual_norm: float
-    worstcase_bound: float | None
     wall_time: float
 
 
@@ -171,7 +170,6 @@ def newton_unlearn(
         updated_weights=w_new,
         delta_vector=delta,
         residual_norm=float(np.linalg.norm(residual)),
-        worstcase_bound=None,
         wall_time=time.perf_counter() - start,
     )
 
@@ -228,18 +226,22 @@ def sequential_unlearn(
     reports whether the accumulated residual still fits within
     ``budget.epsilon_prime``.
 
+    The graph is aggregated in full once; every edited aggregation after that
+    is :func:`graph.reaggregate`, which recomputes only the rows the request
+    can change, so a small request costs about the size of its edit.
+
     Returns ``(results, final_budget, edited_dataset)``; the edited dataset is
     included because lazily built requests cannot be replayed by the caller.
     """
     results: list[UnlearnResult] = []
     current = dataset
     step_model = model
-    agg = graph.aggregate(current, graph.build_propagation(current, hops), scheme)
+    agg, blocks = graph.aggregate_hops(current, graph.build_propagation(current, hops), scheme)
     for request in requests:
         if callable(request):
             request = request(current)
         edited = request.apply(current)
-        agg_new = graph.aggregate(edited, graph.build_propagation(edited, hops), scheme)
+        agg_new = graph.reaggregate(current, edited, agg, blocks)
         result = newton_unlearn(
             step_model,
             agg,

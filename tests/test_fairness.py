@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,7 @@ from fairwipe.fairness import (
     select_nodes,
 )
 from fairwipe.graph import DegreeStats, aggregate, build_propagation, degree_stats
-from fairwipe.synthetic import gaussian_features, planted_bias_features
+from fairwipe.synthetic import gaussian_features, planted_bias_features, random_adjacency
 
 from conftest import random_dataset
 from test_graph import adjacency_from_edges, tiny_dataset
@@ -438,3 +439,135 @@ class TestAlphaDiagnostics:
         )
         without = tiny_dataset(adjacency_from_edges(4, [(0, 1), (2, 3), (0, 2)]), sensitive=[0, 0, 1, 1])
         assert alpha_diagnostics(with_isolated)[1] == pytest.approx(alpha_diagnostics(without)[1])
+
+
+def reference_edge_pairs(adjacency):
+    """Long-hand upper triangle of the adjacency, sorted lexicographically."""
+    coo = sp.triu(adjacency, k=1).tocoo()
+    pairs = np.column_stack([coo.row, coo.col])
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
+def reference_top_k(scores, candidates, k):
+    """Full lexsort: descending score, ties broken by the lowest candidate."""
+    if candidates.ndim == 1:
+        order = np.lexsort((candidates, -scores))
+    else:
+        order = np.lexsort((candidates[:, 1], candidates[:, 0], -scores))
+    return candidates[order[:k]]
+
+
+def shuffled_row_indices(adjacency, rng):
+    """The same matrix with the column indices of every row in random order."""
+    adjacency = sp.csr_matrix(adjacency)
+    indices = adjacency.indices.copy()
+    data = adjacency.data.copy()
+    for i in range(adjacency.shape[0]):
+        lo, hi = adjacency.indptr[i], adjacency.indptr[i + 1]
+        perm = rng.permutation(hi - lo)
+        indices[lo:hi] = indices[lo:hi][perm]
+        data[lo:hi] = data[lo:hi][perm]
+    return sp.csr_matrix((data, indices, adjacency.indptr.copy()), shape=adjacency.shape)
+
+
+def tie_heavy_adjacency(family, n, rng):
+    """Graphs whose edge scores tie a lot: a perfect matching (every degree 1),
+    a clique (every degree n-1), or a random graph on top of a matching."""
+    if family == "matching":
+        edges = [(i, i + 1) for i in range(0, n - 1, 2)]
+        return adjacency_from_edges(n, edges)
+    if family == "clique":
+        return adjacency_from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    matching = adjacency_from_edges(n, [(i, i + 1) for i in range(0, n - 1, 2)])
+    union = (matching + random_adjacency(n, float(rng.uniform(0.5, 4.0)), rng)).tocsr()
+    union.data[:] = 1.0
+    return union
+
+
+class TestSelectionMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        family=st.sampled_from(["random", "matching", "clique", "matching+random"]),
+        unsorted=st.booleans(),
+    )
+    def test_edge_pairs(self, seed, family, unsorted):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 30))
+        if family == "random":
+            adjacency = random_adjacency(n, float(rng.uniform(0, 6)), rng)
+        else:
+            adjacency = tie_heavy_adjacency(family, n, rng)
+        if unsorted:
+            adjacency = shuffled_row_indices(adjacency, rng)
+        ds = tiny_dataset(adjacency, sensitive=rng.integers(0, 2, size=n))
+        pairs = ds.edge_pairs()
+        assert pairs.shape == (ds.n_edges, 2)
+        np.testing.assert_array_equal(pairs, reference_edge_pairs(ds.adjacency))
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        family=st.sampled_from(["random", "matching", "clique", "matching+random"]),
+        kind=st.sampled_from(["proposed", "random", "random-intra", "random-inter"]),
+        unsorted=st.booleans(),
+        k_share=st.floats(0.0, 1.0),
+    )
+    def test_select_edges(self, seed, family, kind, unsorted, k_share):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 30))
+        if family == "random":
+            adjacency = random_adjacency(n, float(rng.uniform(1, 6)), rng)
+        else:
+            adjacency = tie_heavy_adjacency(family, n, rng)
+        if unsorted:
+            adjacency = shuffled_row_indices(adjacency, rng)
+        # Few sensitive values per group keeps many intra edges at equal scores.
+        ds = tiny_dataset(adjacency, sensitive=(np.arange(n) // 2) % 2)
+        if ds.n_edges == 0:
+            return
+        k = 1 + int(k_share * (ds.n_edges - 1))
+        result = select_edges(ds, k, kind=kind, seed=seed)
+        pairs = reference_edge_pairs(ds.adjacency)
+        scores = ablation_variants(kind, seed)(degree_stats(ds), ds.sensitive, pairs=pairs)
+        np.testing.assert_array_equal(result.candidates, pairs)
+        np.testing.assert_array_equal(result.scores, scores)
+        np.testing.assert_array_equal(result.chosen, reference_top_k(scores, pairs, k))
+        assert result.budget == k
+
+    def test_every_k_on_a_tied_matching(self):
+        n = 20
+        ds = tiny_dataset(tie_heavy_adjacency("matching", n, None), sensitive=(np.arange(n) // 2) % 2)
+        pairs = reference_edge_pairs(ds.adjacency)
+        scores = edge_bias_scores(pairs, ds.sensitive, degree_stats(ds))
+        for k in range(1, ds.n_edges + 1):
+            np.testing.assert_array_equal(select_edges(ds, k).chosen, reference_top_k(scores, pairs, k))
+
+    def test_node_only_kinds_rejected_for_edges(self):
+        ds = random_dataset(n=12, seed=2)
+        for kind in ("bias-term-only", "degree-only"):
+            with pytest.raises(ValueError):
+                select_edges(ds, 1, kind=kind)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        distinct=st.integers(1, 4),
+        k_share=st.floats(0.0, 1.0),
+        kind=st.sampled_from(["proposed", "random", "bias-term-only", "degree-only"]),
+    )
+    def test_select_nodes_and_features(self, seed, distinct, k_share, kind):
+        rng = np.random.default_rng(seed)
+        ds = random_dataset(n=int(rng.integers(6, 30)), seed=seed)
+        nodes = np.arange(ds.n_nodes)
+        k = 1 + int(k_share * (ds.n_nodes - 1))
+        scores = ablation_variants(kind, seed)(degree_stats(ds), ds.sensitive, nodes=nodes)
+        result = select_nodes(ds, k, scope="all", kind=kind, seed=seed)
+        np.testing.assert_array_equal(result.chosen, reference_top_k(scores, nodes, k))
+        # Feature columns drawn from a few values tie on |rho|.
+        columns = rng.integers(0, distinct + 1, size=(ds.n_nodes, 8)).astype(float)
+        k = 1 + int(k_share * 7)
+        rho = np.abs(pearson_correlations(columns, ds.sensitive).rho)
+        np.testing.assert_array_equal(
+            select_features(columns, ds.sensitive, k).chosen, reference_top_k(rho, np.arange(8), k)
+        )

@@ -193,6 +193,72 @@ class TestRemoveEdges:
         assert out.adjacency[0, 1] == 0 and out.adjacency[1, 0] == 0
         assert out.adjacency[1, 2] == 1
 
+    def test_reversed_pairs_remove_the_same_edges(self):
+        ds = tiny_dataset(adjacency_from_edges(4, [(0, 1), (1, 2), (2, 3)]))
+        forward = remove_edges(ds, [(0, 1), (2, 3)])
+        reversed_ = remove_edges(ds, [(3, 2), (1, 0)])
+        np.testing.assert_array_equal(forward.adjacency.toarray(), reversed_.adjacency.toarray())
+        np.testing.assert_array_equal(forward.adjacency.toarray(), adjacency_from_edges(4, [(1, 2)]).toarray())
+
+    def test_repeated_pair_removes_the_edge_once(self):
+        ds = tiny_dataset(adjacency_from_edges(4, [(0, 1), (1, 2), (2, 3)]))
+        out = remove_edges(ds, [(0, 1), (1, 0), (0, 1)])
+        np.testing.assert_array_equal(out.adjacency.toarray(), adjacency_from_edges(4, [(1, 2), (2, 3)]).toarray())
+        assert out.n_edges == 2
+
+    def test_missing_edge_leaves_input_untouched(self):
+        ds = tiny_dataset(adjacency_from_edges(4, [(0, 1), (1, 2), (2, 3)]))
+        before = ds.adjacency.toarray().copy()
+        with pytest.raises(ValueError, match="not present"):
+            remove_edges(ds, [(1, 2), (3, 0), (2, 3)])
+        np.testing.assert_array_equal(ds.adjacency.toarray(), before)
+        assert ds.adjacency.nnz == 6
+
+    def test_self_loop_rejected(self):
+        ds = tiny_dataset(adjacency_from_edges(3, [(0, 1), (1, 2)]))
+        with pytest.raises(ValueError, match="self-loop"):
+            remove_edges(ds, [(0, 1), (2, 2)])
+        assert ds.adjacency.nnz == 4
+
+    def test_out_of_range_index_raises(self):
+        ds = tiny_dataset(adjacency_from_edges(3, [(0, 1), (1, 2)]))
+        for pair in ((0, 3), (3, 0), (1, 7)):
+            with pytest.raises(IndexError):
+                remove_edges(ds, [pair])
+        assert ds.adjacency.nnz == 4
+
+    def test_negative_index_raises(self):
+        ds = tiny_dataset(adjacency_from_edges(3, [(0, 1), (1, 2)]))
+        with pytest.raises(IndexError):
+            remove_edges(ds, [(-1, 2)])
+        assert ds.adjacency.nnz == 4
+
+    def test_weights_of_kept_edges_survive(self):
+        mat = np.zeros((4, 4))
+        for (i, j), w in {(0, 1): 0.5, (1, 2): 2.0, (2, 3): 3.0, (0, 3): 1.5}.items():
+            mat[i, j] = mat[j, i] = w
+        ds = tiny_dataset(mat)
+        out = remove_edges(ds, [(2, 1)])
+        expected = mat.copy()
+        expected[1, 2] = expected[2, 1] = 0.0
+        np.testing.assert_array_equal(out.adjacency.toarray(), expected)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_matches_dense_removal(self, seed):
+        rng = np.random.default_rng(seed)
+        ds = random_dataset(n=int(rng.integers(4, 25)), seed=seed)
+        pairs = ds.edge_pairs()
+        if len(pairs) == 0:
+            return
+        take = rng.choice(len(pairs), size=int(rng.integers(1, len(pairs) + 1)), replace=False)
+        request = [tuple(p[::-1]) if rng.random() < 0.5 else tuple(p) for p in pairs[take]]
+        out = remove_edges(ds, request)
+        expected = ds.adjacency.toarray()
+        for i, j in request:
+            expected[i, j] = expected[j, i] = 0.0
+        np.testing.assert_array_equal(out.adjacency.toarray(), expected)
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**6))
     def test_degree_decomposition_after_removal(self, seed):
@@ -310,3 +376,21 @@ class TestDatasetValidation:
         out = remove_edges(ds, [tuple(ds.edge_pairs()[0])])
         np.testing.assert_array_equal(ds.adjacency.toarray(), before)
         assert out.adjacency.nnz == ds.adjacency.nnz - 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_degree_stats_match_dense_counts(seed):
+    rng = np.random.default_rng(seed)
+    ds = random_dataset(n=int(rng.integers(2, 40)), seed=seed, avg_degree=float(rng.uniform(0, 6)))
+    a = ds.adjacency.toarray() != 0
+    s = ds.sensitive
+    other = s[None, :] != s[:, None]
+    stats = degree_stats(ds)
+    np.testing.assert_array_equal(stats.degree, a.sum(axis=1))
+    np.testing.assert_array_equal(stats.inter_degree, (a & other).sum(axis=1))
+    np.testing.assert_array_equal(stats.intra_degree, (a & ~other).sum(axis=1))
+    assert stats.inter_edges == int((a & other).sum()) // 2
+    assert stats.intra_edges == int((a & ~other).sum()) // 2
+    assert stats.boundary_sizes == tuple(int(((s == g) & (a & other).any(axis=1)).sum()) for g in (0, 1))
+    assert stats.degree.dtype == stats.inter_degree.dtype == stats.intra_degree.dtype == np.int64

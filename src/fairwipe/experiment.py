@@ -227,12 +227,14 @@ def _select_removal(config: ExperimentConfig, dataset: GraphDataset, seed: int):
 
 
 def _apply_unlearning(config, dataset, model, agg, budget, removal):
-    """Run the removal through the Newton engine; returns per-seed unlearn artifacts."""
+    """Run the removal through the Newton engine; returns per-seed unlearn artifacts,
+    the edited graph's aggregation among them."""
     start = time.perf_counter()
     if config.task == "edge":
         results, budget, edited = sequential_unlearn(
             model, dataset, removal, budget, scheme=config.scheme, hops=config.hops
         )
+        agg_new, _ = edited._carried_hops(config.hops, config.scheme)
         weights = results[-1].updated_weights
         residual = sum(r.residual_norm for r in results)
     else:
@@ -246,18 +248,18 @@ def _apply_unlearning(config, dataset, model, agg, budget, removal):
         weights = result.updated_weights
         residual = result.residual_norm
     wall = time.perf_counter() - start
-    return edited, weights, residual, budget, wall
+    return edited, agg_new, weights, residual, budget, wall
 
 
-def _dry_run_epsilon_prime(config: ExperimentConfig, dataset: GraphDataset, seed: int) -> float:
-    """Data-dependent residual of an unperturbed run, used to calibrate noise
-    for structural removals whose worst-case constants are not pinned down."""
+def _dry_run_epsilon_prime(config: ExperimentConfig, dataset: GraphDataset, agg, seed: int) -> float:
+    """Data-dependent residual of an unperturbed run on the seed's graph and
+    aggregation ``agg``, used to calibrate noise for structural removals whose
+    worst-case constants are not pinned down."""
     train_cfg = TrainConfig(config.lam, config.tolerance, config.max_iterations, seed=seed)
-    agg = aggregate(dataset, build_propagation(dataset, config.hops), config.scheme)
     model = train(dataset, agg, train_cfg, noise_std=0.0)
     removal = _select_removal(config, dataset, seed)
     placeholder = CertificationBudget(config.epsilon, config.delta, epsilon_prime=np.inf)
-    _, _, residual, _, _ = _apply_unlearning(config, dataset, model, agg, placeholder, removal)
+    _, _, _, residual, _, _ = _apply_unlearning(config, dataset, model, agg, placeholder, removal)
     return residual
 
 
@@ -272,7 +274,7 @@ def _run_seed(config: ExperimentConfig, base: GraphDataset, name: str, seed: int
     elif config.epsilon_prime is not None:
         epsilon_prime = config.epsilon_prime
     else:
-        epsilon_prime = _dry_run_epsilon_prime(config, dataset, seed)
+        epsilon_prime = _dry_run_epsilon_prime(config, dataset, agg, seed)
     budget = CertificationBudget(config.epsilon, config.delta, epsilon_prime=epsilon_prime)
     noise_std = calibrate_noise(budget)
 
@@ -311,10 +313,9 @@ def _run_seed(config: ExperimentConfig, base: GraphDataset, name: str, seed: int
     select_start = time.perf_counter()
     removal = _select_removal(config, dataset, seed)
     select_wall = time.perf_counter() - select_start
-    edited, weights, residual, budget, unlearn_wall = _apply_unlearning(
+    edited, agg_edited, weights, residual, budget, unlearn_wall = _apply_unlearning(
         config, dataset, model, agg, budget, removal
     )
-    agg_edited = aggregate(edited, build_propagation(edited, config.hops), config.scheme)
     removed = config.k if config.task != "edge" else dataset.n_edges - edited.n_edges
 
     if "unlearn" in config.arms:

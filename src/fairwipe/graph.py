@@ -9,7 +9,7 @@ graph over to an edited copy and recomputes only the rows the edit can reach.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,6 +25,12 @@ class GraphDataset:
     The adjacency matrix is symmetric CSR with zero diagonal (self-loops are
     added only when building the propagation operator) and strictly positive
     stored values. Masks select disjoint train/validation/test node sets.
+
+    ``_hop_state`` is private: the aggregation and hop blocks a
+    ``sequential_unlearn`` call left on the graph it returned, keyed by
+    ``(hops, scheme)``. It is not an ``__init__`` argument, is excluded from
+    ``repr`` and ``==``, and is dropped by ``dataclasses.replace``, copies and
+    pickles, so no two graphs share it.
     """
 
     adjacency: sp.csr_matrix
@@ -34,8 +40,50 @@ class GraphDataset:
     train_mask: np.ndarray
     val_mask: np.ndarray
     test_mask: np.ndarray
+    _hop_state: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self._check_fields()
+        if self.adjacency.diagonal().any():
+            raise ValueError("adjacency must have zero diagonal (no stored self-loops)")
+        if self.adjacency.nnz and self.adjacency.data.min() <= 0:
+            raise ValueError("adjacency entries must be positive")
+        if (self.adjacency != self.adjacency.T).nnz != 0:
+            raise ValueError("adjacency must be symmetric")
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_hop_state", None)
+        return state
+
+    def _edited(self, **changes) -> GraphDataset:
+        """This graph with ``changes`` applied, for the structural edits below.
+
+        Only the O(n) checks run. The O(nnz) adjacency checks (symmetry, zero
+        diagonal, positive weights) hold by construction: an edit keeps the
+        adjacency or removes both directions of entries from a validated one.
+        """
+        edited = object.__new__(GraphDataset)
+        for f in fields(self):
+            if f.init:
+                object.__setattr__(edited, f.name, changes.pop(f.name, getattr(self, f.name)))
+        object.__setattr__(edited, "_hop_state", None)
+        edited._check_fields()
+        return edited
+
+    def _carried_hops(self, hops: int, scheme: str) -> tuple[AggregatedFeatures, list[np.ndarray]] | None:
+        """The ``(aggregation, hop blocks)`` carried for ``(hops, scheme)``, or None."""
+        state = self._hop_state
+        if state is None or state[:2] != (hops, scheme):
+            return None
+        return state[2], state[3]
+
+    def _carry_hops(self, hops: int, scheme: str, carried) -> None:
+        """Carry ``(aggregation, hop blocks)`` of this graph for ``(hops, scheme)``; None drops it."""
+        object.__setattr__(self, "_hop_state", None if carried is None else (hops, scheme, *carried))
+
+    def _check_fields(self) -> None:
+        """The O(n) checks: shapes, binary sensitive and label columns, disjoint masks."""
         n = self.adjacency.shape[0]
         if self.adjacency.shape != (n, n):
             raise ValueError("adjacency must be square")
@@ -45,12 +93,6 @@ class GraphDataset:
             v = getattr(self, name)
             if v.shape != (n,):
                 raise ValueError(f"{name} must have length {n}")
-        if self.adjacency.diagonal().any():
-            raise ValueError("adjacency must have zero diagonal (no stored self-loops)")
-        if self.adjacency.nnz and self.adjacency.data.min() <= 0:
-            raise ValueError("adjacency entries must be positive")
-        if (self.adjacency != self.adjacency.T).nnz != 0:
-            raise ValueError("adjacency must be symmetric")
         for name in ("sensitive", "labels"):
             v = np.asarray(getattr(self, name))
             if not np.isin(v, (0, 1)).all():
@@ -322,15 +364,7 @@ def remove_edges(dataset: GraphDataset, edges) -> GraphDataset:
         (np.delete(adj.data, doomed), np.delete(adj.indices, doomed), indptr), shape=(n, n)
     )
     new_adj.has_canonical_format = True
-    return GraphDataset(
-        adjacency=new_adj,
-        features=dataset.features,
-        sensitive=dataset.sensitive,
-        labels=dataset.labels,
-        train_mask=dataset.train_mask,
-        val_mask=dataset.val_mask,
-        test_mask=dataset.test_mask,
-    )
+    return dataset._edited(adjacency=new_adj)
 
 
 def remove_nodes(dataset: GraphDataset, nodes) -> GraphDataset:
@@ -357,14 +391,8 @@ def remove_nodes(dataset: GraphDataset, nodes) -> GraphDataset:
         m = mask.copy()
         m[nodes] = False
         masks.append(m)
-    return GraphDataset(
-        adjacency=new_adj,
-        features=new_x,
-        sensitive=dataset.sensitive,
-        labels=dataset.labels,
-        train_mask=masks[0],
-        val_mask=masks[1],
-        test_mask=masks[2],
+    return dataset._edited(
+        adjacency=new_adj, features=new_x, train_mask=masks[0], val_mask=masks[1], test_mask=masks[2]
     )
 
 
@@ -378,15 +406,7 @@ def zero_feature_columns(dataset: GraphDataset, columns) -> GraphDataset:
         raise ValueError(f"feature index out of range [0, {f})")
     new_x = dataset.features.copy()
     new_x[:, cols] = 0.0
-    return GraphDataset(
-        adjacency=dataset.adjacency,
-        features=new_x,
-        sensitive=dataset.sensitive,
-        labels=dataset.labels,
-        train_mask=dataset.train_mask,
-        val_mask=dataset.val_mask,
-        test_mask=dataset.test_mask,
-    )
+    return dataset._edited(features=new_x)
 
 
 def degree_stats(dataset: GraphDataset) -> DegreeStats:

@@ -1,9 +1,14 @@
+from dataclasses import fields
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairwipe import data, synthetic
+from fairwipe.data import DatasetManifest, load_dataset
 from fairwipe.graph import (
     GraphDataset,
     aggregate,
@@ -376,6 +381,111 @@ class TestDatasetValidation:
         out = remove_edges(ds, [tuple(ds.edge_pairs()[0])])
         np.testing.assert_array_equal(ds.adjacency.toarray(), before)
         assert out.adjacency.nnz == ds.adjacency.nnz - 2
+
+
+# Adjacencies the full check rejects: asymmetric, a stored self-loop, non-positive weights.
+BAD_ADJACENCIES = {
+    "symmetric": sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])),
+    "diagonal": sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])),
+    "positive": sp.csr_matrix(np.array([[0.0, -1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])),
+}
+
+
+def rebuilt(ds):
+    """``ds`` through the full constructor, with every check."""
+    return GraphDataset(**{f.name: getattr(ds, f.name) for f in fields(ds) if f.init})
+
+
+class TestIncrementalValidation:
+    """Edits skip the O(nnz) adjacency checks; graphs built from outside data keep them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        kinds=st.lists(st.sampled_from(("edges", "nodes", "features")), min_size=1, max_size=6),
+    )
+    def test_every_edit_passes_the_full_constructor(self, seed, kinds):
+        rng = np.random.default_rng(seed)
+        ds = random_dataset(n=int(rng.integers(3, 60)), f=3, seed=seed, avg_degree=float(rng.uniform(0, 6)))
+        for kind in kinds:
+            pairs = ds.edge_pairs()
+            if kind == "edges" and len(pairs):
+                take = rng.choice(len(pairs), size=int(rng.integers(1, len(pairs) + 1)), replace=False)
+                # Either direction, repeats included.
+                edges = [tuple(pairs[i][::-1]) if rng.random() < 0.5 else tuple(pairs[i]) for i in take]
+                out = remove_edges(ds, edges + edges[:1])
+            elif kind == "nodes":
+                out = remove_nodes(ds, rng.choice(ds.n_nodes, size=int(rng.integers(1, ds.n_nodes + 1))))
+            else:
+                out = zero_feature_columns(ds, rng.choice(ds.n_features, size=int(rng.integers(1, 4))))
+            again = rebuilt(out)
+            for f in fields(out):
+                if f.init and f.name != "adjacency":
+                    np.testing.assert_array_equal(getattr(again, f.name), getattr(out, f.name))
+            assert (again.adjacency != out.adjacency).nnz == 0
+            ds = out
+
+    def test_edits_skip_the_adjacency_checks(self):
+        ds = random_dataset(n=30, seed=3)
+        with mock.patch.object(GraphDataset, "__post_init__", side_effect=AssertionError("full check ran")):
+            remove_edges(ds, [tuple(ds.edge_pairs()[0])])
+            remove_nodes(ds, [0, 5])
+            zero_feature_columns(ds, [1])
+
+    def test_edits_keep_the_linear_checks(self):
+        ds = random_dataset(n=30, seed=3)
+        bad = GraphDataset._edited
+        with pytest.raises(ValueError, match="length"):
+            bad(ds, labels=ds.labels[:-1])
+        with pytest.raises(ValueError, match="binary"):
+            bad(ds, sensitive=ds.sensitive * 2)
+        with pytest.raises(ValueError, match="disjoint"):
+            bad(ds, val_mask=ds.train_mask)
+
+    @pytest.mark.parametrize("problem", sorted(BAD_ADJACENCIES))
+    def test_constructor_rejects(self, problem):
+        with pytest.raises(ValueError, match=problem):
+            tiny_dataset(BAD_ADJACENCIES[problem])
+
+    @pytest.mark.parametrize("problem", sorted(BAD_ADJACENCIES))
+    def test_synthetic_generators_reject(self, problem):
+        with mock.patch.object(synthetic, "random_adjacency", return_value=BAD_ADJACENCIES[problem]):
+            with pytest.raises(ValueError, match=problem):
+                synthetic.feature_unlearning_instance(n=3, f=2, seed=0)
+        with mock.patch.object(synthetic, "sbm_adjacency", return_value=BAD_ADJACENCIES[problem]):
+            with pytest.raises(ValueError, match=problem):
+                synthetic.homophilous_dataset(n=3, f=2, seed=0, fractions=(0.4, 0.2, 0.4))
+
+    @pytest.mark.parametrize("problem", sorted(BAD_ADJACENCIES))
+    def test_loader_rejects(self, problem, write_dataset_files):
+        edges_path, features_path = write_dataset_files(n=3, sensitive=(0, 1, 1), labels=(0, 1, 0))
+        manifest = DatasetManifest(
+            name="tiny",
+            edges_path=edges_path,
+            features_path=features_path,
+            sensitive_column="sens",
+            label_column="label",
+        )
+        with mock.patch.object(data, "_read_edge_list", return_value=BAD_ADJACENCIES[problem]):
+            with pytest.raises(ValueError, match=problem):
+                load_dataset(manifest)
+
+    def test_rejected_edits_leave_the_input_unchanged(self):
+        ds = random_dataset(n=12, seed=4, avg_degree=3.0)
+        before = [a.copy() for a in (ds.adjacency.data, ds.adjacency.indices, ds.adjacency.indptr, ds.features)]
+        missing = next((i, j) for i in range(12) for j in range(i + 1, 12) if ds.adjacency[i, j] == 0)
+        rejected = [
+            (lambda: remove_edges(ds, [tuple(ds.edge_pairs()[0]), missing]), ValueError),
+            (lambda: remove_edges(ds, [(0, 12)]), IndexError),
+            (lambda: remove_nodes(ds, [3, 12]), ValueError),
+            (lambda: zero_feature_columns(ds, [0, ds.n_features]), ValueError),
+        ]
+        for edit, error in rejected:
+            with pytest.raises(error):
+                edit()
+            after = (ds.adjacency.data, ds.adjacency.indices, ds.adjacency.indptr, ds.features)
+            for array, was in zip(after, before):
+                np.testing.assert_array_equal(array, was)
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,10 +5,13 @@ recomputes only the rows the edit can reach; every result here is checked
 against `aggregate(edited, build_propagation(edited, L), scheme)`.
 """
 
+import copy
+import pickle
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +34,7 @@ from fairwipe.unlearn import (
     FeatureRemoval,
     NodeRemoval,
     newton_unlearn,
+    retrain_oracle,
     sequential_unlearn,
 )
 
@@ -215,3 +219,204 @@ class TestSequentialUnlearnChain:
         assert len(results) == len(requests)
         assert final_budget.accumulated_residual == sum(r.residual_norm for r in results)
         np.testing.assert_array_equal(edited.adjacency.toarray(), current.adjacency.toarray())
+
+
+REQUESTS = ("edge", "edges", "node", "feature", "lazy")
+# Aggregation settings of one width (the raw feature count), so one model serves them all.
+SAME_WIDTH = [(h, SGC) for h in range(4)] + [(0, GPR)]
+BUDGET = CertificationBudget(1.0, 1e-4, epsilon_prime=1.0)
+
+
+def random_request(ds, kind, rng):
+    """One removal request of the given kind on ``ds``; edge kinds fall back to a feature."""
+    pairs = ds.edge_pairs()
+    if kind in ("edge", "edges", "lazy") and len(pairs) == 0:
+        kind = "feature"
+    if kind == "lazy":
+        return lambda current: EdgeRemoval((tuple(int(v) for v in current.edge_pairs()[0]),))
+    if kind in ("edge", "edges"):
+        size = 1 if kind == "edge" else int(rng.integers(2, 5))
+        take = rng.choice(len(pairs), size=min(size, len(pairs)), replace=False)
+        return EdgeRemoval(tuple(tuple(int(v) for v in pairs[i]) for i in take))
+    if kind == "node":
+        return NodeRemoval((int(rng.choice(np.flatnonzero(ds.train_mask))),))
+    return FeatureRemoval((int(rng.integers(ds.n_features)),))
+
+
+def trained_model(ds, hops, scheme, seed):
+    return train(ds, aggregate(ds, build_propagation(ds, hops), scheme), TrainConfig(lam=1.0, seed=seed), noise_std=0.05)
+
+
+def reference_step(model, current, request, hops, scheme):
+    """One request by the full recompute on a state-free copy of ``current``."""
+    current = replace(current)
+    if callable(request):
+        request = request(current)
+    nxt = request.apply(current)
+    agg = aggregate(current, build_propagation(current, hops), scheme)
+    agg_new = aggregate(nxt, build_propagation(nxt, hops), scheme)
+    return newton_unlearn(model, agg, agg_new, nxt.labels, current.train_mask, nxt.train_mask)
+
+
+def assert_same_result(actual, expected):
+    assert_close(actual.updated_weights, expected.updated_weights)
+    assert_close(actual.delta_vector, expected.delta_vector)
+    assert abs(actual.residual_norm - expected.residual_norm) <= 1e-12
+
+
+def assert_carries_its_own_hops(ds, hops, scheme):
+    agg, blocks = ds._carried_hops(hops, scheme)
+    assert agg.scheme == scheme
+    assert_close(agg.values, full_values(ds, hops, scheme))
+    assert len(blocks) == hops + 1
+    for block, expected in zip(blocks, dense_blocks(ds, hops)):
+        assert_close(block, expected)
+
+
+def one_call(model, ds, request, hops, scheme):
+    """One single-request ``sequential_unlearn`` call; also counts its full aggregations."""
+    with mock.patch.object(graph, "aggregate_hops", wraps=graph.aggregate_hops) as full:
+        (result,), _, edited = sequential_unlearn(model, ds, [request], BUDGET, scheme, hops)
+    return result, edited, full.call_count
+
+
+class TestCarriedHops:
+    """A graph returned by `sequential_unlearn` carries its hop blocks into the next call."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        scheme=st.sampled_from([SGC, GPR]),
+        hops=st.integers(0, 3),
+        kinds=st.lists(st.sampled_from(REQUESTS), min_size=2, max_size=7),
+    )
+    def test_stream_of_calls_matches_full_recompute(self, seed, scheme, hops, kinds):
+        """Each call is fed the graph the previous one returned, as a request stream does."""
+        rng = np.random.default_rng(seed)
+        current = random_dataset(n=int(rng.integers(20, 80)), f=3, seed=seed, avg_degree=float(rng.uniform(1, 5)))
+        model = trained_model(current, hops, scheme, seed)
+        for i, kind in enumerate(kinds):
+            request = random_request(current, kind, rng)
+            expected = reference_step(model, current, request, hops, scheme)
+            result, edited, full = one_call(model, current, request, hops, scheme)
+            assert full == (i == 0)
+            assert_same_result(result, expected)
+            assert current._carried_hops(hops, scheme) is None
+            assert_carries_its_own_hops(edited, hops, scheme)
+            model = replace(model, weights=result.updated_weights)
+            current = edited
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        calls=st.lists(st.tuples(st.sampled_from(SAME_WIDTH), st.sampled_from(REQUESTS)), min_size=2, max_size=7),
+    )
+    def test_changing_hops_or_scheme_mid_stream(self, seed, calls):
+        """A call with other settings than the carried ones aggregates in full and leaves them alone."""
+        rng = np.random.default_rng(seed)
+        current = random_dataset(n=50, f=3, seed=seed, avg_degree=3.0)
+        model = trained_model(current, *calls[0][0], seed)
+        for (hops, scheme), kind in calls:
+            request = random_request(current, kind, rng)
+            expected = reference_step(model, current, request, hops, scheme)
+            had_state = current._carried_hops(hops, scheme) is not None
+            other_state = current._hop_state
+            result, edited, full = one_call(model, current, request, hops, scheme)
+            assert full == (not had_state)
+            assert_same_result(result, expected)
+            if not had_state:
+                assert current._hop_state is other_state
+            assert_carries_its_own_hops(edited, hops, scheme)
+            model = replace(model, weights=result.updated_weights)
+            current = edited
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        scheme=st.sampled_from([SGC, GPR]),
+        hops=st.integers(1, 3),
+        kinds=st.tuples(st.sampled_from(REQUESTS), st.sampled_from(REQUESTS)),
+    )
+    def test_returned_graph_fed_to_two_calls(self, seed, scheme, hops, kinds):
+        """Reusing an input graph gives what a state-free copy of it gives, and
+        the two results keep state of their own."""
+        rng = np.random.default_rng(seed)
+        ds = random_dataset(n=int(rng.integers(15, 50)), f=3, seed=seed, avg_degree=3.0)
+        model = trained_model(ds, hops, scheme, seed)
+        _, _, shared = sequential_unlearn(model, ds, [random_request(ds, "edge", rng)], BUDGET, scheme, hops)
+        requests = [random_request(shared, kind, rng) for kind in kinds]
+        expected = [
+            sequential_unlearn(model, replace(shared), [request], BUDGET, scheme, hops)[0][0] for request in requests
+        ]
+        outputs = [one_call(model, shared, request, hops, scheme) for request in requests]
+        assert [full for _, _, full in outputs] == [0, 1]
+        for (result, edited, _), want in zip(outputs, expected):
+            assert_same_result(result, want)
+            assert_carries_its_own_hops(edited, hops, scheme)
+
+    def test_copies_do_not_carry_the_state(self):
+        ds = random_dataset(n=40, f=3, seed=2)
+        model = trained_model(ds, 2, GPR, 2)
+        _, _, edited = sequential_unlearn(model, ds, [EdgeRemoval((tuple(ds.edge_pairs()[0]),))], BUDGET, GPR, 2)
+        copies = [
+            replace(edited),
+            replace(edited, features=edited.features.copy()),
+            copy.copy(edited),
+            copy.deepcopy(edited),
+            pickle.loads(pickle.dumps(edited)),
+        ]
+        for other in copies:
+            assert other._carried_hops(2, GPR) is None
+        assert replace(edited) == edited
+        assert "_hop_state" not in repr(edited)
+        assert_carries_its_own_hops(edited, 2, GPR)
+
+    @pytest.mark.parametrize("scheme", [SGC, GPR])
+    def test_rejected_request_keeps_the_input_state(self, scheme):
+        """A request the edit rejects raises before the carried blocks are touched."""
+        ds = random_dataset(n=40, f=3, seed=3)
+        model = trained_model(ds, 2, scheme, 3)
+        _, _, current = sequential_unlearn(model, ds, [EdgeRemoval((tuple(ds.edge_pairs()[0]),))], BUDGET, scheme, 2)
+        agg, blocks = current._carried_hops(2, scheme)
+        snapshot = [agg.values.copy()] + [b.copy() for b in blocks]
+        adjacency = [a.copy() for a in (current.adjacency.data, current.adjacency.indices, current.adjacency.indptr)]
+        n = current.n_nodes
+        missing = next((i, j) for i in range(n) for j in range(i + 1, n) if current.adjacency[i, j] == 0)
+        rejected = [
+            (EdgeRemoval((missing,)), ValueError),
+            (EdgeRemoval(((0, n),)), IndexError),
+            (NodeRemoval((n,)), ValueError),
+            (FeatureRemoval((current.n_features,)), ValueError),
+        ]
+        for request, error in rejected:
+            with pytest.raises(error):
+                sequential_unlearn(model, current, [request], BUDGET, scheme, 2)
+            with pytest.raises(error):
+                request.apply(current)
+            assert current._hop_state[2] is agg and current._hop_state[3] is blocks
+            for array, before in zip([agg.values, *blocks], snapshot):
+                np.testing.assert_array_equal(array, before)
+            for array, before in zip((current.adjacency.data, current.adjacency.indices, current.adjacency.indptr), adjacency):
+                np.testing.assert_array_equal(array, before)
+        request = EdgeRemoval((tuple(current.edge_pairs()[0]),))
+        result, _, full = one_call(model, current, request, 2, scheme)
+        assert full == 0
+        assert_same_result(result, reference_step(model, current, request, 2, scheme))
+
+
+@pytest.mark.parametrize("scheme", [SGC, GPR])
+def test_retrain_oracle_builds_its_own_aggregation(scheme):
+    """Retraining stays from scratch on a graph that carries hop blocks."""
+    ds = random_dataset(n=60, f=3, seed=5)
+    config = TrainConfig(lam=1.0, seed=5)
+    model = trained_model(ds, 2, scheme, 5)
+    _, _, edited = sequential_unlearn(model, ds, [EdgeRemoval((tuple(ds.edge_pairs()[0]),))], BUDGET, scheme, 2)
+    assert edited._carried_hops(2, scheme) is not None
+    with mock.patch.object(graph, "aggregate", wraps=graph.aggregate) as agg, mock.patch.object(
+        graph, "build_propagation", wraps=graph.build_propagation
+    ) as prop:
+        oracle = retrain_oracle(edited, config, model.perturbation, scheme, 2)
+    assert agg.call_count == prop.call_count == 1
+    assert agg.call_args.args[0] is edited and prop.call_args.args[0] is edited
+    fresh = retrain_oracle(replace(edited), config, model.perturbation, scheme, 2)
+    np.testing.assert_array_equal(oracle.weights, fresh.weights)

@@ -81,8 +81,6 @@ main(
         str(workdir / "experiment.cfg"),
         "--out",
         str(workdir / "results.csv"),
-        "--threads",
-        "2",
     ]
 )
 lines = (workdir / "results.csv").read_text().strip().splitlines()

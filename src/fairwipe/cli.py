@@ -31,7 +31,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="key = value config file")
     run.add_argument("--out", default=None, help="write results to this path")
     run.add_argument("--format", choices=("csv", "json"), default="csv")
-    run.add_argument("--threads", type=int, default=1, help="parallel seeds")
 
     stats = sub.add_parser("stats", help="load a dataset and print its statistics")
     stats.add_argument("--manifest", required=True, help="dataset manifest (JSON)")
@@ -42,13 +41,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--values", required=True, help="comma-separated values")
     sweep.add_argument("--out", default=None, help="base output path; one file per value")
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    sweep.add_argument("--threads", type=int, default=1)
     return parser
 
 
 def _cmd_run(args) -> int:
     config = parse_config(args.config)
-    rows = run_experiment(config, max_workers=args.threads)
+    rows = run_experiment(config)
     text = emit_results(rows, format=args.format, path=args.out)
     if args.out:
         print(f"wrote {len(rows)} rows to {args.out}")
@@ -81,18 +79,17 @@ def _cmd_stats(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = parse_config(args.config)
-    param = "lambda" if args.param == "lambda" else args.param
-    if param not in _CONFIG_PARSERS or param in ("manifest", "seeds"):
+    if args.param not in _CONFIG_PARSERS or args.param in ("manifest", "seeds"):
         raise ConfigError(f"cannot sweep over {args.param!r}")
-    parse_value = _CONFIG_PARSERS[param]
-    field = "lam" if param == "lambda" else param
+    parse_value = _CONFIG_PARSERS[args.param]
+    field = "lam" if args.param == "lambda" else args.param
     for raw in args.values.split(","):
         raw = raw.strip()
         try:
             variant = replace(config, **{field: parse_value(raw)})
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad sweep value {raw!r} for {args.param}: {exc}")
-        rows = run_experiment(variant, max_workers=args.threads)
+        rows = run_experiment(variant)
         out = None
         if args.out:
             base = Path(args.out)

@@ -13,7 +13,6 @@ import csv
 import json
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -22,7 +21,7 @@ import numpy as np
 from . import fairness, graph
 from .data import DatasetManifest, load_dataset, make_splits
 from .fairness import FairnessReport, select_edges, select_features, select_nodes
-from .graph import GraphDataset, aggregate, build_propagation
+from .graph import GraphDataset, aggregate_hops, build_propagation
 from .model import TrainConfig, TrainedModel, predict, train
 from .unlearn import (
     CertificationBudget,
@@ -30,7 +29,6 @@ from .unlearn import (
     FeatureRemoval,
     NodeRemoval,
     calibrate_noise,
-    newton_unlearn,
     retrain_oracle,
     sequential_unlearn,
     worstcase_bound_feature,
@@ -182,40 +180,39 @@ _SCI_FIELDS = ("residual_norm", "worstcase_bound")
 
 
 def _evaluate(dataset: GraphDataset, agg, model: TrainedModel) -> FairnessReport:
-    preds, _ = predict(model, agg)
+    preds, scores = predict(model, agg)
     test = dataset.test_mask
     accuracy = float((preds[test] == dataset.labels[test]).mean())
     delta_sp, delta_eo = fairness.fairness_metrics(preds, dataset.labels, dataset.sensitive, test)
-    raw_sp, bound, rho_norm = fairness._raw_sp_bound_and_rho_norm(
-        agg.values, model.weights, dataset.sensitive, model.lam
-    )
+    rho_norm = fairness.pearson_correlations(agg.values, dataset.sensitive).norm
+    raw_sp = fairness._score_gap(scores, dataset.sensitive)
     alpha1, alpha2 = fairness.alpha_diagnostics(dataset)
     return FairnessReport(
         accuracy=accuracy,
         delta_sp=delta_sp,
         delta_eo=delta_eo,
         raw_sp=raw_sp,
-        sp_upper_bound=bound,
         rho_norm=rho_norm,
         alpha1=alpha1,
         alpha2=alpha2,
     )
 
 
-def _select_removal(config: ExperimentConfig, dataset: GraphDataset, seed: int):
-    """Model-independent selection of what to remove for one seed."""
+def _select_removal(config: ExperimentConfig, dataset: GraphDataset, seed: int) -> list:
+    """Model-independent selection of what to remove for one seed, as the
+    request list of one :func:`sequential_unlearn` call."""
     if config.task == "feature":
         if config.selector == "random":
             rng = np.random.default_rng(seed)
             chosen = rng.choice(dataset.n_features, size=config.k, replace=False)
         else:
             chosen = select_features(dataset.features, dataset.sensitive, config.k).chosen
-        return FeatureRemoval(tuple(int(c) for c in chosen))
+        return [FeatureRemoval(tuple(int(c) for c in chosen))]
     if config.task == "node":
         chosen = select_nodes(
             dataset, config.k, scope=config.node_scope, kind=config.selector, seed=seed
         ).chosen
-        return NodeRemoval(tuple(int(v) for v in chosen))
+        return [NodeRemoval(tuple(int(v) for v in chosen))]
     batch = max(1, int(round(config.edge_fraction / config.edge_batches * dataset.n_edges)))
 
     def next_batch(current: GraphDataset) -> EdgeRemoval:
@@ -226,59 +223,55 @@ def _select_removal(config: ExperimentConfig, dataset: GraphDataset, seed: int):
     return [next_batch] * config.edge_batches
 
 
-def _apply_unlearning(config, dataset, model, agg, budget, removal):
-    """Run the removal through the Newton engine; returns per-seed unlearn artifacts,
-    the edited graph's aggregation among them."""
+def _apply_unlearning(config, dataset, model, budget, requests):
+    """Run the removal requests through :func:`sequential_unlearn`; returns the
+    edited graph, its aggregation, the unlearned weights, the summed residual,
+    the budget and the wall time."""
     start = time.perf_counter()
-    if config.task == "edge":
-        results, budget, edited = sequential_unlearn(
-            model, dataset, removal, budget, scheme=config.scheme, hops=config.hops
-        )
-        agg_new, _ = edited._carried_hops(config.hops, config.scheme)
-        weights = results[-1].updated_weights
-        residual = sum(r.residual_norm for r in results)
-    else:
-        edited = removal.apply(dataset)
-        agg_new = aggregate(edited, build_propagation(edited, config.hops), config.scheme)
-        result = newton_unlearn(
-            model, agg, agg_new, edited.labels, dataset.train_mask, edited.train_mask
-        )
-        results = [result]
-        budget = budget.record(result.residual_norm)
-        weights = result.updated_weights
-        residual = result.residual_norm
+    results, budget, edited = sequential_unlearn(
+        model, dataset, requests, budget, scheme=config.scheme, hops=config.hops
+    )
     wall = time.perf_counter() - start
-    return edited, agg_new, weights, residual, budget, wall
+    agg_new, _ = edited._carried_hops(config.hops, config.scheme)
+    residual = sum(r.residual_norm for r in results)
+    return edited, agg_new, results[-1].updated_weights, residual, budget, wall
 
 
-def _dry_run_epsilon_prime(config: ExperimentConfig, dataset: GraphDataset, agg, seed: int) -> float:
+def _dry_run_epsilon_prime(config, dataset, agg, train_cfg, requests) -> float:
     """Data-dependent residual of an unperturbed run on the seed's graph and
     aggregation ``agg``, used to calibrate noise for structural removals whose
     worst-case constants are not pinned down."""
-    train_cfg = TrainConfig(config.lam, config.tolerance, config.max_iterations, seed=seed)
     model = train(dataset, agg, train_cfg, noise_std=0.0)
-    removal = _select_removal(config, dataset, seed)
     placeholder = CertificationBudget(config.epsilon, config.delta, epsilon_prime=np.inf)
-    _, _, _, residual, _, _ = _apply_unlearning(config, dataset, model, agg, placeholder, removal)
+    _, _, _, residual, _, _ = _apply_unlearning(config, dataset, model, placeholder, requests)
     return residual
 
 
 def _run_seed(config: ExperimentConfig, base: GraphDataset, name: str, seed: int) -> list[ResultRow]:
     dataset = make_splits(base, config.fractions, seed)
-    prop = build_propagation(dataset, config.hops)
-    agg = aggregate(dataset, prop, config.scheme)
-    m = int(dataset.train_mask.sum())
+    # The seed's first sequential_unlearn call starts from these hop blocks and
+    # takes them off `dataset`; only the aggregation is kept here.
+    dataset._carry_hops(
+        config.hops,
+        config.scheme,
+        aggregate_hops(dataset, build_propagation(dataset, config.hops), config.scheme),
+    )
+    agg = dataset._carried_hops(config.hops, config.scheme)[0]
+    train_cfg = TrainConfig(config.lam, config.tolerance, config.max_iterations, seed=seed)
+    select_start = time.perf_counter()
+    requests = _select_removal(config, dataset, seed)
+    select_wall = time.perf_counter() - select_start
 
     if config.task == "feature":
+        m = int(dataset.train_mask.sum())
         epsilon_prime = worstcase_bound_feature(dataset.n_features, config.k, m, lam=config.lam)
     elif config.epsilon_prime is not None:
         epsilon_prime = config.epsilon_prime
     else:
-        epsilon_prime = _dry_run_epsilon_prime(config, dataset, agg, seed)
+        epsilon_prime = _dry_run_epsilon_prime(config, dataset, agg, train_cfg, requests)
     budget = CertificationBudget(config.epsilon, config.delta, epsilon_prime=epsilon_prime)
     noise_std = calibrate_noise(budget)
 
-    train_cfg = TrainConfig(config.lam, config.tolerance, config.max_iterations, seed=seed)
     train_start = time.perf_counter()
     model = train(dataset, agg, train_cfg, noise_std=noise_std)
     train_wall = time.perf_counter() - train_start
@@ -310,11 +303,8 @@ def _run_seed(config: ExperimentConfig, base: GraphDataset, name: str, seed: int
     if not ({"unlearn", "retrain"} & set(config.arms)):
         return rows
 
-    select_start = time.perf_counter()
-    removal = _select_removal(config, dataset, seed)
-    select_wall = time.perf_counter() - select_start
     edited, agg_edited, weights, residual, budget, unlearn_wall = _apply_unlearning(
-        config, dataset, model, agg, budget, removal
+        config, dataset, model, budget, requests
     )
     removed = config.k if config.task != "edge" else dataset.n_edges - edited.n_edges
 
@@ -344,12 +334,11 @@ def run_experiment(
     config: ExperimentConfig,
     dataset: GraphDataset | None = None,
     dataset_name: str | None = None,
-    max_workers: int = 1,
 ) -> list[ResultRow]:
     """Run all seeds and arms; returns per-seed rows plus mean/std aggregates.
 
-    A failing seed is reported as a warning and skipped. Seeds may run in
-    parallel; row order is deterministic (seed-major, then arm).
+    A failing seed is reported as a warning and skipped. Rows are seed-major,
+    then arm.
     """
     if dataset is None:
         if config.manifest is None:
@@ -360,26 +349,11 @@ def run_experiment(
     dataset_name = dataset_name or "dataset"
 
     rows: list[ResultRow] = []
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [
-                pool.submit(_run_seed, config, dataset, dataset_name, seed) for seed in config.seeds
-            ]
-            outcomes = []
-            for seed, future in zip(config.seeds, futures):
-                try:
-                    outcomes.append(future.result())
-                except Exception as exc:
-                    warnings.warn(f"seed {seed} failed and was skipped: {exc}")
-                    outcomes.append([])
-        for out in outcomes:
-            rows.extend(out)
-    else:
-        for seed in config.seeds:
-            try:
-                rows.extend(_run_seed(config, dataset, dataset_name, seed))
-            except Exception as exc:
-                warnings.warn(f"seed {seed} failed and was skipped: {exc}")
+    for seed in config.seeds:
+        try:
+            rows.extend(_run_seed(config, dataset, dataset_name, seed))
+        except Exception as exc:
+            warnings.warn(f"seed {seed} failed and was skipped: {exc}")
     rows.extend(_aggregate_rows(rows))
     return rows
 

@@ -47,7 +47,6 @@ class FairnessReport:
     delta_sp: float
     delta_eo: float
     raw_sp: float
-    sp_upper_bound: float
     rho_norm: float
     alpha1: float
     alpha2: float
@@ -256,16 +255,9 @@ def raw_sp_and_bound(
     columns (zeroed columns included, so the bound shrinks as columns are
     removed).
     """
-    raw_sp, bound, _ = _raw_sp_bound_and_rho_norm(matrix, weights, s, lam, loss, sigma)
-    return raw_sp, bound
-
-
-def _raw_sp_bound_and_rho_norm(matrix, weights, s, lam, loss=LOGISTIC, sigma=None):
-    """:func:`raw_sp_and_bound` plus the ``||rho||`` it was computed from."""
     matrix = np.asarray(matrix, dtype=np.float64)
     s = _check_binary_groups(s)
-    scores = matrix @ np.asarray(weights, dtype=np.float64)
-    raw_sp = float(abs(scores[s == 0].mean() - scores[s == 1].mean()))
+    raw_sp = _score_gap(matrix @ np.asarray(weights, dtype=np.float64), s)
     n = matrix.shape[0]
     n0 = int((s == 0).sum())
     n1 = int((s == 1).sum())
@@ -274,7 +266,12 @@ def _raw_sp_bound_and_rho_norm(matrix, weights, s, lam, loss=LOGISTIC, sigma=Non
         sigma = float(np.sqrt(matrix.var(axis=0).mean()))
     rho_norm = pearson_correlations(matrix, s).norm
     bound = loss.c * n**1.5 * s_bar * sigma * rho_norm / (n0 * n1 * lam)
-    return raw_sp, float(bound), rho_norm
+    return raw_sp, float(bound)
+
+
+def _score_gap(scores: np.ndarray, s: np.ndarray) -> float:
+    """Absolute gap between the groups' mean scores."""
+    return float(abs(scores[s == 0].mean() - scores[s == 1].mean()))
 
 
 def alpha_diagnostics(dataset: GraphDataset):

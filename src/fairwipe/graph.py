@@ -329,6 +329,26 @@ def _canonical_pairs(edges) -> np.ndarray:
     return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
 
+def _canonical(adj: sp.csr_matrix) -> sp.csr_matrix:
+    """``adj``, or a copy with sorted indices and duplicate entries summed."""
+    if not adj.has_canonical_format:
+        adj = adj.copy()
+        adj.sum_duplicates()
+    return adj
+
+
+def _delete_entries(adj: sp.csr_matrix, doomed: np.ndarray) -> sp.csr_matrix:
+    """Canonical ``adj`` without the stored entries at the sorted, unique positions ``doomed``."""
+    rows = np.searchsorted(adj.indptr, doomed, side="right") - 1
+    indptr = adj.indptr.copy()
+    indptr[1:] -= np.cumsum(np.bincount(rows, minlength=adj.shape[0])).astype(indptr.dtype)
+    out = sp.csr_matrix(
+        (np.delete(adj.data, doomed), np.delete(adj.indices, doomed), indptr), shape=adj.shape
+    )
+    out.has_canonical_format = True
+    return out
+
+
 def remove_edges(dataset: GraphDataset, edges) -> GraphDataset:
     """Delete both directed entries of each undirected pair; everything else is unchanged.
 
@@ -344,10 +364,7 @@ def remove_edges(dataset: GraphDataset, edges) -> GraphDataset:
     n = dataset.n_nodes
     if pairs.min() < 0 or pairs.max() >= n:
         raise IndexError(f"edge index out of range [0, {n})")
-    adj = dataset.adjacency
-    if not adj.has_canonical_format:
-        adj = adj.copy()
-        adj.sum_duplicates()
+    adj = _canonical(dataset.adjacency)
     keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(adj.indptr)) * n + adj.indices
     wanted = np.concatenate([pairs[:, 0] * n + pairs[:, 1], pairs[:, 1] * n + pairs[:, 0]])
     pos = np.searchsorted(keys, wanted)
@@ -357,14 +374,7 @@ def remove_edges(dataset: GraphDataset, edges) -> GraphDataset:
     if not present.all():
         missing = pairs[~present][0]
         raise ValueError(f"edge {tuple(missing)} not present; rejecting the whole request")
-    doomed = np.unique(pos)
-    indptr = adj.indptr.copy()
-    indptr[1:] -= np.cumsum(np.bincount(keys[doomed] // n, minlength=n)).astype(indptr.dtype)
-    new_adj = sp.csr_matrix(
-        (np.delete(adj.data, doomed), np.delete(adj.indices, doomed), indptr), shape=(n, n)
-    )
-    new_adj.has_canonical_format = True
-    return dataset._edited(adjacency=new_adj)
+    return dataset._edited(adjacency=_delete_entries(adj, np.unique(pos)))
 
 
 def remove_nodes(dataset: GraphDataset, nodes) -> GraphDataset:
@@ -381,9 +391,9 @@ def remove_nodes(dataset: GraphDataset, nodes) -> GraphDataset:
         raise ValueError(f"node index out of range [0, {n})")
     keep = np.ones(n, dtype=bool)
     keep[nodes] = False
-    coo = dataset.adjacency.tocoo()
-    alive = keep[coo.row] & keep[coo.col]
-    new_adj = sp.csr_matrix((coo.data[alive], (coo.row[alive], coo.col[alive])), shape=(n, n))
+    adj = _canonical(dataset.adjacency)
+    row_kept = np.repeat(keep, np.diff(adj.indptr))
+    new_adj = _delete_entries(adj, np.flatnonzero(~(row_kept & keep[adj.indices])))
     new_x = dataset.features.copy()
     new_x[nodes, :] = 0.0
     masks = []

@@ -38,7 +38,6 @@ class LossSpec:
     binary logistic loss these are (1, 1, 1/4).
     """
 
-    kind: str = "binary-logistic"
     c: float = 1.0
     c1: float = 1.0
     gamma2: float = 0.25
@@ -73,7 +72,6 @@ class TrainedModel:
     lam: float
     perturbation: np.ndarray
     optimizer_residual: float
-    loss_spec: LossSpec = LOGISTIC
 
     @property
     def dim(self) -> int:

@@ -10,7 +10,6 @@ it leaves behind is what the certification budget accumulates.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -108,7 +107,6 @@ class UnlearnResult:
     updated_weights: np.ndarray
     delta_vector: np.ndarray
     residual_norm: float
-    wall_time: float
 
 
 def newton_unlearn(
@@ -143,7 +141,6 @@ def newton_unlearn(
         raise ValueError("pre/post aggregation widths differ")
     if aggregated.width != model.dim:
         raise ValueError("model dimension does not match aggregation width")
-    start = time.perf_counter()
     w = model.weights
     lam = model.lam
     y = np.asarray(labels, dtype=np.float64)
@@ -170,7 +167,6 @@ def newton_unlearn(
         updated_weights=w_new,
         delta_vector=delta,
         residual_norm=float(np.linalg.norm(residual)),
-        wall_time=time.perf_counter() - start,
     )
 
 

@@ -79,22 +79,6 @@ class TestRun:
         rows = json.loads(capsys.readouterr().out)
         assert {r["arm"] for r in rows} == {"pretrained", "unlearn"}
 
-    def test_threads_flag(self, toy_workspace):
-        out = toy_workspace / "threaded.csv"
-        code = main(
-            [
-                "run",
-                "--config",
-                str(toy_workspace / "exp.cfg"),
-                "--out",
-                str(out),
-                "--threads",
-                "2",
-            ]
-        )
-        assert code == 0
-        assert out.exists()
-
     def test_config_error_exits_2(self, toy_workspace, capsys):
         bad = toy_workspace / "bad.cfg"
         bad.write_text("task = feature\nwat = 1\n")

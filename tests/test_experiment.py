@@ -1,7 +1,11 @@
 import dataclasses
+import sys
+import warnings
 
+import numpy as np
 import pytest
 
+from fairwipe import experiment, graph
 from fairwipe.experiment import (
     ConfigError,
     ExperimentConfig,
@@ -11,7 +15,9 @@ from fairwipe.experiment import (
     parse_config,
     run_experiment,
 )
+from fairwipe.graph import aggregate, build_propagation
 from fairwipe.synthetic import homophilous_dataset
+from fairwipe.unlearn import newton_unlearn, sequential_unlearn
 
 
 def make_config(**overrides):
@@ -170,12 +176,6 @@ class TestRunExperiment:
         assert unlearn.certified == (unlearn.residual_norm <= unlearn.worstcase_bound)
         assert unlearn.residual_norm > 0
 
-    def test_threaded_matches_serial(self, bench_dataset):
-        config = make_config(seeds=(0, 1))
-        serial = run_experiment(config, dataset=bench_dataset)
-        threaded = run_experiment(config, dataset=bench_dataset, max_workers=2)
-        assert [non_timing_fields(r) for r in serial] == [non_timing_fields(r) for r in threaded]
-
     def test_determinism_except_wall_time(self, bench_dataset):
         config = make_config(seeds=(0, 1))
         first = run_experiment(config, dataset=bench_dataset)
@@ -193,6 +193,104 @@ class TestRunExperiment:
     def test_missing_manifest_rejected(self):
         with pytest.raises(ConfigError, match="manifest"):
             run_experiment(make_config())
+
+
+def long_hand_unlearn(model, dataset, requests, budget, scheme, hops):
+    """Each request applied, its graph aggregated in full and one Newton step
+    taken, with no hop blocks carried between requests."""
+    agg = aggregate(dataset, build_propagation(dataset, hops), scheme)
+    results, current = [], dataset
+    for request in requests:
+        if callable(request):
+            request = request(current)
+        edited = request.apply(current)
+        agg_new = aggregate(edited, build_propagation(edited, hops), scheme)
+        result = newton_unlearn(
+            model, agg, agg_new, edited.labels, current.train_mask, edited.train_mask
+        )
+        results.append(result)
+        budget = budget.record(result.residual_norm)
+        model = dataclasses.replace(model, weights=result.updated_weights)
+        current, agg = edited, agg_new
+    # The runner reads the edited aggregation off the returned graph.
+    current._carry_hops(hops, scheme, (agg, []))
+    return results, budget, current
+
+
+def patch_everywhere(monkeypatch, module, name, make_wrapper):
+    """Replace ``module.name`` under every fairwipe name that binds it."""
+    original = getattr(module, name)
+    wrapper = make_wrapper(original)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "fairwipe" or mod_name.startswith("fairwipe."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, wrapper)
+
+
+TASK_CONFIGS = {
+    "feature": dict(task="feature", k=2),
+    "feature-random": dict(task="feature", k=2, selector="random"),
+    "node": dict(task="node", k=4),
+    "node-all": dict(task="node", k=4, node_scope="all"),
+    "edge": dict(task="edge", edge_fraction=0.1, edge_batches=3),
+    "edge-fixed-budget": dict(task="edge", edge_fraction=0.1, edge_batches=3, epsilon_prime=1e-3),
+}
+
+
+class TestOneRemovalPath:
+    @pytest.mark.parametrize("scheme", ["sgc", "gpr"])
+    @pytest.mark.parametrize("task", sorted(TASK_CONFIGS))
+    def test_matches_long_hand_loop(self, bench_dataset, monkeypatch, task, scheme):
+        config = make_config(scheme=scheme, seeds=(0, 1), **TASK_CONFIGS[task])
+        rows = run_experiment(config, dataset=bench_dataset)
+        monkeypatch.setattr(experiment, "sequential_unlearn", long_hand_unlearn)
+        expected = run_experiment(config, dataset=bench_dataset)
+        assert [non_timing_fields(r) for r in rows] == [non_timing_fields(r) for r in expected]
+        assert any(r.arm == "unlearn" and r.residual_norm > 0 for r in rows)
+
+    def test_unlearn_arm_is_evaluated_at_the_last_weights(self, bench_dataset, monkeypatch):
+        last, evaluated = [], []
+        evaluate = experiment._evaluate
+
+        def recording_unlearn(*args, **kwargs):
+            results, budget, edited = sequential_unlearn(*args, **kwargs)
+            last.append(results[-1].updated_weights)
+            return results, budget, edited
+
+        def recording_evaluate(dataset, agg, model):
+            evaluated.append(model.weights)
+            return evaluate(dataset, agg, model)
+
+        monkeypatch.setattr(experiment, "sequential_unlearn", recording_unlearn)
+        monkeypatch.setattr(experiment, "_evaluate", recording_evaluate)
+        run_experiment(make_config(seeds=(0,), **TASK_CONFIGS["edge"]), dataset=bench_dataset)
+        # The dry run, then the arm; evaluated are the pretrained, unlearn and retrain arms.
+        assert len(last) == 2 and len(evaluated) == 3
+        np.testing.assert_array_equal(evaluated[1], last[1])
+
+    @pytest.mark.parametrize(
+        "task, full_aggregations",
+        [("feature", 2), ("edge", 3), ("edge-fixed-budget", 2), ("node", 3)],
+    )
+    def test_full_aggregations_per_seed(self, bench_dataset, monkeypatch, task, full_aggregations):
+        calls = []
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        patch_everywhere(monkeypatch, graph, "aggregate", counting)
+        patch_everywhere(monkeypatch, graph, "aggregate_hops", counting)
+        config = make_config(seeds=(0, 1), **TASK_CONFIGS[task])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = run_experiment(config, dataset=bench_dataset)
+        assert {r.arm for r in rows if not r.aggregate} == {"pretrained", "unlearn", "retrain"}
+        assert len(calls) == 2 * full_aggregations
 
 
 class TestEmitResults:

@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -280,6 +280,23 @@ class TestRemoveEdges:
         assert stats.inter_edges + stats.intra_edges == out.n_edges
 
 
+def stored_differently(adjacency, layout, rng):
+    """The same symmetric matrix as a CSR whose rows hold their entries in random
+    order ("unsorted"), or also store each entry as two parts that sum to it
+    ("duplicates"), split alike in both directions so the sums stay symmetric."""
+    adj = sp.csr_matrix(adjacency)
+    n = adj.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(adj.indptr))
+    cols, data = adj.indices, adj.data
+    if layout == "duplicates":
+        share = rng.uniform(0.1, 0.9, size=(n, n))
+        part = data * np.triu(share)[np.minimum(rows, cols), np.maximum(rows, cols)]
+        rows, cols, data = np.r_[rows, rows], np.r_[cols, cols], np.r_[part, data - part]
+    order = np.lexsort((rng.random(rows.size), rows))
+    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n))]
+    return sp.csr_matrix((data[order], cols[order], indptr), shape=(n, n))
+
+
 class TestRemoveNodes:
     def test_isolated_zero_feature_node_only_mask_changes(self):
         adj = adjacency_from_edges(3, [(1, 2)])
@@ -312,6 +329,42 @@ class TestRemoveNodes:
         assert out.n_nodes == ds.n_nodes
         assert np.all(out.features[4] == 0) and np.all(out.features[7] == 0)
         assert not out.train_mask[4] and not out.val_mask[4] and not out.test_mask[4]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), layout=st.sampled_from(("canonical", "unsorted", "duplicates")))
+    def test_matches_dense_removal(self, seed, layout):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 25))
+        ds = random_dataset(n=n, seed=seed)
+        weights = np.triu(rng.uniform(0.1, 3.0, size=(n, n)), 1)
+        dense = ds.adjacency.toarray() * (weights + weights.T)
+        adjacency = sp.csr_matrix(dense)
+        if layout != "canonical":
+            adjacency = stored_differently(adjacency, layout, rng)
+        if layout == "duplicates":
+            assert not adjacency.has_canonical_format or adjacency.nnz == 0
+        ds = replace(ds, adjacency=adjacency)
+        # Unsorted, with repeats; may cover every node.
+        nodes = rng.integers(0, n, size=int(rng.integers(1, 2 * n)))
+        out = remove_nodes(ds, nodes.tolist())
+        expected = adjacency.toarray()
+        expected[nodes, :] = 0.0
+        expected[:, nodes] = 0.0
+        canonical = sp.csr_matrix(expected)
+        assert out.adjacency.has_canonical_format
+        np.testing.assert_array_equal(out.adjacency.indptr, canonical.indptr)
+        np.testing.assert_array_equal(out.adjacency.indices, canonical.indices)
+        np.testing.assert_array_equal(out.adjacency.data, canonical.data)
+        features = ds.features.copy()
+        features[nodes] = 0.0
+        np.testing.assert_array_equal(out.features, features)
+        for name in ("train_mask", "val_mask", "test_mask"):
+            mask = getattr(ds, name).copy()
+            mask[nodes] = False
+            np.testing.assert_array_equal(getattr(out, name), mask)
+        np.testing.assert_array_equal(out.labels, ds.labels)
+        np.testing.assert_array_equal(out.sensitive, ds.sensitive)
+        GraphDataset(**{f.name: getattr(out, f.name) for f in fields(out) if f.init})
 
 
 class TestZeroFeatureColumns:

@@ -90,6 +90,11 @@ def _read_edge_list(path: Path, n_nodes: int) -> sp.csr_matrix:
     dst = np.asarray(dst, dtype=np.int64)
     base = min(src.min(), dst.min())
     if base >= 1:
+        if max(src.max(), dst.max()) < n_nodes:
+            warnings.warn(
+                f"{path}: node ids run from {base} to {max(src.max(), dst.max())} with {n_nodes} feature rows, "
+                "so the list may be 1-based or 0-based with node 0 isolated; reading it as 1-based"
+            )
         src -= 1
         dst -= 1
     if max(src.max(), dst.max()) >= n_nodes:

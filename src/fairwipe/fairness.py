@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import graph
 from .graph import DegreeStats, GraphDataset, degree_stats
 from .model import LOGISTIC, LossSpec
 
@@ -117,10 +118,7 @@ def select_features(features: np.ndarray, s: np.ndarray, k: int) -> SelectionRes
 def edge_bias_scores(pairs: np.ndarray, s: np.ndarray, stats: DegreeStats) -> np.ndarray:
     """Intra-edges score 1/min(d_i, d_j); inter-edges score 0."""
     pairs = np.atleast_2d(np.asarray(pairs, dtype=np.int64))
-    s = np.asarray(s)
-    intra = s[pairs[:, 0]] == s[pairs[:, 1]]
-    min_deg = np.minimum(stats.degree[pairs[:, 0]], stats.degree[pairs[:, 1]])
-    return np.where(intra, 1.0 / min_deg, 0.0)
+    return graph._edge_scores(pairs, np.asarray(s), stats.degree)
 
 
 def node_bias_scores(nodes: np.ndarray, stats: DegreeStats) -> np.ndarray:
@@ -182,13 +180,21 @@ def select_edges(
     seed: int | None = None,
     stats: DegreeStats | None = None,
 ) -> SelectionResult:
-    """Top-k edges for removal under the given scoring variant."""
+    """Top-k edges for removal under the given scoring variant.
+
+    Without ``stats``, the proposed scores are the ones memoised on the graph,
+    which :func:`graph.remove_edges` carries to its result re-scored only
+    where the degrees changed.
+    """
     pairs = dataset.edge_pairs()
     if not 1 <= k <= len(pairs):
         raise ValueError(f"k must lie in [1, {len(pairs)}]")
-    if stats is None:
-        stats = degree_stats(dataset)
-    scores = ablation_variants(kind, seed)(stats, dataset.sensitive, pairs=pairs)
+    if stats is None and kind == "proposed":
+        scores = graph._proposed_edge_scores(dataset)
+    else:
+        if stats is None:
+            stats = degree_stats(dataset)
+        scores = ablation_variants(kind, seed)(stats, dataset.sensitive, pairs=pairs)
     return _top_k(scores, pairs, k, "edge")
 
 

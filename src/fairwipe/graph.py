@@ -4,6 +4,8 @@ All values are immutable after construction: structural edits (edge/node removal
 feature zeroing) return new :class:`GraphDataset` instances. :func:`aggregate`
 propagates from scratch; :func:`reaggregate` carries the per-hop blocks of one
 graph over to an edited copy and recomputes only the rows the edit can reach.
+Edge pairs, degree statistics and edge scores are memoised on the graph, and
+:func:`remove_edges` carries them over to its result, updated for the edit.
 """
 
 from __future__ import annotations
@@ -28,9 +30,11 @@ class GraphDataset:
 
     ``_hop_state`` is private: the aggregation and hop blocks a
     ``sequential_unlearn`` call left on the graph it returned, keyed by
-    ``(hops, scheme)``. It is not an ``__init__`` argument, is excluded from
-    ``repr`` and ``==``, and is dropped by ``dataclasses.replace``, copies and
-    pickles, so no two graphs share it.
+    ``(hops, scheme)``. ``_memo`` is private too: the read-only edge pairs,
+    degree statistics and edge scores computed for this graph so far. Neither
+    is an ``__init__`` argument; both are excluded from ``repr`` and ``==``,
+    and are dropped by ``dataclasses.replace``, copies and pickles, so no two
+    graphs share them.
     """
 
     adjacency: sp.csr_matrix
@@ -41,6 +45,7 @@ class GraphDataset:
     val_mask: np.ndarray
     test_mask: np.ndarray
     _hop_state: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _memo: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._check_fields()
@@ -54,10 +59,11 @@ class GraphDataset:
     def __getstate__(self):
         state = self.__dict__.copy()
         state.pop("_hop_state", None)
+        state.pop("_memo", None)
         return state
 
-    def _edited(self, **changes) -> GraphDataset:
-        """This graph with ``changes`` applied, for the structural edits below.
+    def _edited(self, memo: dict | None = None, **changes) -> GraphDataset:
+        """This graph with ``changes`` applied and ``memo`` as its memo, for the structural edits below.
 
         Only the O(n) checks run. The O(nnz) adjacency checks (symmetry, zero
         diagonal, positive weights) hold by construction: an edit keeps the
@@ -68,8 +74,17 @@ class GraphDataset:
             if f.init:
                 object.__setattr__(edited, f.name, changes.pop(f.name, getattr(self, f.name)))
         object.__setattr__(edited, "_hop_state", None)
+        object.__setattr__(edited, "_memo", memo)
         edited._check_fields()
         return edited
+
+    def _memoised(self, key: str, compute):
+        """``memo[key]``, computed as ``compute(self)`` on first use."""
+        if self._memo is None:
+            object.__setattr__(self, "_memo", {})
+        if key not in self._memo:
+            self._memo[key] = compute(self)
+        return self._memo[key]
 
     def _carried_hops(self, hops: int, scheme: str) -> tuple[AggregatedFeatures, list[np.ndarray]] | None:
         """The ``(aggregation, hop blocks)`` carried for ``(hops, scheme)``, or None."""
@@ -121,15 +136,9 @@ class GraphDataset:
     def edge_pairs(self) -> np.ndarray:
         """All undirected edges as an (n_edges, 2) array of pairs with i < j, sorted by (i, j).
 
-        The upper triangle is read row by row from the CSR arrays, which is
-        already lexicographic once each row's column indices are sorted.
+        The array is memoised and read-only.
         """
-        adj = self.adjacency
-        if not adj.has_sorted_indices:
-            adj = adj.sorted_indices()
-        rows = np.repeat(np.arange(self.n_nodes, dtype=adj.indices.dtype), np.diff(adj.indptr))
-        upper = adj.indices > rows
-        return np.column_stack([rows[upper], adj.indices[upper]])
+        return self._memoised("edge_pairs", _upper_pairs)[0]
 
 
 @dataclass(frozen=True)
@@ -179,6 +188,39 @@ class DegreeStats:
     @property
     def total_edges(self) -> int:
         return self.inter_edges + self.intra_edges
+
+
+def _frozen(*arrays: np.ndarray):
+    """Mark the arrays read-only; returns the first."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays[0]
+
+
+def _upper_pairs(dataset: GraphDataset) -> tuple[np.ndarray, np.ndarray]:
+    """The edge pairs and their sorted ``i * n + j`` keys, both read-only.
+
+    The upper triangle is read row by row from the CSR arrays, which is
+    already lexicographic once each row's column indices are sorted.
+    """
+    adj = dataset.adjacency
+    if not adj.has_sorted_indices:
+        adj = adj.sorted_indices()
+    rows = np.repeat(np.arange(dataset.n_nodes, dtype=adj.indices.dtype), np.diff(adj.indptr))
+    upper = adj.indices > rows
+    pairs = np.column_stack([rows[upper], adj.indices[upper]])
+    keys = rows[upper].astype(np.int64) * dataset.n_nodes + adj.indices[upper]
+    _frozen(pairs, keys)
+    return pairs, keys
+
+
+def _row_entries(adj: sp.csr_matrix, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR positions of the stored entries of the listed rows, and the index into ``rows`` of each."""
+    starts = adj.indptr[rows]
+    lengths = adj.indptr[rows + 1] - starts
+    owner = np.repeat(np.arange(rows.size), lengths)
+    offsets = np.cumsum(lengths) - lengths
+    return np.arange(owner.size) + np.repeat(starts - offsets, lengths), owner
 
 
 def _row_normalize(a_bar: sp.csr_matrix) -> sp.csr_matrix:
@@ -273,6 +315,21 @@ def reaggregate(
     half the graph the hop is the full product. The result equals
     ``aggregate(after, build_propagation(after, L), scheme)``.
     """
+    return _reaggregate(before, after, aggregated, blocks)[0]
+
+
+def _reaggregate(
+    before: GraphDataset,
+    after: GraphDataset,
+    aggregated: AggregatedFeatures,
+    blocks: list[np.ndarray],
+) -> tuple[AggregatedFeatures, np.ndarray | None]:
+    """:func:`reaggregate`, also returning the rows it recomputed at any hop.
+
+    The row sets grow from hop to hop, so these are the last hop's rows; every
+    other row of the result equals ``aggregated`` bit for bit. None means some
+    hop was the full product.
+    """
     hops = len(blocks) - 1
     scheme = aggregated.scheme
     n = after.n_nodes
@@ -306,7 +363,7 @@ def reaggregate(
             blocks[k][rows] = _propagation_rows(adj, rows).dot(blocks[k - 1])
         row_sets.append(rows)
     if scheme == SGC:
-        return AggregatedFeatures(values=blocks[hops], scheme=scheme)
+        return AggregatedFeatures(values=blocks[hops], scheme=scheme), row_sets[-1]
     values = aggregated.values.copy()
     f = after.n_features
     for k, rows in enumerate(row_sets):
@@ -315,7 +372,7 @@ def reaggregate(
             np.divide(blocks[k], hops + 1, out=values[:, cols])
         elif rows.size:
             values[rows, cols] = blocks[k][rows] / (hops + 1)
-    return AggregatedFeatures(values=values, scheme=scheme)
+    return AggregatedFeatures(values=values, scheme=scheme), row_sets[-1]
 
 
 def _canonical_pairs(edges) -> np.ndarray:
@@ -354,27 +411,91 @@ def remove_edges(dataset: GraphDataset, edges) -> GraphDataset:
 
     The request is atomic: if any listed edge is absent, nothing is removed.
     Pair direction does not matter and a repeated pair removes its edge once.
-    Both CSR positions of every pair are found by one search over the sorted
-    ``row * n + col`` keys; the edit drops them and shifts ``indptr``.
+    Both CSR positions of every pair are found among the stored entries of
+    its two rows; the edit drops them and shifts ``indptr``. The input's memo
+    is carried over to the result, updated for the removed pairs.
     """
     edges = list(edges)
     if not edges:
         return dataset
     pairs = _canonical_pairs(edges)
+    pairs = pairs[np.r_[True, (np.diff(pairs, axis=0) != 0).any(axis=1)]]
     n = dataset.n_nodes
     if pairs.min() < 0 or pairs.max() >= n:
         raise IndexError(f"edge index out of range [0, {n})")
     adj = _canonical(dataset.adjacency)
-    keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(adj.indptr)) * n + adj.indices
-    wanted = np.concatenate([pairs[:, 0] * n + pairs[:, 1], pairs[:, 1] * n + pairs[:, 0]])
-    pos = np.searchsorted(keys, wanted)
-    found = pos < keys.size
-    found[found] = keys[pos[found]] == wanted[found]
-    present = found[: len(pairs)] & found[len(pairs) :]
+    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    entries, owner = _row_entries(adj, rows)
+    hit = adj.indices[entries] == cols[owner]
+    pos = np.full(rows.size, -1, dtype=np.int64)
+    pos[owner[hit]] = entries[hit]
+    present = (pos[: len(pairs)] >= 0) & (pos[len(pairs) :] >= 0)
     if not present.all():
         missing = pairs[~present][0]
         raise ValueError(f"edge {tuple(missing)} not present; rejecting the whole request")
-    return dataset._edited(adjacency=_delete_entries(adj, np.unique(pos)))
+    new_adj = _delete_entries(adj, np.sort(pos))
+    memo = None
+    # A non-canonical input's memo counts its duplicate entries; start afresh.
+    if dataset._memo and adj is dataset.adjacency:
+        memo = _memo_after_removal(dataset._memo, new_adj, dataset.sensitive, pairs)
+    return dataset._edited(memo=memo, adjacency=new_adj)
+
+
+def _memo_after_removal(memo: dict, adj: sp.csr_matrix, sensitive: np.ndarray, removed: np.ndarray) -> dict:
+    """A graph's memo carried over to the graph ``adj`` that lacks the unique canonical pairs ``removed``.
+
+    Removing (i, j) lowers the degrees of i and j alone, so only the edges
+    incident to them in ``adj`` are re-scored.
+    """
+    carried = {}
+    n = adj.shape[0]
+    if "degree_stats" in memo:
+        carried["degree_stats"] = _stats_after_removal(memo["degree_stats"], sensitive, removed)
+    if "edge_pairs" not in memo:
+        return carried
+    pairs, keys = memo["edge_pairs"]
+    gone = np.searchsorted(keys, removed[:, 0] * n + removed[:, 1])
+    # Each pair as one void item: numpy deletes those with one mask over the
+    # items, while a 2-D delete along axis 0 is about ten times slower.
+    row = np.dtype((np.void, 2 * pairs.itemsize))
+    pairs = np.delete(pairs.view(row).ravel(), gone).view(pairs.dtype).reshape(-1, 2)
+    keys = np.delete(keys, gone)
+    carried["edge_pairs"] = (_frozen(pairs, keys), keys)
+    if "edge_scores" in memo:
+        scores = np.delete(memo["edge_scores"], gone)
+        ends = np.unique(removed)
+        entries, owner = _row_entries(adj, ends)
+        u, v = ends[owner], adj.indices[entries]
+        # Sorted queries keep the search cache-friendly on bulk batches.
+        at = np.searchsorted(keys, np.sort(np.minimum(u, v) * n + np.maximum(u, v)))
+        scores[at] = _edge_scores(pairs[at], sensitive, np.diff(adj.indptr))
+        carried["edge_scores"] = _frozen(scores)
+    return carried
+
+
+def _stats_after_removal(stats: DegreeStats, sensitive: np.ndarray, removed: np.ndarray) -> DegreeStats:
+    """``stats`` less the unique pairs ``removed``; equals :func:`degree_stats` of the edited graph.
+
+    Removing edges only lowers inter-degrees, so the nodes that leave a group
+    boundary are the ends of removed inter-edges left with no inter-edge.
+    """
+    n = stats.degree.size
+    inter = sensitive[removed[:, 0]] != sensitive[removed[:, 1]]
+    degree = stats.degree - np.bincount(removed.ravel(), minlength=n)
+    inter_degree = stats.inter_degree - np.bincount(removed[inter].ravel(), minlength=n)
+    ends = np.unique(removed[inter])
+    left = np.bincount(sensitive[ends[inter_degree[ends] == 0]].astype(np.int64), minlength=2)
+    n_inter = int(inter.sum())
+    return DegreeStats(
+        degree=_frozen(degree),
+        inter_degree=_frozen(inter_degree),
+        intra_degree=_frozen(degree - inter_degree),
+        group_sizes=stats.group_sizes,
+        boundary_sizes=(stats.boundary_sizes[0] - int(left[0]), stats.boundary_sizes[1] - int(left[1])),
+        inter_edges=stats.inter_edges - n_inter,
+        intra_edges=stats.intra_edges - (inter.size - n_inter),
+    )
 
 
 def remove_nodes(dataset: GraphDataset, nodes) -> GraphDataset:
@@ -424,8 +545,13 @@ def degree_stats(dataset: GraphDataset) -> DegreeStats:
 
     An inter-edge joins nodes with different sensitive values, an intra-edge
     joins nodes within the same group. Each undirected edge counts once in the
-    edge totals.
+    edge totals. The result is memoised and its arrays are read-only.
     """
+    return dataset._memoised("degree_stats", _count_degrees)
+
+
+def _count_degrees(dataset: GraphDataset) -> DegreeStats:
+    """:func:`degree_stats` from scratch."""
     s = np.asarray(dataset.sensitive, dtype=np.int64)
     adj = dataset.adjacency
     degree = np.diff(adj.indptr).astype(np.int64)
@@ -440,6 +566,7 @@ def degree_stats(dataset: GraphDataset) -> DegreeStats:
     g1 = int((s == 1).sum())
     b0 = int(((s == 0) & (inter_degree > 0)).sum())
     b1 = int(((s == 1) & (inter_degree > 0)).sum())
+    _frozen(degree, inter_degree, intra_degree)
     return DegreeStats(
         degree=degree,
         inter_degree=inter_degree,
@@ -449,3 +576,19 @@ def degree_stats(dataset: GraphDataset) -> DegreeStats:
         inter_edges=n_inter,
         intra_edges=n_intra,
     )
+
+
+def _edge_scores(pairs: np.ndarray, sensitive: np.ndarray, degree: np.ndarray) -> np.ndarray:
+    """Intra-edges score 1/min(d_i, d_j); inter-edges score 0."""
+    intra = sensitive[pairs[:, 0]] == sensitive[pairs[:, 1]]
+    min_deg = np.minimum(degree[pairs[:, 0]], degree[pairs[:, 1]])
+    return np.where(intra, 1.0 / min_deg, 0.0)
+
+
+def _proposed_edge_scores(dataset: GraphDataset) -> np.ndarray:
+    """The proposed score of every edge in ``edge_pairs()`` order, memoised and read-only."""
+
+    def score(ds: GraphDataset) -> np.ndarray:
+        return _frozen(_edge_scores(ds.edge_pairs(), np.asarray(ds.sensitive), np.diff(ds.adjacency.indptr)))
+
+    return dataset._memoised("edge_scores", score)

@@ -116,6 +116,8 @@ def newton_unlearn(
     labels: np.ndarray,
     train_mask: np.ndarray,
     train_mask_new: np.ndarray | None = None,
+    *,
+    changed_rows: np.ndarray | None = None,
 ) -> UnlearnResult:
     """One-step second-order update approximating retraining on the edited data.
 
@@ -132,10 +134,15 @@ def newton_unlearn(
     perturbation is zero. An unchanged dataset therefore always reports a
     residual at the optimizer tolerance, perturbed or not.
 
-    The pre-edit gradient is taken over all rows of ``aggregated`` with the
-    residual zeroed off ``train_mask``; the post-edit training rows are copied
-    out once, and the sigmoid at the current weights on them serves both the
-    gradient and the Hessian.
+    A row whose aggregation and training-mask membership are both unchanged
+    adds the same term to both gradients and cancels. ``changed_rows`` lists
+    the rows where ``aggregated_new`` may differ from ``aggregated``, every
+    other row being equal bit for bit, as ``graph.reaggregate`` recomputes
+    them; the correction is then summed over those rows and the rows whose
+    mask changed. Without ``changed_rows``, or once those rows cover more
+    than half the graph, both gradients are full passes. The post-edit
+    training rows are copied out once; the sigmoid at the current weights on
+    them serves the Hessian and, on the full path, the gradient.
     """
     if aggregated.width != aggregated_new.width:
         raise ValueError("pre/post aggregation widths differ")
@@ -152,10 +159,23 @@ def newton_unlearn(
     if m_new == 0:
         raise ValueError("post-removal training set is empty")
 
-    z_old = aggregated.values
     sig_new = expit(z_new @ w)
-    delta = z_old.T @ np.where(train_mask, expit(z_old @ w) - y, 0.0)
-    delta -= z_new.T @ (sig_new - y_new)
+    rows = None
+    if changed_rows is not None:
+        rows = np.union1d(changed_rows, np.flatnonzero(train_mask != mask_new))
+        if 2 * rows.size > y.size:
+            rows = None
+    if rows is None:
+        z_old = aggregated.values
+        delta = z_old.T @ np.where(train_mask, expit(z_old @ w) - y, 0.0)
+        delta -= z_new.T @ (sig_new - y_new)
+    else:
+
+        def row_terms(values, mask):
+            z = values[rows]
+            return z.T @ np.where(mask[rows], expit(z @ w) - y[rows], 0.0)
+
+        delta = row_terms(aggregated.values, train_mask) - row_terms(aggregated_new.values, mask_new)
     delta += lam * (m_old - m_new) * w
 
     h = logistic_hessian(z_new, sig_new, lam)
@@ -223,7 +243,8 @@ def sequential_unlearn(
     ``budget.epsilon_prime``.
 
     Every edited aggregation is :func:`graph.reaggregate`, which recomputes
-    only the rows the request can change. The returned graph carries its
+    only the rows the request can change; those rows are passed on to
+    :func:`newton_unlearn` as ``changed_rows``. The returned graph carries its
     aggregation and hop blocks for ``(hops, scheme)``; a call given such a
     graph starts from them and takes them off it, since they are then
     edited in place. Any other input is aggregated in full once. Feeding each
@@ -248,7 +269,7 @@ def sequential_unlearn(
             # reaggregate edits the blocks in place: the input must not keep them.
             dataset._carry_hops(hops, scheme, None)
         agg, blocks = carried
-        agg_new = graph.reaggregate(current, edited, agg, blocks)
+        agg_new, rows = graph._reaggregate(current, edited, agg, blocks)
         result = newton_unlearn(
             step_model,
             agg,
@@ -256,6 +277,7 @@ def sequential_unlearn(
             edited.labels,
             current.train_mask,
             edited.train_mask,
+            changed_rows=rows,
         )
         results.append(result)
         budget = budget.record(result.residual_norm)

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -7,6 +10,11 @@ from fairwipe.synthetic import gaussian_features, random_adjacency, split_masks
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
+
+# `pythonpath = ["src"]` puts the package on this process's path; the
+# subprocesses some tests start (`python -m fairwipe.cli`) need it too.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def finite_difference_gradient(func, w, h=1e-6):

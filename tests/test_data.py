@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,20 @@ class TestLoadDataset:
         ds = load_dataset(manifest)
         assert ds.adjacency[0, 1] == 1.0
         assert ds.n_edges == 3
+
+    def test_ambiguous_base_warns(self, tmp_path, write_dataset_files):
+        """A 0-based list whose node 0 is isolated also starts at 1; it still
+        reads as 1-based, but the loader says the reading is a guess."""
+        edge_path, feat_path = write_dataset_files(edge_lines=["1 2", "2 3"])
+        manifest = DatasetManifest.from_json(write_manifest(tmp_path, edge_path, feat_path))
+        with pytest.warns(UserWarning, match=r"edges\.txt.*1-based or 0-based with node 0 isolated"):
+            ds = load_dataset(manifest)
+        assert ds.adjacency[0, 1] == 1.0 and ds.adjacency[1, 2] == 1.0
+        # Ids reaching the node count can only be 1-based: no warning.
+        edge_path.write_text("1 2\n2 3\n3 4\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            load_dataset(manifest)
 
     def test_comma_separated_edges(self, tmp_path, write_dataset_files):
         edge_path, feat_path = write_dataset_files(edge_lines=["0, 1", "2,3"])

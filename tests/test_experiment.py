@@ -292,6 +292,23 @@ class TestOneRemovalPath:
         assert {r.arm for r in rows if not r.aggregate} == {"pretrained", "unlearn", "retrain"}
         assert len(calls) == 2 * full_aggregations
 
+    @pytest.mark.parametrize("task", ["edge", "edge-fixed-budget"])
+    @pytest.mark.parametrize("selector", ["proposed", "random"])
+    def test_degree_stats_counted_once_per_graph(self, bench_dataset, monkeypatch, task, selector):
+        """Every arm's `alpha_diagnostics` and every batch's selection reads the
+        graph's memo; the edited graphs get theirs from the edit."""
+        counted = []
+        original = graph._count_degrees
+
+        def spy(dataset):
+            counted.append(dataset)
+            return original(dataset)
+
+        monkeypatch.setattr(graph, "_count_degrees", spy)
+        run_experiment(make_config(seeds=(0,), selector=selector, **TASK_CONFIGS[task]), dataset=bench_dataset)
+        assert len({id(g) for g in counted}) == len(counted)
+        assert len(counted) == 1
+
 
 class TestEmitResults:
     def rows(self):

@@ -1,3 +1,8 @@
+import copy
+import dataclasses
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -17,7 +22,15 @@ from fairwipe.fairness import (
     select_features,
     select_nodes,
 )
-from fairwipe.graph import DegreeStats, aggregate, build_propagation, degree_stats
+from fairwipe.graph import (
+    DegreeStats,
+    aggregate,
+    build_propagation,
+    degree_stats,
+    remove_edges,
+    remove_nodes,
+    zero_feature_columns,
+)
 from fairwipe.synthetic import gaussian_features, planted_bias_features, random_adjacency
 
 from conftest import random_dataset
@@ -571,3 +584,92 @@ class TestSelectionMatchesReference:
         np.testing.assert_array_equal(
             select_features(columns, ds.sensitive, k).chosen, reference_top_k(rho, np.arange(8), k)
         )
+
+
+EDGE_KINDS = ("proposed", "random", "random-intra", "random-inter")
+MEMO_KEYS = {"edge_pairs", "degree_stats", "edge_scores"}
+
+
+def assert_same_stats(actual, expected):
+    for f in dataclasses.fields(DegreeStats):
+        np.testing.assert_array_equal(getattr(actual, f.name), getattr(expected, f.name))
+
+
+class TestMemoisedSelection:
+    """Pairs, degree statistics and proposed scores are memoised per graph and
+    carried through `remove_edges`; a memo-free copy must select the same."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        family=st.sampled_from(["random", "matching", "clique", "matching+random"]),
+        unsorted=st.booleans(),
+        sizes=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+    )
+    def test_matches_a_memo_free_copy_after_chained_removals(self, seed, family, unsorted, sizes):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 18))
+        if family == "random":
+            adjacency = random_adjacency(n, float(rng.uniform(1, 6)), rng)
+        else:
+            adjacency = tie_heavy_adjacency(family, n, rng)
+        if unsorted:
+            adjacency = shuffled_row_indices(adjacency, rng)
+        current = tiny_dataset(adjacency, sensitive=(np.arange(n) // 2) % 2)
+        for size in sizes:
+            if current.n_edges == 0:
+                return
+            select_edges(current, 1)
+            degree_stats(current)
+            pairs = current.edge_pairs()
+            take = rng.choice(len(pairs), size=min(size, len(pairs)), replace=False)
+            # Either direction, and one pair repeated.
+            edges = [tuple(pairs[i][::-1]) if rng.random() < 0.5 else tuple(pairs[i]) for i in take]
+            canonical = current.adjacency.has_canonical_format
+            current = remove_edges(current, edges + edges[:1])
+            if canonical:
+                assert set(current._memo) == MEMO_KEYS
+            fresh = replace(current)
+            assert fresh._memo is None
+            np.testing.assert_array_equal(current.edge_pairs(), fresh.edge_pairs())
+            assert current.edge_pairs().dtype == fresh.edge_pairs().dtype
+            assert_same_stats(degree_stats(current), degree_stats(fresh))
+            for kind in EDGE_KINDS:
+                for k in range(1, current.n_edges + 1):
+                    memoised = select_edges(current, k, kind=kind, seed=seed)
+                    expected = select_edges(fresh, k, kind=kind, seed=seed)
+                    np.testing.assert_array_equal(memoised.chosen, expected.chosen)
+                    np.testing.assert_array_equal(memoised.scores, expected.scores)
+                    np.testing.assert_array_equal(memoised.candidates, expected.candidates)
+
+    def test_copies_drop_the_memo(self):
+        ds = random_dataset(n=30, seed=1)
+        select_edges(ds, 1)
+        degree_stats(ds)
+        edited = remove_edges(ds, [tuple(ds.edge_pairs()[0])])
+        for g in (ds, edited):
+            assert set(g._memo) == MEMO_KEYS
+            for other in (replace(g), copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+                assert other._memo is None
+            assert replace(g) == g
+            assert "_memo" not in repr(g)
+        # Edits that change more than edges start afresh.
+        assert remove_nodes(ds, [0])._memo is None
+        assert zero_feature_columns(ds, [0])._memo is None
+
+    def test_memoised_arrays_are_read_only(self):
+        ds = random_dataset(n=30, seed=1)
+        edited = remove_edges(ds, [tuple(ds.edge_pairs()[0])])
+        for g in (ds, edited):
+            stats = degree_stats(g)
+            assert degree_stats(g) is stats and g.edge_pairs() is g.edge_pairs()
+            arrays = [
+                g.edge_pairs(),
+                select_edges(g, 2).scores,
+                stats.degree,
+                stats.inter_degree,
+                stats.intra_degree,
+            ]
+            for array in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = array[0]

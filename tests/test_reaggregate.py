@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairwipe import graph
+from fairwipe import graph, unlearn
 from fairwipe.graph import (
     GPR,
     SGC,
@@ -402,6 +402,58 @@ class TestCarriedHops:
         result, _, full = one_call(model, current, request, 2, scheme)
         assert full == 0
         assert_same_result(result, reference_step(model, current, request, 2, scheme))
+
+
+def reachable_rows(before, after, hops):
+    """The rows ``reaggregate`` recomputes, from the dense adjacency: the changed
+    feature rows, grown per hop by the rows whose degree changed and the
+    neighbours in ``after``; None once a hop's set covers more than half the graph."""
+    a_new = after.adjacency.toarray() != 0
+    degree_changed = (before.adjacency.toarray() != 0).sum(axis=1) != a_new.sum(axis=1)
+    changed = (after.features != before.features).any(axis=1)
+    for _ in range(hops):
+        changed = changed | degree_changed | a_new[changed].any(axis=0)
+        if 2 * changed.sum() > before.n_nodes:
+            return None
+    return np.flatnonzero(changed)
+
+
+class TestEditSizedNewton:
+    """`sequential_unlearn` hands `newton_unlearn` the rows `reaggregate` recomputed."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        scheme=st.sampled_from([SGC, GPR]),
+        hops=st.integers(0, 3),
+        kinds=st.lists(st.sampled_from(REQUESTS), min_size=1, max_size=6),
+    )
+    def test_stream_of_one_request_calls(self, seed, scheme, hops, kinds):
+        rng = np.random.default_rng(seed)
+        current = random_dataset(n=int(rng.integers(20, 100)), f=3, seed=seed, avg_degree=float(rng.uniform(0.5, 4)))
+        model = trained_model(current, hops, scheme, seed)
+        for kind in kinds:
+            request = random_request(current, kind, rng)
+            expected = reference_step(model, current, request, hops, scheme)
+            with mock.patch.object(unlearn, "newton_unlearn", wraps=unlearn.newton_unlearn) as spy:
+                (result,), _, edited = sequential_unlearn(model, current, [request], BUDGET, scheme, hops)
+            assert_same_result(result, expected)
+            (args, kwargs), = spy.call_args_list
+            agg, agg_new, rows = args[1], args[2], kwargs["changed_rows"]
+            # The two aggregations stay apart: each is its own graph's.
+            assert_close(agg.values, full_values(current, hops, scheme))
+            assert_close(agg_new.values, full_values(edited, hops, scheme))
+            want = reachable_rows(current, edited, hops) if hops else np.flatnonzero(
+                (edited.features != current.features).any(axis=1)
+            )
+            if want is None:
+                assert rows is None
+            else:
+                np.testing.assert_array_equal(rows, want)
+                differs = (agg.values != agg_new.values).any(axis=1)
+                assert not differs[np.setdiff1d(np.arange(current.n_nodes), rows)].any()
+            model = replace(model, weights=result.updated_weights)
+            current = edited
 
 
 @pytest.mark.parametrize("scheme", [SGC, GPR])

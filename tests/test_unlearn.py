@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit
 
-from fairwipe.graph import aggregate, build_propagation
+from fairwipe.graph import AggregatedFeatures, aggregate, build_propagation
 from fairwipe.model import LOGISTIC, TrainConfig, loss_and_gradient, train
 from fairwipe.synthetic import feature_unlearning_instance
 from fairwipe.unlearn import (
@@ -194,6 +194,55 @@ class TestNewtonUnlearnMatchesReference:
         np.testing.assert_allclose(res.updated_weights, w_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(res.delta_vector, delta_ref, rtol=0, atol=1e-12)
         assert abs(res.residual_norm - residual_ref) <= 1e-12
+
+
+class TestChangedRows:
+    """With ``changed_rows`` the correction is summed over those rows and the
+    rows whose training-mask membership changed; every other row cancels."""
+
+    def edited_case(self, seed, scheme, n_changed, n_flipped):
+        """A trained model, its aggregation, and a copy with ``n_changed`` rows
+        redrawn and ``n_flipped`` other rows moved in or out of training."""
+        rng = np.random.default_rng(seed)
+        ds = random_dataset(n=40, f=4, seed=seed)
+        agg = aggregate(ds, build_propagation(ds, 2), scheme)
+        model = train(ds, agg, TrainConfig(lam=1e-2, seed=seed), noise_std=0.05)
+        rows = rng.choice(ds.n_nodes, size=n_changed, replace=False)
+        values = agg.values.copy()
+        values[rows] = rng.normal(scale=0.3, size=(n_changed, agg.width))
+        mask_new = ds.train_mask.copy()
+        flipped = rng.choice(np.setdiff1d(np.arange(ds.n_nodes), rows), size=n_flipped, replace=False)
+        mask_new[flipped] = ~mask_new[flipped]
+        return rng, ds, model, agg, AggregatedFeatures(values, scheme), rows, mask_new
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        scheme=st.sampled_from(["sgc", "gpr"]),
+        n_changed=st.integers(0, 8),
+        n_flipped=st.integers(0, 5),
+        n_extra=st.integers(0, 4),
+    )
+    def test_matches_the_full_sum(self, seed, scheme, n_changed, n_flipped, n_extra):
+        """Listed rows may come in any order, repeat, or include unchanged rows."""
+        rng, ds, model, agg, agg_new, rows, mask_new = self.edited_case(seed, scheme, n_changed, n_flipped)
+        listed = np.concatenate([rows, rng.choice(ds.n_nodes, size=n_extra)])
+        rng.shuffle(listed)
+        fast = newton_unlearn(model, agg, agg_new, ds.labels, ds.train_mask, mask_new, changed_rows=listed)
+        full = newton_unlearn(model, agg, agg_new, ds.labels, ds.train_mask, mask_new)
+        np.testing.assert_allclose(fast.updated_weights, full.updated_weights, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fast.delta_vector, full.delta_vector, rtol=0, atol=1e-12)
+        assert abs(fast.residual_norm - full.residual_norm) <= 1e-12
+
+    @pytest.mark.parametrize("scheme", ["sgc", "gpr"])
+    def test_more_than_half_the_rows_take_the_full_path(self, scheme):
+        """Past half the graph the result is the full path's, bit for bit."""
+        _, ds, model, agg, agg_new, rows, mask_new = self.edited_case(3, scheme, 21, 2)
+        fast = newton_unlearn(model, agg, agg_new, ds.labels, ds.train_mask, mask_new, changed_rows=rows)
+        full = newton_unlearn(model, agg, agg_new, ds.labels, ds.train_mask, mask_new)
+        np.testing.assert_array_equal(fast.delta_vector, full.delta_vector)
+        np.testing.assert_array_equal(fast.updated_weights, full.updated_weights)
+        assert fast.residual_norm == full.residual_norm
 
 
 class TestWorstCaseBound:

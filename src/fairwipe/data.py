@@ -152,16 +152,14 @@ def _binary_column(cells: list[str], name: str, value_map: tuple[str, str] | Non
     return values.astype(np.int64)
 
 
-def load_dataset(
-    manifest: DatasetManifest,
-    split_fractions: tuple[float, float, float] = (0.6, 0.2, 0.2),
-    split_seed: int = 0,
-) -> GraphDataset:
-    """Read, normalize, and validate a dataset; returns it with a default split.
+def load_dataset(manifest: DatasetManifest) -> GraphDataset:
+    """Read, normalize, and validate a dataset; returns it with a fixed split.
 
     Feature columns are standardized to zero mean and unit variance
     (zero-variance columns stay zero), then all rows are scaled by the largest
-    row norm so the maximum row norm is exactly 1.
+    row norm so the maximum row norm is exactly 1. The split is always the
+    60/20/20 train/val/test split drawn with seed 0; :func:`make_splits`
+    draws others.
     """
     header, rows = _read_feature_table(manifest.features_path)
     for col in (manifest.sensitive_column, manifest.label_column, *manifest.drop_columns):
@@ -190,7 +188,7 @@ def load_dataset(
         x /= max_norm
 
     adjacency = _read_edge_list(manifest.edges_path, n)
-    train, val, test = split_masks(n, split_fractions, np.random.default_rng(split_seed))
+    train, val, test = split_masks(n, (0.6, 0.2, 0.2), np.random.default_rng(0))
     dataset = GraphDataset(
         adjacency=adjacency,
         features=x,
@@ -235,7 +233,9 @@ def make_splits(
     """Reassign train/val/test masks from a seeded uniform node permutation.
 
     If the test set misses a sensitive group, one reseeded resample is
-    attempted before giving up (fairness metrics need both groups).
+    attempted before giving up (fairness metrics need both groups). The
+    result keeps the input's memoised edge pairs, degree statistics and edge
+    scores.
     """
     fractions = tuple(float(f) for f in fractions)
     if any(f <= 0 for f in fractions):
@@ -246,13 +246,5 @@ def make_splits(
         train, val, test = split_masks(dataset.n_nodes, fractions, np.random.default_rng(attempt_seed))
         s_test = dataset.sensitive[test]
         if (s_test == 0).any() and (s_test == 1).any():
-            return GraphDataset(
-                adjacency=dataset.adjacency,
-                features=dataset.features,
-                sensitive=dataset.sensitive,
-                labels=dataset.labels,
-                train_mask=train,
-                val_mask=val,
-                test_mask=test,
-            )
+            return dataset._edited(train_mask=train, val_mask=val, test_mask=test)
     raise ValueError("test split is missing a sensitive group even after one resample")

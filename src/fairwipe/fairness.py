@@ -15,7 +15,7 @@ import numpy as np
 
 from . import graph
 from .graph import DegreeStats, GraphDataset, degree_stats
-from .model import LOGISTIC, LossSpec
+from .model import LOGISTIC
 
 ABLATION_KINDS = ("proposed", "random", "random-intra", "random-inter", "bias-term-only", "degree-only")
 
@@ -35,7 +35,6 @@ class CorrelationVector:
 class SelectionResult:
     """Top-k candidates in descending score order (ties break by lowest index)."""
 
-    kind: str
     chosen: np.ndarray
     scores: np.ndarray
     candidates: np.ndarray
@@ -88,7 +87,7 @@ def pearson_correlations(columns: np.ndarray, s: np.ndarray) -> CorrelationVecto
     return CorrelationVector(rho=np.clip(rho, -1.0, 1.0))
 
 
-def _top_k(scores: np.ndarray, candidates: np.ndarray, k: int, kind: str) -> SelectionResult:
+def _top_k(scores: np.ndarray, candidates: np.ndarray, k: int) -> SelectionResult:
     """Sort by descending score, ties by lowest candidate, and take the first k.
 
     Only the candidates scoring at least the k-th highest score can be chosen,
@@ -102,7 +101,7 @@ def _top_k(scores: np.ndarray, candidates: np.ndarray, k: int, kind: str) -> Sel
     else:
         order = np.lexsort((top[:, 1], top[:, 0], -top_scores))
     chosen = top[order[:k]]
-    return SelectionResult(kind=kind, chosen=chosen, scores=scores, candidates=candidates, budget=k)
+    return SelectionResult(chosen=chosen, scores=scores, candidates=candidates, budget=k)
 
 
 def select_features(features: np.ndarray, s: np.ndarray, k: int) -> SelectionResult:
@@ -112,7 +111,7 @@ def select_features(features: np.ndarray, s: np.ndarray, k: int) -> SelectionRes
     if not 1 <= k <= n_features:
         raise ValueError(f"k must lie in [1, {n_features}]")
     scores = np.abs(pearson_correlations(features, s).rho)
-    return _top_k(scores, np.arange(n_features), k, "feature")
+    return _top_k(scores, np.arange(n_features), k)
 
 
 def edge_bias_scores(pairs: np.ndarray, s: np.ndarray, stats: DegreeStats) -> np.ndarray:
@@ -173,29 +172,21 @@ def ablation_variants(kind: str, seed: int | None = None):
     return scorer
 
 
-def select_edges(
-    dataset: GraphDataset,
-    k: int,
-    kind: str = "proposed",
-    seed: int | None = None,
-    stats: DegreeStats | None = None,
-) -> SelectionResult:
+def select_edges(dataset: GraphDataset, k: int, kind: str = "proposed", seed: int | None = None) -> SelectionResult:
     """Top-k edges for removal under the given scoring variant.
 
-    Without ``stats``, the proposed scores are the ones memoised on the graph,
-    which :func:`graph.remove_edges` carries to its result re-scored only
-    where the degrees changed.
+    The proposed scores are the ones memoised on the graph, which
+    :func:`graph.remove_edges` carries to its result re-scored only where the
+    degrees changed; the ablations score over :func:`degree_stats`.
     """
     pairs = dataset.edge_pairs()
     if not 1 <= k <= len(pairs):
         raise ValueError(f"k must lie in [1, {len(pairs)}]")
-    if stats is None and kind == "proposed":
+    if kind == "proposed":
         scores = graph._proposed_edge_scores(dataset)
     else:
-        if stats is None:
-            stats = degree_stats(dataset)
-        scores = ablation_variants(kind, seed)(stats, dataset.sensitive, pairs=pairs)
-    return _top_k(scores, pairs, k, "edge")
+        scores = ablation_variants(kind, seed)(degree_stats(dataset), dataset.sensitive, pairs=pairs)
+    return _top_k(scores, pairs, k)
 
 
 def select_nodes(
@@ -204,7 +195,6 @@ def select_nodes(
     scope: str = "train",
     kind: str = "proposed",
     seed: int | None = None,
-    stats: DegreeStats | None = None,
 ) -> SelectionResult:
     """Top-k nodes for removal, drawn from the training set or the whole graph."""
     if scope == "train":
@@ -215,10 +205,8 @@ def select_nodes(
         raise ValueError("scope must be 'train' or 'all'")
     if not 1 <= k <= len(nodes):
         raise ValueError(f"k must lie in [1, {len(nodes)}] for scope {scope!r}")
-    if stats is None:
-        stats = degree_stats(dataset)
-    scores = ablation_variants(kind, seed)(stats, dataset.sensitive, nodes=nodes)
-    return _top_k(scores, nodes, k, "node")
+    scores = ablation_variants(kind, seed)(degree_stats(dataset), dataset.sensitive, nodes=nodes)
+    return _top_k(scores, nodes, k)
 
 
 def fairness_metrics(predictions, labels, s, test_mask):
@@ -244,22 +232,15 @@ def fairness_metrics(predictions, labels, s, test_mask):
     return float(abs(rates[0] - rates[1])), float(abs(tpr[0] - tpr[1]))
 
 
-def raw_sp_and_bound(
-    matrix: np.ndarray,
-    weights: np.ndarray,
-    s: np.ndarray,
-    lam: float,
-    loss: LossSpec = LOGISTIC,
-    sigma: float | None = None,
-):
+def raw_sp_and_bound(matrix: np.ndarray, weights: np.ndarray, s: np.ndarray, lam: float):
     """Group gap of mean raw scores, plus its correlation-norm upper bound.
 
-    The bound is ``c N^(3/2) s_bar sigma ||rho|| / (|S0| |S1| lam)`` with
-    ``s_bar`` the norm of the centered sensitive vector and ``rho`` computed on
-    the same matrix the scores come from. When ``sigma`` is not given it is
-    pooled as the root-mean-square per-column standard deviation over all
-    columns (zeroed columns included, so the bound shrinks as columns are
-    removed).
+    The bound is ``c N^(3/2) s_bar sigma ||rho|| / (|S0| |S1| lam)`` with ``c``
+    the logistic loss constant, ``s_bar`` the norm of the centered sensitive
+    vector and ``rho`` computed on the same matrix the scores come from.
+    ``sigma`` is pooled as the root-mean-square per-column standard deviation
+    over all columns (zeroed columns included, so the bound shrinks as columns
+    are removed).
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     s = _check_binary_groups(s)
@@ -268,10 +249,9 @@ def raw_sp_and_bound(
     n0 = int((s == 0).sum())
     n1 = int((s == 1).sum())
     s_bar = float(np.linalg.norm(s - s.mean()))
-    if sigma is None:
-        sigma = float(np.sqrt(matrix.var(axis=0).mean()))
+    sigma = float(np.sqrt(matrix.var(axis=0).mean()))
     rho_norm = pearson_correlations(matrix, s).norm
-    bound = loss.c * n**1.5 * s_bar * sigma * rho_norm / (n0 * n1 * lam)
+    bound = LOGISTIC.c * n**1.5 * s_bar * sigma * rho_norm / (n0 * n1 * lam)
     return raw_sp, float(bound)
 
 

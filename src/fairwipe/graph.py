@@ -5,12 +5,12 @@ feature zeroing) return new :class:`GraphDataset` instances. :func:`aggregate`
 propagates from scratch; :func:`reaggregate` carries the per-hop blocks of one
 graph over to an edited copy and recomputes only the rows the edit can reach.
 Edge pairs, degree statistics and edge scores are memoised on the graph, and
-:func:`remove_edges` carries them over to its result, updated for the edit.
+:func:`remove_edges` carries them over to its result, updated for the edit;
+:func:`zero_feature_columns` keeps them as they are.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -34,7 +34,9 @@ class GraphDataset:
     degree statistics and edge scores computed for this graph so far. Neither
     is an ``__init__`` argument; both are excluded from ``repr`` and ``==``,
     and are dropped by ``dataclasses.replace``, copies and pickles, so no two
-    graphs share them.
+    graphs share them. The memo depends only on the adjacency and the
+    sensitive column, so the edits and splits that keep both start their
+    result with a copy of it.
     """
 
     adjacency: sp.csr_matrix
@@ -65,14 +67,19 @@ class GraphDataset:
     def _edited(self, memo: dict | None = None, **changes) -> GraphDataset:
         """This graph with ``changes`` applied and ``memo`` as its memo, for the structural edits below.
 
-        Only the O(n) checks run. The O(nnz) adjacency checks (symmetry, zero
-        diagonal, positive weights) hold by construction: an edit keeps the
-        adjacency or removes both directions of entries from a validated one.
+        Without ``memo``, a result that keeps the adjacency and the sensitive
+        column gets a copy of this graph's memo. Only the O(n) checks run. The
+        O(nnz) adjacency checks (symmetry, zero diagonal, positive weights)
+        hold by construction: an edit keeps the adjacency or removes both
+        directions of entries from a validated one.
         """
         edited = object.__new__(GraphDataset)
         for f in fields(self):
             if f.init:
                 object.__setattr__(edited, f.name, changes.pop(f.name, getattr(self, f.name)))
+        kept = edited.adjacency is self.adjacency and edited.sensitive is self.sensitive
+        if memo is None and self._memo and kept:
+            memo = dict(self._memo)
         object.__setattr__(edited, "_hop_state", None)
         object.__setattr__(edited, "_memo", memo)
         edited._check_fields()
@@ -185,10 +192,6 @@ class DegreeStats:
     inter_edges: int
     intra_edges: int
 
-    @property
-    def total_edges(self) -> int:
-        return self.inter_edges + self.intra_edges
-
 
 def _frozen(*arrays: np.ndarray):
     """Mark the arrays read-only; returns the first."""
@@ -243,33 +246,27 @@ def _propagation_rows(adjacency: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matr
     return _row_normalize((adjacency[rows] + loops).tocsr())
 
 
-def _propagate_hops(features: np.ndarray, matrix: sp.csr_matrix, hops: int):
-    """Yield the hop blocks ``X, PX, ..., P^L X`` one at a time."""
-    z = features
-    yield z
-    for _ in range(hops):
-        z = np.asarray(matrix.dot(z))
-        yield z
+def _aggregate(
+    dataset: GraphDataset, prop: PropagationOperator, scheme: str
+) -> tuple[AggregatedFeatures, list[np.ndarray]]:
+    """The aggregation and the hop blocks ``X, PX, ..., P^L X`` it combines.
 
-
-def _combine(blocks, scheme: str, hops: int) -> np.ndarray:
-    """SGC keeps the last hop block; GPR concatenates all of them scaled by 1/(L+1).
-
-    ``blocks`` may be a generator, in which case SGC holds one hop at a time.
+    SGC keeps the last hop block; GPR concatenates all of them scaled by 1/(L+1).
     """
-    if scheme == SGC:
-        return deque(blocks, maxlen=1)[0]
-    values = np.hstack(list(blocks), dtype=np.float64)
-    values /= hops + 1
-    return values
-
-
-def _check_aggregation(dataset: GraphDataset, prop: PropagationOperator, scheme: str) -> None:
     p = prop.matrix
     if p.shape[1] != dataset.n_nodes:
         raise ValueError(f"propagation is {p.shape[0]}x{p.shape[1]} but features have {dataset.n_nodes} rows")
     if scheme not in (SGC, GPR):
         raise ValueError(f"unknown aggregation scheme: {scheme!r}")
+    blocks = [dataset.features]
+    for _ in range(prop.hops):
+        blocks.append(np.asarray(p.dot(blocks[-1])))
+    if scheme == SGC:
+        values = blocks[-1]
+    else:
+        values = np.hstack(blocks, dtype=np.float64)
+        values /= prop.hops + 1
+    return AggregatedFeatures(values=values, scheme=scheme), blocks
 
 
 def aggregate(dataset: GraphDataset, prop: PropagationOperator, scheme: str = SGC) -> AggregatedFeatures:
@@ -278,18 +275,14 @@ def aggregate(dataset: GraphDataset, prop: PropagationOperator, scheme: str = SG
     ``sgc`` returns the L-fold propagated features; ``gpr`` returns the
     1/(L+1)-scaled horizontal concatenation of all hop powers from 0 to L.
     """
-    _check_aggregation(dataset, prop, scheme)
-    blocks = _propagate_hops(dataset.features, prop.matrix, prop.hops)
-    return AggregatedFeatures(values=_combine(blocks, scheme, prop.hops), scheme=scheme)
+    return _aggregate(dataset, prop, scheme)[0]
 
 
 def aggregate_hops(
     dataset: GraphDataset, prop: PropagationOperator, scheme: str = SGC
 ) -> tuple[AggregatedFeatures, list[np.ndarray]]:
     """:func:`aggregate`, also returning the hop blocks ``X, PX, ..., P^L X`` for :func:`reaggregate`."""
-    _check_aggregation(dataset, prop, scheme)
-    blocks = list(_propagate_hops(dataset.features, prop.matrix, prop.hops))
-    return AggregatedFeatures(values=_combine(blocks, scheme, prop.hops), scheme=scheme), blocks
+    return _aggregate(dataset, prop, scheme)
 
 
 def reaggregate(
@@ -528,7 +521,7 @@ def remove_nodes(dataset: GraphDataset, nodes) -> GraphDataset:
 
 
 def zero_feature_columns(dataset: GraphDataset, columns) -> GraphDataset:
-    """Zero the listed feature columns for all nodes (graph structure unchanged)."""
+    """Zero the listed feature columns for all nodes (graph structure unchanged, memo kept)."""
     cols = np.asarray(sorted(set(int(c) for c in columns)), dtype=np.int64)
     if cols.size == 0:
         return dataset

@@ -18,7 +18,7 @@ from scipy.special import expit
 
 from . import graph
 from .graph import AggregatedFeatures, GraphDataset
-from .model import LOGISTIC, LossSpec, TrainConfig, TrainedModel, logistic_hessian, train
+from .model import LOGISTIC, TrainConfig, TrainedModel, logistic_hessian, train
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,6 @@ class NodeRemoval:
 
     def apply(self, dataset: GraphDataset) -> GraphDataset:
         return graph.remove_nodes(dataset, self.nodes)
-
-
-RemovalRequest = FeatureRemoval | EdgeRemoval | NodeRemoval
 
 
 @dataclass(frozen=True)
@@ -190,25 +187,20 @@ def newton_unlearn(
     )
 
 
-def worstcase_bound_feature(
-    n_features: int,
-    k: int,
-    m: int,
-    loss: LossSpec = LOGISTIC,
-    lam: float = 10.0,
-) -> float:
+def worstcase_bound_feature(n_features: int, k: int, m: int, lam: float = 10.0) -> float:
     """A-priori gradient-residual bound for zeroing k of F features on all nodes.
 
-    ``gamma2/m * [(2c sqrt(F) + c1 sqrt((F-k) m)) / (lam sqrt(F))]^2``. The same
-    expression covers both aggregation schemes; F and k count raw features.
+    ``gamma2/m * [(2c sqrt(F) + c1 sqrt((F-k) m)) / (lam sqrt(F))]^2`` with the
+    logistic loss constants. The same expression covers both aggregation
+    schemes; F and k count raw features.
     """
     if not 0 <= k <= n_features:
         raise ValueError(f"k must lie in [0, {n_features}]")
     if m < 1:
         raise ValueError("m must be >= 1")
     root_f = math.sqrt(n_features)
-    numer = 2.0 * loss.c * root_f + loss.c1 * math.sqrt((n_features - k) * m)
-    return loss.gamma2 / m * (numer / (lam * root_f)) ** 2
+    numer = 2.0 * LOGISTIC.c * root_f + LOGISTIC.c1 * math.sqrt((n_features - k) * m)
+    return LOGISTIC.gamma2 / m * (numer / (lam * root_f)) ** 2
 
 
 def calibrate_noise(budget: CertificationBudget) -> float:

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fairwipe import graph
 from fairwipe.data import DatasetManifest, DataValidationError, load_dataset, make_splits
 
 from conftest import random_dataset
@@ -21,6 +22,28 @@ def write_manifest(tmp_path, edge_path, feat_path, **overrides):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(payload))
     return path
+
+
+def replace_line(path, lineno, text):
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = text
+    path.write_text("\n".join(lines) + "\n")
+
+
+# Files written by `write_dataset_files` (and `write_manifest`), how to break
+# them, and the message the loader must give. The edge list's first line is a
+# comment and the feature table's is the header, so node 1's row is line 3.
+MALFORMED = {
+    "short-edge-line": (dict(edge_lines=["0 1", "2"]), None, r"edges\.txt:3: expected two node ids, got '2'"),
+    "no-edges": (dict(edge_lines=[]), None, r"edges\.txt: no edges found"),
+    "header-only": (dict(n=0), None, r"features\.csv: need a header row"),
+    "ragged-row": ({}, lambda e, f, m: replace_line(f, 3, "0,1,0.5"), r"features\.csv:3: expected 4 cells, got 3"),
+    "text-sensitive": (dict(sensitive=("a", "a", "b", "b")), None, r"column 'sens' is not numeric; provide a value"),
+    "text-feature": ({}, lambda e, f, m: replace_line(f, 3, "0,1,x,0.5"), r"features\.csv: non-numeric feature value"),
+    "bad-manifest": ({}, lambda e, f, m: m.write_text("{"), r"manifest\.json is not valid JSON"),
+    "no-edge-file": ({}, lambda e, f, m: e.unlink(), r"edge file not found: .*edges\.txt"),
+    "no-feature-file": ({}, lambda e, f, m: f.unlink(), r"feature file not found: .*features\.csv"),
+}
 
 
 class TestManifest:
@@ -44,6 +67,16 @@ class TestManifest:
 
 
 class TestLoadDataset:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_input_message(self, tmp_path, write_dataset_files, case):
+        written, breaks, message = MALFORMED[case]
+        edge_path, feat_path = write_dataset_files(**written)
+        manifest_path = write_manifest(tmp_path, edge_path, feat_path)
+        if breaks is not None:
+            breaks(edge_path, feat_path, manifest_path)
+        with pytest.raises(DataValidationError, match=message):
+            load_dataset(DatasetManifest.from_json(manifest_path))
+
     def test_basic_load(self, tmp_path, write_dataset_files):
         edge_path, feat_path = write_dataset_files()
         manifest = DatasetManifest.from_json(write_manifest(tmp_path, edge_path, feat_path))
@@ -193,6 +226,24 @@ class TestLoadDataset:
         )
         with pytest.raises(DataValidationError, match="unknown expected_stats"):
             load_dataset(manifest)
+
+    def test_expected_stats_count_carries_to_splits(self, tmp_path, write_dataset_files, monkeypatch):
+        counted = []
+        original = graph._count_degrees
+
+        def spy(dataset):
+            counted.append(dataset)
+            return original(dataset)
+
+        monkeypatch.setattr(graph, "_count_degrees", spy)
+        edge_path, feat_path = write_dataset_files(n=10, sensitive=(0, 1) * 5, labels=(0, 0, 1, 1, 0) * 2)
+        manifest = DatasetManifest.from_json(
+            write_manifest(tmp_path, edge_path, feat_path, expected_stats={"inter_edges": 3})
+        )
+        ds = load_dataset(manifest)
+        split = make_splits(ds, (0.4, 0.3, 0.3), seed=3)
+        assert graph.degree_stats(split) is graph.degree_stats(ds)
+        assert counted == [ds]
 
     def test_tab_delimited_features(self, tmp_path, write_dataset_files):
         edge_path, feat_path = write_dataset_files(delimiter="\t")

@@ -292,11 +292,12 @@ class TestOneRemovalPath:
         assert {r.arm for r in rows if not r.aggregate} == {"pretrained", "unlearn", "retrain"}
         assert len(calls) == 2 * full_aggregations
 
-    @pytest.mark.parametrize("task", ["edge", "edge-fixed-budget"])
+    @pytest.mark.parametrize("task", ["edge", "edge-fixed-budget", "feature"])
     @pytest.mark.parametrize("selector", ["proposed", "random"])
     def test_degree_stats_counted_once_per_graph(self, bench_dataset, monkeypatch, task, selector):
         """Every arm's `alpha_diagnostics` and every batch's selection reads the
-        graph's memo; the edited graphs get theirs from the edit."""
+        graph's memo; the edited graphs get theirs from the edit, and a
+        feature edit keeps the split graph's."""
         counted = []
         original = graph._count_degrees
 

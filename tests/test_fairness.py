@@ -655,7 +655,18 @@ class TestMemoisedSelection:
             assert "_memo" not in repr(g)
         # Edits that change more than edges start afresh.
         assert remove_nodes(ds, [0])._memo is None
-        assert zero_feature_columns(ds, [0])._memo is None
+        # A feature edit keeps adjacency and sensitive column: it keeps the
+        # input's read-only entries, in a memo of its own.
+        zeroed = zero_feature_columns(ds, [0])
+        assert zeroed._memo is not ds._memo
+        assert all(zeroed._memo[key] is entry for key, entry in ds._memo.items())
+        assert set(zeroed._memo) == MEMO_KEYS
+        fresh = replace(zeroed)
+        np.testing.assert_array_equal(zeroed.edge_pairs(), fresh.edge_pairs())
+        assert_same_stats(degree_stats(zeroed), degree_stats(fresh))
+        for kind in EDGE_KINDS:
+            memoised, expected = (select_edges(g, 3, kind=kind, seed=1) for g in (zeroed, fresh))
+            np.testing.assert_array_equal(memoised.scores, expected.scores)
 
     def test_memoised_arrays_are_read_only(self):
         ds = random_dataset(n=30, seed=1)

@@ -112,6 +112,17 @@ class TestNewtonUnlearn:
         with pytest.raises(ValueError, match="width"):
             newton_unlearn(model, agg, gpr, ds.labels, ds.train_mask)
 
+    def test_model_dimension_mismatch_rejected(self):
+        ds, _, _, model = trained_instance(seed=6, n=40, f=4)
+        gpr = aggregate(ds, build_propagation(ds, 2), "gpr")
+        with pytest.raises(ValueError, match="model dimension does not match aggregation width"):
+            newton_unlearn(model, gpr, gpr, ds.labels, ds.train_mask)
+
+    def test_empty_training_set_rejected(self):
+        ds, agg, _, model = trained_instance(seed=6, n=40, f=4)
+        with pytest.raises(ValueError, match="post-removal training set is empty"):
+            newton_unlearn(model, agg, agg, ds.labels, ds.train_mask, np.zeros_like(ds.train_mask))
+
     def test_strong_convexity_converts_residual_to_weight_distance(self):
         for seed in range(5):
             ds, agg, cfg, model = trained_instance(seed=seed, n=150, f=8)

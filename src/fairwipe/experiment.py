@@ -91,6 +91,10 @@ class ExperimentConfig:
             raise ConfigError("at least one arm is required")
         if self.task == "edge" and not (0 < self.edge_fraction <= 1 and self.edge_batches >= 1):
             raise ConfigError("edge task needs edge_fraction in (0,1] and edge_batches >= 1")
+        try:
+            CertificationBudget(self.epsilon, self.delta, epsilon_prime=self.epsilon_prime)
+        except ValueError as exc:
+            raise ConfigError(str(exc))
 
     @property
     def fractions(self) -> tuple[float, float, float]:
@@ -223,34 +227,10 @@ def _select_removal(config: ExperimentConfig, dataset: GraphDataset, seed: int) 
     return [next_batch] * config.edge_batches
 
 
-def _apply_unlearning(config, dataset, model, budget, requests):
-    """Run the removal requests through :func:`sequential_unlearn`; returns the
-    edited graph, its aggregation, the unlearned weights, the summed residual,
-    the budget and the wall time."""
-    start = time.perf_counter()
-    results, budget, edited = sequential_unlearn(
-        model, dataset, requests, budget, scheme=config.scheme, hops=config.hops
-    )
-    wall = time.perf_counter() - start
-    agg_new, _ = edited._carried_hops(config.hops, config.scheme)
-    residual = sum(r.residual_norm for r in results)
-    return edited, agg_new, results[-1].updated_weights, residual, budget, wall
-
-
-def _dry_run_epsilon_prime(config, dataset, agg, train_cfg, requests) -> float:
-    """Data-dependent residual of an unperturbed run on the seed's graph and
-    aggregation ``agg``, used to calibrate noise for structural removals whose
-    worst-case constants are not pinned down."""
-    model = train(dataset, agg, train_cfg, noise_std=0.0)
-    placeholder = CertificationBudget(config.epsilon, config.delta, epsilon_prime=np.inf)
-    _, _, _, residual, _, _ = _apply_unlearning(config, dataset, model, placeholder, requests)
-    return residual
-
-
 def _run_seed(config: ExperimentConfig, base: GraphDataset, name: str, seed: int) -> list[ResultRow]:
     dataset = make_splits(base, config.fractions, seed)
-    # The seed's first sequential_unlearn call starts from these hop blocks and
-    # takes them off `dataset`; only the aggregation is kept here.
+    # The unlearn arm's sequential_unlearn call starts from these hop blocks
+    # and takes them off `dataset`; only the aggregation is kept here.
     dataset._carry_hops(
         config.hops,
         config.scheme,
@@ -265,12 +245,11 @@ def _run_seed(config: ExperimentConfig, base: GraphDataset, name: str, seed: int
     if config.task == "feature":
         m = int(dataset.train_mask.sum())
         epsilon_prime = worstcase_bound_feature(dataset.n_features, config.k, m, lam=config.lam)
-    elif config.epsilon_prime is not None:
-        epsilon_prime = config.epsilon_prime
     else:
-        epsilon_prime = _dry_run_epsilon_prime(config, dataset, agg, train_cfg, requests)
+        epsilon_prime = config.epsilon_prime
     budget = CertificationBudget(config.epsilon, config.delta, epsilon_prime=epsilon_prime)
-    noise_std = calibrate_noise(budget)
+    # Without a budget there is nothing to calibrate to: train noise-free.
+    noise_std = 0.0 if epsilon_prime is None else calibrate_noise(budget)
 
     train_start = time.perf_counter()
     model = train(dataset, agg, train_cfg, noise_std=noise_std)
@@ -303,18 +282,21 @@ def _run_seed(config: ExperimentConfig, base: GraphDataset, name: str, seed: int
     if not ({"unlearn", "retrain"} & set(config.arms)):
         return rows
 
-    edited, agg_edited, weights, residual, budget, unlearn_wall = _apply_unlearning(
-        config, dataset, model, budget, requests
+    unlearn_start = time.perf_counter()
+    results, budget, edited = sequential_unlearn(
+        model, dataset, requests, budget, scheme=config.scheme, hops=config.hops
     )
+    unlearn_wall = time.perf_counter() - unlearn_start
+    agg_edited, _ = edited._carried_hops(config.hops, config.scheme)
     removed = config.k if config.task != "edge" else dataset.n_edges - edited.n_edges
 
     if "unlearn" in config.arms:
-        report = _evaluate(edited, agg_edited, replace(model, weights=weights))
+        report = _evaluate(edited, agg_edited, replace(model, weights=results[-1].updated_weights))
         rows.append(
             row(
                 "unlearn",
                 report,
-                residual=residual,
+                residual=sum(r.residual_norm for r in results),
                 bound=epsilon_prime,
                 certified=budget.certified,
                 wall=select_wall + unlearn_wall,

@@ -78,10 +78,12 @@ class CertificationBudget:
     accumulated_residual: float = 0.0
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if not 0.0 < self.delta < 1.5:
             raise ValueError("delta must lie in (0, 1.5)")
+        if self.epsilon_prime is not None and not self.epsilon_prime >= 0:
+            raise ValueError("epsilon_prime must be >= 0")
         if self.accumulated_residual < 0:
             raise ValueError("accumulated residual cannot be negative")
 
@@ -90,9 +92,11 @@ class CertificationBudget:
         return math.sqrt(2.0 * math.log(1.5 / self.delta))
 
     @property
-    def certified(self) -> bool:
+    def certified(self) -> bool | None:
+        """Whether the accumulated residual fits within ``epsilon_prime``;
+        None when no budget was set, since there is then nothing to certify."""
         if self.epsilon_prime is None:
-            return False
+            return None
         return self.accumulated_residual <= self.epsilon_prime
 
     def record(self, residual: float) -> "CertificationBudget":
@@ -208,13 +212,11 @@ def calibrate_noise(budget: CertificationBudget) -> float:
 
     ``c0 * epsilon_prime / epsilon`` with ``c0 = sqrt(2 ln(1.5/delta))``; the
     scale is treated as a standard deviation. Requires ``epsilon_prime`` to be
-    set (worst-case bound for feature removals; data-dependent or caller-chosen
+    set (worst-case bound for feature removals; the configured removal budget
     for structural ones).
     """
     if budget.epsilon_prime is None:
         raise ValueError("budget.epsilon_prime must be set before noise calibration")
-    if budget.epsilon_prime < 0:
-        raise ValueError("epsilon_prime must be >= 0")
     return budget.c0 * budget.epsilon_prime / budget.epsilon
 
 

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from fairwipe import experiment
 from fairwipe.cli import main
 from fairwipe.synthetic import homophilous_dataset
 
@@ -85,6 +86,19 @@ class TestRun:
         code = main(["run", "--config", str(bad)])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "setting", ["epsilon = 0", "epsilon = nan", "delta = 2", "epsilon_prime = -1", "epsilon_prime = nan"]
+    )
+    def test_bad_budget_exits_2_before_any_seed(self, toy_workspace, capsys, monkeypatch, setting):
+        seeds = []
+        monkeypatch.setattr(experiment, "_run_seed", lambda *args: seeds.append(args))
+        config = toy_workspace / "exp.cfg"
+        config.write_text(config.read_text() + setting + "\n")
+        code = main(["run", "--config", str(config)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert seeds == []
 
     def test_data_error_exits_3(self, toy_workspace, capsys):
         manifest = json.loads((toy_workspace / "manifest.json").read_text())

@@ -265,13 +265,13 @@ class TestOneRemovalPath:
         monkeypatch.setattr(experiment, "sequential_unlearn", recording_unlearn)
         monkeypatch.setattr(experiment, "_evaluate", recording_evaluate)
         run_experiment(make_config(seeds=(0,), **TASK_CONFIGS["edge"]), dataset=bench_dataset)
-        # The dry run, then the arm; evaluated are the pretrained, unlearn and retrain arms.
-        assert len(last) == 2 and len(evaluated) == 3
-        np.testing.assert_array_equal(evaluated[1], last[1])
+        # One call, the arm's; evaluated are the pretrained, unlearn and retrain arms.
+        assert len(last) == 1 and len(evaluated) == 3
+        np.testing.assert_array_equal(evaluated[1], last[0])
 
     @pytest.mark.parametrize(
         "task, full_aggregations",
-        [("feature", 2), ("edge", 3), ("edge-fixed-budget", 2), ("node", 3)],
+        [("feature", 2), ("edge", 2), ("edge-fixed-budget", 2), ("node", 2)],
     )
     def test_full_aggregations_per_seed(self, bench_dataset, monkeypatch, task, full_aggregations):
         calls = []
@@ -309,6 +309,52 @@ class TestOneRemovalPath:
         run_experiment(make_config(seeds=(0,), selector=selector, **TASK_CONFIGS[task]), dataset=bench_dataset)
         assert len({id(g) for g in counted}) == len(counted)
         assert len(counted) == 1
+
+
+class TestRemovalBudget:
+    @pytest.mark.parametrize("task", ["edge", "node"])
+    def test_no_budget_no_certificate(self, bench_dataset, monkeypatch, tmp_path, task):
+        models = []
+        fit = experiment.train
+
+        def recording_train(*args, **kwargs):
+            models.append(fit(*args, **kwargs))
+            return models[-1]
+
+        monkeypatch.setattr(experiment, "train", recording_train)
+        rows = run_experiment(make_config(seeds=(0,), **TASK_CONFIGS[task]), dataset=bench_dataset)
+        unlearn = next(r for r in rows if r.arm == "unlearn")
+        assert unlearn.certified is None and unlearn.worstcase_bound is None
+        assert unlearn.residual_norm > 0
+        assert len(models) == 1 and not models[0].perturbation.any()
+
+        header, line = emit_results([unlearn], "csv").splitlines()
+        cells = dict(zip(header.split(","), line.split(",")))
+        assert cells["certified"] == cells["worstcase_bound"] == ""
+        emit_results(rows, "json", tmp_path / "out.json")
+        loaded = next(r for r in load_results(tmp_path / "out.json") if r.arm == "unlearn")
+        assert loaded.certified is None and loaded.worstcase_bound is None
+
+    @pytest.mark.parametrize("task", ["edge", "node"])
+    def test_verdict_compares_residual_with_budget(self, bench_dataset, task):
+        config = make_config(seeds=(0, 1), epsilon_prime=1e-3, **TASK_CONFIGS[task])
+        unlearn = [r for r in run_experiment(config, dataset=bench_dataset) if r.arm == "unlearn" and not r.aggregate]
+        assert len(unlearn) == 2
+        for r in unlearn:
+            assert r.worstcase_bound == 1e-3
+            assert r.certified == (r.residual_norm <= r.worstcase_bound)
+
+    @pytest.mark.parametrize("task", ["feature", "edge", "node"])
+    def test_verdict_stable_under_one_ulp(self, bench_dataset, task):
+        budget = {} if task == "feature" else {"epsilon_prime": 1e-3}
+        config = make_config(seeds=(0, 1, 2), **budget, **TASK_CONFIGS[task])
+        shifted = dataclasses.replace(bench_dataset, features=np.nextafter(bench_dataset.features, np.inf))
+        verdicts = [
+            [r.certified for r in run_experiment(config, dataset=ds) if r.arm == "unlearn" and not r.aggregate]
+            for ds in (bench_dataset, shifted)
+        ]
+        assert len(verdicts[0]) == 3 and None not in verdicts[0]
+        assert verdicts[0] == verdicts[1]
 
 
 class TestEmitResults:

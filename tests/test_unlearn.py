@@ -308,10 +308,17 @@ class TestNoiseCalibration:
             CertificationBudget(epsilon=1.0, delta=0.0)
         with pytest.raises(ValueError):
             CertificationBudget(epsilon=0.0, delta=1e-4)
+        with pytest.raises(ValueError, match="epsilon_prime"):
+            CertificationBudget(epsilon=1.0, delta=1e-4, epsilon_prime=-1.0)
 
     def test_missing_epsilon_prime_rejected(self):
         with pytest.raises(ValueError, match="epsilon_prime"):
             calibrate_noise(CertificationBudget(epsilon=1.0, delta=1e-4))
+
+    def test_no_budget_no_verdict(self):
+        budget = CertificationBudget(1.0, 1e-4)
+        assert budget.certified is None
+        assert budget.record(1e-3).certified is None
 
 
 class TestSequentialUnlearn:

@@ -11,7 +11,6 @@ from .fairness import (
     CorrelationVector,
     FairnessReport,
     SelectionResult,
-    ablation_variants,
     alpha_diagnostics,
     edge_bias_scores,
     fairness_metrics,

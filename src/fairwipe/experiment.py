@@ -36,11 +36,7 @@ from .unlearn import (
 
 ARMS = ("pretrained", "unlearn", "retrain")
 TASKS = ("feature", "edge", "node")
-_SELECTORS = {
-    "feature": ("proposed", "random"),
-    "edge": ("proposed", "random", "random-intra", "random-inter"),
-    "node": ("proposed", "random", "bias-term-only", "degree-only"),
-}
+_SELECTORS = {"feature": ("proposed", "random"), "edge": fairness.EDGE_KINDS, "node": fairness.NODE_KINDS}
 
 
 class ConfigError(ValueError):
@@ -82,8 +78,12 @@ class ExperimentConfig:
             raise ConfigError(f"scheme must be 'sgc' or 'gpr', got {self.scheme!r}")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
-        if abs(self.train_frac + self.val_frac + self.test_frac - 1.0) > 1e-9:
-            raise ConfigError("split fractions must sum to 1")
+        if self.k < 1 or self.hops < 0:
+            raise ConfigError(f"k must be >= 1 and hops >= 0, got k = {self.k}, hops = {self.hops}")
+        if self.node_scope not in ("train", "all"):
+            raise ConfigError(f"node_scope must be 'train' or 'all', got {self.node_scope!r}")
+        if min(self.fractions) <= 0 or abs(sum(self.fractions) - 1.0) > 1e-9:
+            raise ConfigError("split fractions must be positive and sum to 1")
         unknown_arms = set(self.arms) - set(ARMS)
         if unknown_arms:
             raise ConfigError(f"unknown arms {sorted(unknown_arms)}")
@@ -93,8 +93,11 @@ class ExperimentConfig:
             raise ConfigError("edge task needs edge_fraction in (0,1] and edge_batches >= 1")
         try:
             CertificationBudget(self.epsilon, self.delta, epsilon_prime=self.epsilon_prime)
+            TrainConfig(self.lam, self.tolerance, self.max_iterations)
         except ValueError as exc:
             raise ConfigError(str(exc))
+        if self.epsilon_prime == np.inf:  # a legal budget, but the noise calibrated to it is infinite
+            raise ConfigError("epsilon_prime must be finite")
 
     @property
     def fractions(self) -> tuple[float, float, float]:

@@ -17,7 +17,8 @@ from . import graph
 from .graph import DegreeStats, GraphDataset, degree_stats
 from .model import LOGISTIC
 
-ABLATION_KINDS = ("proposed", "random", "random-intra", "random-inter", "bias-term-only", "degree-only")
+EDGE_KINDS = ("proposed", "random", "random-intra", "random-inter")
+NODE_KINDS = ("proposed", "random", "bias-term-only", "degree-only")
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,6 @@ class SelectionResult:
     chosen: np.ndarray
     scores: np.ndarray
     candidates: np.ndarray
-    budget: int
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ def _top_k(scores: np.ndarray, candidates: np.ndarray, k: int) -> SelectionResul
     else:
         order = np.lexsort((top[:, 1], top[:, 0], -top_scores))
     chosen = top[order[:k]]
-    return SelectionResult(chosen=chosen, scores=scores, candidates=candidates, budget=k)
+    return SelectionResult(chosen=chosen, scores=scores, candidates=candidates)
 
 
 def select_features(features: np.ndarray, s: np.ndarray, k: int) -> SelectionResult:
@@ -131,61 +131,30 @@ def node_bias_scores(nodes: np.ndarray, stats: DegreeStats) -> np.ndarray:
     return np.where(d > 0, score, 0.0)
 
 
-def ablation_variants(kind: str, seed: int | None = None):
-    """Scorer factory for the selection ablations.
-
-    Returns ``scorer(stats, s, pairs=None, nodes=None) -> scores``. Random
-    variants draw a fresh seeded generator per call, so scores are
-    deterministic for a fixed seed. The intra/inter random variants offset one
-    edge class above the other; the bias-term-only and degree-only variants
-    split the node score into its two factors.
-    """
-    if kind not in ABLATION_KINDS:
-        raise ValueError(f"unknown selection kind {kind!r}; expected one of {ABLATION_KINDS}")
-
-    def scorer(stats: DegreeStats, s: np.ndarray, pairs: np.ndarray | None = None, nodes: np.ndarray | None = None):
-        if (pairs is None) == (nodes is None):
-            raise ValueError("provide exactly one of pairs or nodes")
-        n = len(pairs) if pairs is not None else len(nodes)
-        rng = np.random.default_rng(seed)
-        if kind == "proposed":
-            if pairs is not None:
-                return edge_bias_scores(pairs, s, stats)
-            return node_bias_scores(nodes, stats)
-        if kind == "random":
-            return rng.random(n)
-        if kind in ("random-intra", "random-inter"):
-            if pairs is None:
-                raise ValueError(f"{kind} is an edge-selection ablation")
-            intra = np.asarray(s)[pairs[:, 0]] == np.asarray(s)[pairs[:, 1]]
-            favored = intra if kind == "random-intra" else ~intra
-            return rng.random(n) + favored
-        if nodes is None:
-            raise ValueError(f"{kind} is a node-selection ablation")
-        nodes = np.asarray(nodes, dtype=np.int64)
-        d = stats.degree[nodes].astype(np.float64)
-        if kind == "bias-term-only":
-            return np.where(d > 0, stats.intra_degree[nodes] / (1.0 + stats.inter_degree[nodes]), 0.0)
-        with np.errstate(divide="ignore"):
-            return np.where(d > 0, 1.0 / d, 0.0)
-
-    return scorer
+def _check_kind(kind: str, kinds: tuple[str, ...], what: str) -> None:
+    if kind not in kinds:
+        raise ValueError(f"unknown {what} selection kind {kind!r}; expected one of {kinds}")
 
 
 def select_edges(dataset: GraphDataset, k: int, kind: str = "proposed", seed: int | None = None) -> SelectionResult:
-    """Top-k edges for removal under the given scoring variant.
+    """Top-k edges for removal under one of :data:`EDGE_KINDS`.
 
-    The proposed scores are the ones memoised on the graph, which
+    ``proposed`` ranks by the scores memoised on the graph, which
     :func:`graph.remove_edges` carries to its result re-scored only where the
-    degrees changed; the ablations score over :func:`degree_stats`.
+    degrees changed. The random kinds rank by a seeded uniform draw, plus 1
+    on intra- (``random-intra``) or inter-edges (``random-inter``).
     """
+    _check_kind(kind, EDGE_KINDS, "edge")
     pairs = dataset.edge_pairs()
     if not 1 <= k <= len(pairs):
         raise ValueError(f"k must lie in [1, {len(pairs)}]")
     if kind == "proposed":
         scores = graph._proposed_edge_scores(dataset)
     else:
-        scores = ablation_variants(kind, seed)(degree_stats(dataset), dataset.sensitive, pairs=pairs)
+        scores = np.random.default_rng(seed).random(len(pairs))
+        if kind != "random":
+            intra = dataset.sensitive[pairs[:, 0]] == dataset.sensitive[pairs[:, 1]]
+            scores += intra if kind == "random-intra" else ~intra
     return _top_k(scores, pairs, k)
 
 
@@ -196,7 +165,11 @@ def select_nodes(
     kind: str = "proposed",
     seed: int | None = None,
 ) -> SelectionResult:
-    """Top-k nodes for removal, drawn from the training set or the whole graph."""
+    """Top-k nodes for removal under one of :data:`NODE_KINDS`, from the training set or the whole graph.
+
+    ``bias-term-only`` and ``degree-only`` score by the two factors of :func:`node_bias_scores`.
+    """
+    _check_kind(kind, NODE_KINDS, "node")
     if scope == "train":
         nodes = np.flatnonzero(dataset.train_mask)
     elif scope == "all":
@@ -205,7 +178,18 @@ def select_nodes(
         raise ValueError("scope must be 'train' or 'all'")
     if not 1 <= k <= len(nodes):
         raise ValueError(f"k must lie in [1, {len(nodes)}] for scope {scope!r}")
-    scores = ablation_variants(kind, seed)(degree_stats(dataset), dataset.sensitive, nodes=nodes)
+    if kind == "random":
+        scores = np.random.default_rng(seed).random(len(nodes))
+    elif kind == "proposed":
+        scores = node_bias_scores(nodes, degree_stats(dataset))
+    elif kind == "bias-term-only":
+        # An isolated node has no intra-edges, so it scores 0 / 1 = 0.
+        stats = degree_stats(dataset)
+        scores = stats.intra_degree[nodes] / (1.0 + stats.inter_degree[nodes])
+    else:
+        d = degree_stats(dataset).degree[nodes].astype(np.float64)
+        with np.errstate(divide="ignore"):
+            scores = np.where(d > 0, 1.0 / d, 0.0)
     return _top_k(scores, nodes, k)
 
 

@@ -4,9 +4,10 @@ All values are immutable after construction: structural edits (edge/node removal
 feature zeroing) return new :class:`GraphDataset` instances. :func:`aggregate`
 propagates from scratch; :func:`reaggregate` carries the per-hop blocks of one
 graph over to an edited copy and recomputes only the rows the edit can reach.
-Edge pairs, degree statistics and edge scores are memoised on the graph, and
-:func:`remove_edges` carries them over to its result, updated for the edit;
-:func:`zero_feature_columns` keeps them as they are.
+Edge pairs, degree statistics and edge scores are memoised on the graph.
+:func:`remove_edges` carries the pairs and scores over to its result, updated
+for the edit, and the result counts its degrees once, on first use;
+:func:`zero_feature_columns` keeps the whole memo as it is.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ class GraphDataset:
     is an ``__init__`` argument; both are excluded from ``repr`` and ``==``,
     and are dropped by ``dataclasses.replace``, copies and pickles, so no two
     graphs share them. The memo depends only on the adjacency and the
-    sensitive column, so the edits and splits that keep both start their
-    result with a copy of it.
+    sensitive column: edits and splits that keep both copy it to their
+    result, and :func:`remove_edges` carries its edge pairs and scores.
     """
 
     adjacency: sp.csr_matrix
@@ -405,8 +406,8 @@ def remove_edges(dataset: GraphDataset, edges) -> GraphDataset:
     The request is atomic: if any listed edge is absent, nothing is removed.
     Pair direction does not matter and a repeated pair removes its edge once.
     Both CSR positions of every pair are found among the stored entries of
-    its two rows; the edit drops them and shifts ``indptr``. The input's memo
-    is carried over to the result, updated for the removed pairs.
+    its two rows; the edit drops them and shifts ``indptr``. The input's edge
+    pairs and scores are carried over to the result, updated for the edit.
     """
     edges = list(edges)
     if not edges:
@@ -430,23 +431,18 @@ def remove_edges(dataset: GraphDataset, edges) -> GraphDataset:
     new_adj = _delete_entries(adj, np.sort(pos))
     memo = None
     # A non-canonical input's memo counts its duplicate entries; start afresh.
-    if dataset._memo and adj is dataset.adjacency:
+    if dataset._memo and "edge_pairs" in dataset._memo and adj is dataset.adjacency:
         memo = _memo_after_removal(dataset._memo, new_adj, dataset.sensitive, pairs)
     return dataset._edited(memo=memo, adjacency=new_adj)
 
 
 def _memo_after_removal(memo: dict, adj: sp.csr_matrix, sensitive: np.ndarray, removed: np.ndarray) -> dict:
-    """A graph's memo carried over to the graph ``adj`` that lacks the unique canonical pairs ``removed``.
+    """The memoised edge pairs and scores carried to ``adj``, less the unique canonical pairs ``removed``.
 
     Removing (i, j) lowers the degrees of i and j alone, so only the edges
     incident to them in ``adj`` are re-scored.
     """
-    carried = {}
     n = adj.shape[0]
-    if "degree_stats" in memo:
-        carried["degree_stats"] = _stats_after_removal(memo["degree_stats"], sensitive, removed)
-    if "edge_pairs" not in memo:
-        return carried
     pairs, keys = memo["edge_pairs"]
     gone = np.searchsorted(keys, removed[:, 0] * n + removed[:, 1])
     # Each pair as one void item: numpy deletes those with one mask over the
@@ -454,7 +450,7 @@ def _memo_after_removal(memo: dict, adj: sp.csr_matrix, sensitive: np.ndarray, r
     row = np.dtype((np.void, 2 * pairs.itemsize))
     pairs = np.delete(pairs.view(row).ravel(), gone).view(pairs.dtype).reshape(-1, 2)
     keys = np.delete(keys, gone)
-    carried["edge_pairs"] = (_frozen(pairs, keys), keys)
+    carried = {"edge_pairs": (_frozen(pairs, keys), keys)}
     if "edge_scores" in memo:
         scores = np.delete(memo["edge_scores"], gone)
         ends = np.unique(removed)
@@ -465,30 +461,6 @@ def _memo_after_removal(memo: dict, adj: sp.csr_matrix, sensitive: np.ndarray, r
         scores[at] = _edge_scores(pairs[at], sensitive, np.diff(adj.indptr))
         carried["edge_scores"] = _frozen(scores)
     return carried
-
-
-def _stats_after_removal(stats: DegreeStats, sensitive: np.ndarray, removed: np.ndarray) -> DegreeStats:
-    """``stats`` less the unique pairs ``removed``; equals :func:`degree_stats` of the edited graph.
-
-    Removing edges only lowers inter-degrees, so the nodes that leave a group
-    boundary are the ends of removed inter-edges left with no inter-edge.
-    """
-    n = stats.degree.size
-    inter = sensitive[removed[:, 0]] != sensitive[removed[:, 1]]
-    degree = stats.degree - np.bincount(removed.ravel(), minlength=n)
-    inter_degree = stats.inter_degree - np.bincount(removed[inter].ravel(), minlength=n)
-    ends = np.unique(removed[inter])
-    left = np.bincount(sensitive[ends[inter_degree[ends] == 0]].astype(np.int64), minlength=2)
-    n_inter = int(inter.sum())
-    return DegreeStats(
-        degree=_frozen(degree),
-        inter_degree=_frozen(inter_degree),
-        intra_degree=_frozen(degree - inter_degree),
-        group_sizes=stats.group_sizes,
-        boundary_sizes=(stats.boundary_sizes[0] - int(left[0]), stats.boundary_sizes[1] - int(left[1])),
-        inter_edges=stats.inter_edges - n_inter,
-        intra_edges=stats.intra_edges - (inter.size - n_inter),
-    )
 
 
 def remove_nodes(dataset: GraphDataset, nodes) -> GraphDataset:

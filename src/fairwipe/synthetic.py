@@ -42,10 +42,7 @@ def random_adjacency(n: int, avg_degree: float, rng: np.random.Generator) -> sp.
     pairs = np.unique(lo.astype(np.int64) * n + hi)[:target]
     lo, hi = pairs // n, pairs % n
     data = np.ones(2 * len(lo))
-    adj = sp.csr_matrix((data, (np.r_[lo, hi], np.r_[hi, lo])), shape=(n, n))
-    adj.sum_duplicates()
-    adj.data[:] = 1.0
-    return adj
+    return sp.csr_matrix((data, (np.r_[lo, hi], np.r_[hi, lo])), shape=(n, n))
 
 
 def sbm_adjacency(s: np.ndarray, p_in: float, p_out: float, rng: np.random.Generator) -> sp.csr_matrix:

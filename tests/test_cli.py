@@ -88,7 +88,21 @@ class TestRun:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "setting", ["epsilon = 0", "epsilon = nan", "delta = 2", "epsilon_prime = -1", "epsilon_prime = nan"]
+        "setting",
+        [
+            "epsilon = 0",
+            "epsilon = nan",
+            "delta = 2",
+            "epsilon_prime = -1",
+            "epsilon_prime = nan",
+            "task = edge\nepsilon_prime = inf",
+            "lambda = 0",
+            "tolerance = 0",
+            "hops = -1",
+            "train_frac = 1.2\nval_frac = -0.1\ntest_frac = -0.1",
+            "k = 0",
+            "node_scope = test",
+        ],
     )
     def test_bad_budget_exits_2_before_any_seed(self, toy_workspace, capsys, monkeypatch, setting):
         seeds = []

@@ -292,12 +292,13 @@ class TestOneRemovalPath:
         assert {r.arm for r in rows if not r.aggregate} == {"pretrained", "unlearn", "retrain"}
         assert len(calls) == 2 * full_aggregations
 
-    @pytest.mark.parametrize("task", ["edge", "edge-fixed-budget", "feature"])
+    @pytest.mark.parametrize("task", ["edge", "edge-fixed-budget", "feature", "node"])
     @pytest.mark.parametrize("selector", ["proposed", "random"])
     def test_degree_stats_counted_once_per_graph(self, bench_dataset, monkeypatch, task, selector):
-        """Every arm's `alpha_diagnostics` and every batch's selection reads the
-        graph's memo; the edited graphs get theirs from the edit, and a
-        feature edit keeps the split graph's."""
+        """Every arm's `alpha_diagnostics` and every node selection reads the
+        graph's memo. A feature edit keeps the split graph's; the edge
+        selectors read no degree statistics, so of the edge and node runs'
+        graphs only the split one and the final edited one count theirs."""
         counted = []
         original = graph._count_degrees
 
@@ -308,7 +309,7 @@ class TestOneRemovalPath:
         monkeypatch.setattr(graph, "_count_degrees", spy)
         run_experiment(make_config(seeds=(0,), selector=selector, **TASK_CONFIGS[task]), dataset=bench_dataset)
         assert len({id(g) for g in counted}) == len(counted)
-        assert len(counted) == 1
+        assert len(counted) == (1 if task == "feature" else 2)
 
 
 class TestRemovalBudget:

@@ -10,8 +10,8 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairwipe import graph
 from fairwipe.fairness import (
-    ablation_variants,
     alpha_diagnostics,
     edge_bias_scores,
     fairness_metrics,
@@ -284,20 +284,16 @@ class TestAblationVariants:
         assert not np.array_equal(a, c)
 
     def test_bias_term_only_and_degree_only(self):
-        stats = DegreeStats(
-            degree=np.array([5]),
-            inter_degree=np.array([1]),
-            intra_degree=np.array([4]),
-            group_sizes=(1, 0),
-            boundary_sizes=(1, 0),
-            inter_edges=1,
-            intra_edges=2,
+        # Node 0 has four intra-edges and one inter-edge; node 6 is isolated.
+        ds = tiny_dataset(
+            adjacency_from_edges(7, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]),
+            sensitive=[0, 0, 0, 0, 0, 1, 1],
         )
-        s = np.array([0])
-        bias_only = ablation_variants("bias-term-only")(stats, s, nodes=np.array([0]))
-        degree_only = ablation_variants("degree-only")(stats, s, nodes=np.array([0]))
+        bias_only = select_nodes(ds, k=1, scope="all", kind="bias-term-only").scores
+        degree_only = select_nodes(ds, k=1, scope="all", kind="degree-only").scores
         assert bias_only[0] == pytest.approx(2.0)
         assert degree_only[0] == pytest.approx(0.2)
+        assert bias_only[6] == degree_only[6] == 0.0
 
     def test_random_intra_prefers_intra_edges(self):
         ds = tiny_dataset(
@@ -311,8 +307,27 @@ class TestAblationVariants:
         assert all(s[i] != s[j] for i, j in chosen)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
-            ablation_variants("influence")
+        ds = random_dataset(n=10, seed=1)
+        with pytest.raises(ValueError, match="unknown edge selection kind"):
+            select_edges(ds, 1, kind="influence")
+        with pytest.raises(ValueError, match="unknown node selection kind"):
+            select_nodes(ds, 1, kind="influence")
+
+    def test_random_edge_kinds_count_no_degrees(self, monkeypatch):
+        counted = []
+        original = graph._count_degrees
+
+        def spy(dataset):
+            counted.append(dataset)
+            return original(dataset)
+
+        monkeypatch.setattr(graph, "_count_degrees", spy)
+        ds = random_dataset(n=30, seed=3)
+        for kind in ("random", "random-intra", "random-inter"):
+            fresh = replace(ds)
+            assert fresh._memo is None
+            select_edges(fresh, 3, kind=kind, seed=0)
+        assert counted == []
 
     def test_edge_only_kinds_rejected_for_nodes(self):
         ds = random_dataset(n=10, seed=1)
@@ -461,6 +476,39 @@ def reference_edge_pairs(adjacency):
     return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
 
+def reference_edge_scores(ds, pairs, kind, seed):
+    """Long-hand edge scores: the proposed score over `degree_stats`, or a
+    seeded uniform draw plus 1 on the favoured edge class."""
+    if kind == "proposed":
+        return edge_bias_scores(pairs, ds.sensitive, degree_stats(ds))
+    draw = np.random.default_rng(seed).random(len(pairs))
+    intra = ds.sensitive[pairs[:, 0]] == ds.sensitive[pairs[:, 1]]
+    if kind == "random-intra":
+        return draw + intra
+    if kind == "random-inter":
+        return draw + ~intra
+    return draw
+
+
+def reference_node_scores(ds, nodes, kind, seed):
+    """Long-hand node scores from dense degree counts, one formula per kind;
+    isolated nodes score 0 except under `random`."""
+    if kind == "random":
+        return np.random.default_rng(seed).random(len(nodes))
+    linked = ds.adjacency.toarray() > 0
+    s = ds.sensitive
+    d = linked.sum(axis=1)[nodes].astype(np.float64)
+    d_inter = (linked & (s[:, None] != s[None, :])).sum(axis=1)[nodes].astype(np.float64)
+    d_intra = d - d_inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        formula = {
+            "proposed": d_intra / (1.0 + d_inter) / d,
+            "bias-term-only": d_intra / (1.0 + d_inter),
+            "degree-only": 1.0 / d,
+        }[kind]
+    return np.where(d > 0, formula, 0.0)
+
+
 def reference_top_k(scores, candidates, k):
     """Full lexsort: descending score, ties broken by the lowest candidate."""
     if candidates.ndim == 1:
@@ -542,11 +590,10 @@ class TestSelectionMatchesReference:
         k = 1 + int(k_share * (ds.n_edges - 1))
         result = select_edges(ds, k, kind=kind, seed=seed)
         pairs = reference_edge_pairs(ds.adjacency)
-        scores = ablation_variants(kind, seed)(degree_stats(ds), ds.sensitive, pairs=pairs)
+        scores = reference_edge_scores(ds, pairs, kind, seed)
         np.testing.assert_array_equal(result.candidates, pairs)
         np.testing.assert_array_equal(result.scores, scores)
         np.testing.assert_array_equal(result.chosen, reference_top_k(scores, pairs, k))
-        assert result.budget == k
 
     def test_every_k_on_a_tied_matching(self):
         n = 20
@@ -574,7 +621,7 @@ class TestSelectionMatchesReference:
         ds = random_dataset(n=int(rng.integers(6, 30)), seed=seed)
         nodes = np.arange(ds.n_nodes)
         k = 1 + int(k_share * (ds.n_nodes - 1))
-        scores = ablation_variants(kind, seed)(degree_stats(ds), ds.sensitive, nodes=nodes)
+        scores = reference_node_scores(ds, nodes, kind, seed)
         result = select_nodes(ds, k, scope="all", kind=kind, seed=seed)
         np.testing.assert_array_equal(result.chosen, reference_top_k(scores, nodes, k))
         # Feature columns drawn from a few values tie on |rho|.
@@ -588,6 +635,7 @@ class TestSelectionMatchesReference:
 
 EDGE_KINDS = ("proposed", "random", "random-intra", "random-inter")
 MEMO_KEYS = {"edge_pairs", "degree_stats", "edge_scores"}
+CARRIED_KEYS = {"edge_pairs", "edge_scores"}
 
 
 def assert_same_stats(actual, expected):
@@ -596,8 +644,9 @@ def assert_same_stats(actual, expected):
 
 
 class TestMemoisedSelection:
-    """Pairs, degree statistics and proposed scores are memoised per graph and
-    carried through `remove_edges`; a memo-free copy must select the same."""
+    """Pairs, degree statistics and proposed scores are memoised per graph;
+    `remove_edges` carries the pairs and scores (its result counts its own
+    degree statistics on first use). A memo-free copy must select the same."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -628,7 +677,7 @@ class TestMemoisedSelection:
             canonical = current.adjacency.has_canonical_format
             current = remove_edges(current, edges + edges[:1])
             if canonical:
-                assert set(current._memo) == MEMO_KEYS
+                assert set(current._memo) == CARRIED_KEYS
             fresh = replace(current)
             assert fresh._memo is None
             np.testing.assert_array_equal(current.edge_pairs(), fresh.edge_pairs())
@@ -647,8 +696,9 @@ class TestMemoisedSelection:
         select_edges(ds, 1)
         degree_stats(ds)
         edited = remove_edges(ds, [tuple(ds.edge_pairs()[0])])
+        assert set(ds._memo) == MEMO_KEYS
+        assert set(edited._memo) == CARRIED_KEYS
         for g in (ds, edited):
-            assert set(g._memo) == MEMO_KEYS
             for other in (replace(g), copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
                 assert other._memo is None
             assert replace(g) == g

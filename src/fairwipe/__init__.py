@@ -9,7 +9,6 @@ retrain-from-scratch oracle verifies every update.
 from .data import DatasetManifest, DataValidationError, load_dataset, make_splits
 from .fairness import (
     CorrelationVector,
-    FairnessReport,
     SelectionResult,
     alpha_diagnostics,
     edge_bias_scores,
@@ -29,8 +28,8 @@ from .graph import (
     GraphDataset,
     PropagationOperator,
     aggregate,
-    aggregate_hops,
     build_propagation,
+    carried_aggregation,
     degree_stats,
     reaggregate,
     remove_edges,

@@ -238,8 +238,8 @@ def make_splits(
     scores.
     """
     fractions = tuple(float(f) for f in fractions)
-    if any(f <= 0 for f in fractions):
-        raise ValueError("split fractions must be positive")
+    if not all(0 < f < np.inf for f in fractions):
+        raise ValueError("split fractions must be positive and finite")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError("split fractions must sum to 1")
     for attempt_seed in (seed, seed + 977):

@@ -14,14 +14,15 @@ import json
 import time
 import warnings
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import fairness, graph
 from .data import DatasetManifest, load_dataset, make_splits
-from .fairness import FairnessReport, select_edges, select_features, select_nodes
-from .graph import GraphDataset, aggregate_hops, build_propagation
+from .fairness import select_edges, select_features, select_nodes
+from .graph import GraphDataset, carried_aggregation
 from .model import TrainConfig, TrainedModel, predict, train
 from .unlearn import (
     CertificationBudget,
@@ -82,7 +83,7 @@ class ExperimentConfig:
             raise ConfigError(f"k must be >= 1 and hops >= 0, got k = {self.k}, hops = {self.hops}")
         if self.node_scope not in ("train", "all"):
             raise ConfigError(f"node_scope must be 'train' or 'all', got {self.node_scope!r}")
-        if min(self.fractions) <= 0 or abs(sum(self.fractions) - 1.0) > 1e-9:
+        if not all(0 < f < np.inf for f in self.fractions) or abs(sum(self.fractions) - 1.0) > 1e-9:
             raise ConfigError("split fractions must be positive and sum to 1")
         unknown_arms = set(self.arms) - set(ARMS)
         if unknown_arms:
@@ -186,20 +187,18 @@ _FIXED_FIELDS = ("accuracy", "delta_sp", "delta_eo", "raw_sp", "rho_norm", "alph
 _SCI_FIELDS = ("residual_norm", "worstcase_bound")
 
 
-def _evaluate(dataset: GraphDataset, agg, model: TrainedModel) -> FairnessReport:
+def _evaluate(dataset: GraphDataset, agg, model: TrainedModel) -> dict:
+    """The metric fields of a :class:`ResultRow` for ``model`` on ``dataset``'s test nodes."""
     preds, scores = predict(model, agg)
     test = dataset.test_mask
-    accuracy = float((preds[test] == dataset.labels[test]).mean())
     delta_sp, delta_eo = fairness.fairness_metrics(preds, dataset.labels, dataset.sensitive, test)
-    rho_norm = fairness.pearson_correlations(agg.values, dataset.sensitive).norm
-    raw_sp = fairness._score_gap(scores, dataset.sensitive)
     alpha1, alpha2 = fairness.alpha_diagnostics(dataset)
-    return FairnessReport(
-        accuracy=accuracy,
+    return dict(
+        accuracy=float((preds[test] == dataset.labels[test]).mean()),
         delta_sp=delta_sp,
         delta_eo=delta_eo,
-        raw_sp=raw_sp,
-        rho_norm=rho_norm,
+        raw_sp=fairness._score_gap(scores, dataset.sensitive),
+        rho_norm=fairness.pearson_correlations(agg.values, dataset.sensitive).norm,
         alpha1=alpha1,
         alpha2=alpha2,
     )
@@ -220,26 +219,20 @@ def _select_removal(config: ExperimentConfig, dataset: GraphDataset, seed: int) 
             dataset, config.k, scope=config.node_scope, kind=config.selector, seed=seed
         ).chosen
         return [NodeRemoval(tuple(int(v) for v in chosen))]
-    batch = max(1, int(round(config.edge_fraction / config.edge_batches * dataset.n_edges)))
 
-    def next_batch(current: GraphDataset) -> EdgeRemoval:
-        k = min(batch, current.n_edges)
+    def next_batch(current: GraphDataset, k: int) -> EdgeRemoval:
         sel = select_edges(current, k, kind=config.selector, seed=seed)
         return EdgeRemoval(tuple((int(i), int(j)) for i, j in sel.chosen))
 
-    return [next_batch] * config.edge_batches
+    total = max(1, int(round(config.edge_fraction * dataset.n_edges)))
+    batches = min(config.edge_batches, total)
+    # `total` edges in `batches` non-empty batches whose sizes differ by at most one.
+    return [partial(next_batch, k=total // batches + (b < total % batches)) for b in range(batches)]
 
 
 def _run_seed(config: ExperimentConfig, base: GraphDataset, name: str, seed: int) -> list[ResultRow]:
     dataset = make_splits(base, config.fractions, seed)
-    # The unlearn arm's sequential_unlearn call starts from these hop blocks
-    # and takes them off `dataset`; only the aggregation is kept here.
-    dataset._carry_hops(
-        config.hops,
-        config.scheme,
-        aggregate_hops(dataset, build_propagation(dataset, config.hops), config.scheme),
-    )
-    agg = dataset._carried_hops(config.hops, config.scheme)[0]
+    agg = carried_aggregation(dataset, config.hops, config.scheme)
     train_cfg = TrainConfig(config.lam, config.tolerance, config.max_iterations, seed=seed)
     select_start = time.perf_counter()
     requests = _select_removal(config, dataset, seed)
@@ -258,7 +251,7 @@ def _run_seed(config: ExperimentConfig, base: GraphDataset, name: str, seed: int
     model = train(dataset, agg, train_cfg, noise_std=noise_std)
     train_wall = time.perf_counter() - train_start
 
-    def row(arm, report, residual=None, bound=None, certified=None, wall=0.0, k=config.k):
+    def row(arm, metrics, residual=None, bound=None, certified=None, wall=0.0, k=config.k):
         return ResultRow(
             dataset=name,
             task=config.task,
@@ -266,13 +259,7 @@ def _run_seed(config: ExperimentConfig, base: GraphDataset, name: str, seed: int
             arm=arm,
             seed=seed,
             k=k,
-            accuracy=report.accuracy,
-            delta_sp=report.delta_sp,
-            delta_eo=report.delta_eo,
-            raw_sp=report.raw_sp,
-            rho_norm=report.rho_norm,
-            alpha1=report.alpha1,
-            alpha2=report.alpha2,
+            **metrics,
             residual_norm=residual,
             worstcase_bound=bound,
             certified=certified,
@@ -290,15 +277,15 @@ def _run_seed(config: ExperimentConfig, base: GraphDataset, name: str, seed: int
         model, dataset, requests, budget, scheme=config.scheme, hops=config.hops
     )
     unlearn_wall = time.perf_counter() - unlearn_start
-    agg_edited, _ = edited._carried_hops(config.hops, config.scheme)
+    agg_edited = carried_aggregation(edited, config.hops, config.scheme)
     removed = config.k if config.task != "edge" else dataset.n_edges - edited.n_edges
 
     if "unlearn" in config.arms:
-        report = _evaluate(edited, agg_edited, replace(model, weights=results[-1].updated_weights))
+        metrics = _evaluate(edited, agg_edited, replace(model, weights=results[-1].updated_weights))
         rows.append(
             row(
                 "unlearn",
-                report,
+                metrics,
                 residual=sum(r.residual_norm for r in results),
                 bound=epsilon_prime,
                 certified=budget.certified,
@@ -310,8 +297,8 @@ def _run_seed(config: ExperimentConfig, base: GraphDataset, name: str, seed: int
         retrain_start = time.perf_counter()
         oracle = retrain_oracle(edited, train_cfg, model.perturbation, config.scheme, config.hops)
         retrain_wall = time.perf_counter() - retrain_start
-        report = _evaluate(edited, agg_edited, oracle)
-        rows.append(row("retrain", report, residual=oracle.optimizer_residual, wall=retrain_wall, k=removed))
+        metrics = _evaluate(edited, agg_edited, oracle)
+        rows.append(row("retrain", metrics, residual=oracle.optimizer_residual, wall=retrain_wall, k=removed))
     return rows
 
 

@@ -41,17 +41,6 @@ class SelectionResult:
     candidates: np.ndarray
 
 
-@dataclass(frozen=True)
-class FairnessReport:
-    accuracy: float
-    delta_sp: float
-    delta_eo: float
-    raw_sp: float
-    rho_norm: float
-    alpha1: float
-    alpha2: float
-
-
 def _check_binary_groups(s: np.ndarray) -> np.ndarray:
     s = np.asarray(s)
     if not np.isin(s, (0, 1)).all():

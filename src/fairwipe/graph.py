@@ -2,8 +2,8 @@
 
 All values are immutable after construction: structural edits (edge/node removal,
 feature zeroing) return new :class:`GraphDataset` instances. :func:`aggregate`
-propagates from scratch; :func:`reaggregate` carries the per-hop blocks of one
-graph over to an edited copy and recomputes only the rows the edit can reach.
+propagates from scratch; :func:`reaggregate` moves the hop blocks a graph
+carries over to an edited copy and recomputes only the rows the edit can reach.
 Edge pairs, degree statistics and edge scores are memoised on the graph.
 :func:`remove_edges` carries the pairs and scores over to its result, updated
 for the edit, and the result counts its degrees once, on first use;
@@ -29,10 +29,10 @@ class GraphDataset:
     added only when building the propagation operator) and strictly positive
     stored values. Masks select disjoint train/validation/test node sets.
 
-    ``_hop_state`` is private: the aggregation and hop blocks a
-    ``sequential_unlearn`` call left on the graph it returned, keyed by
-    ``(hops, scheme)``. ``_memo`` is private too: the read-only edge pairs,
-    degree statistics and edge scores computed for this graph so far. Neither
+    ``_hop_state`` is private: the aggregation and hop blocks this graph
+    carries for one ``(hops, scheme)``; only this module sets, moves and
+    reads it. ``_memo`` is private too: the read-only edge pairs, degree
+    statistics and edge scores computed for this graph so far. Neither
     is an ``__init__`` argument; both are excluded from ``repr`` and ``==``,
     and are dropped by ``dataclasses.replace``, copies and pickles, so no two
     graphs share them. The memo depends only on the adjacency and the
@@ -93,17 +93,6 @@ class GraphDataset:
         if key not in self._memo:
             self._memo[key] = compute(self)
         return self._memo[key]
-
-    def _carried_hops(self, hops: int, scheme: str) -> tuple[AggregatedFeatures, list[np.ndarray]] | None:
-        """The ``(aggregation, hop blocks)`` carried for ``(hops, scheme)``, or None."""
-        state = self._hop_state
-        if state is None or state[:2] != (hops, scheme):
-            return None
-        return state[2], state[3]
-
-    def _carry_hops(self, hops: int, scheme: str, carried) -> None:
-        """Carry ``(aggregation, hop blocks)`` of this graph for ``(hops, scheme)``; None drops it."""
-        object.__setattr__(self, "_hop_state", None if carried is None else (hops, scheme, *carried))
 
     def _check_fields(self) -> None:
         """The O(n) checks: shapes, binary sensitive and label columns, disjoint masks."""
@@ -279,26 +268,30 @@ def aggregate(dataset: GraphDataset, prop: PropagationOperator, scheme: str = SG
     return _aggregate(dataset, prop, scheme)[0]
 
 
-def aggregate_hops(
-    dataset: GraphDataset, prop: PropagationOperator, scheme: str = SGC
-) -> tuple[AggregatedFeatures, list[np.ndarray]]:
-    """:func:`aggregate`, also returning the hop blocks ``X, PX, ..., P^L X`` for :func:`reaggregate`."""
-    return _aggregate(dataset, prop, scheme)
+def carried_aggregation(dataset: GraphDataset, hops: int, scheme: str) -> AggregatedFeatures:
+    """The aggregation ``dataset`` carries for ``(hops, scheme)``.
+
+    On first use the graph is aggregated in full and carries the result, with
+    its hop blocks, for :func:`reaggregate`.
+    """
+    state = dataset._hop_state
+    if state is None or state[:2] != (hops, scheme):
+        state = (hops, scheme, *_aggregate(dataset, build_propagation(dataset, hops), scheme))
+        object.__setattr__(dataset, "_hop_state", state)
+    return state[2]
 
 
 def reaggregate(
-    before: GraphDataset,
-    after: GraphDataset,
-    aggregated: AggregatedFeatures,
-    blocks: list[np.ndarray],
-) -> AggregatedFeatures:
+    before: GraphDataset, after: GraphDataset, hops: int, scheme: str
+) -> tuple[AggregatedFeatures, AggregatedFeatures, np.ndarray | None]:
     """Aggregate ``after`` from ``before``'s hop blocks, recomputing only the rows that can change.
 
-    ``blocks`` and ``aggregated`` come from :func:`aggregate_hops` on ``before``
-    (or from an earlier call of this function); ``blocks`` is updated in place
-    to ``after``'s hop blocks, ``aggregated`` is left as it was. ``after`` must
-    differ from ``before`` only by removed edges and changed feature rows, as
-    the removal requests produce. Row i of hop k can then change only if
+    The blocks are the ones ``before`` carries for ``(hops, scheme)``, taken
+    off it; a graph that carries none for them is aggregated in full, and
+    whatever it carries for other settings stays. The blocks are edited in
+    place into ``after``'s, and ``after`` carries them. ``after`` must differ
+    from ``before`` only by removed edges and changed feature rows, as the
+    removal requests produce. Row i of hop k can then change only if
 
     - i's degree changed: with edges only removed, these are exactly the rows
       whose propagation row changed;
@@ -306,26 +299,20 @@ def reaggregate(
 
     with the changed feature rows as hop 0's set. Only those rows of
     ``after``'s propagation matrix are built; once the set covers more than
-    half the graph the hop is the full product. The result equals
-    ``aggregate(after, build_propagation(after, L), scheme)``.
+    half the graph the hop is the full product.
+
+    Returns ``before``'s aggregation, ``after``'s, which equals
+    ``aggregate(after, build_propagation(after, hops), scheme)``, and the rows
+    recomputed at any hop. The row sets grow from hop to hop, so these are the
+    last hop's rows; every other row of ``after``'s aggregation equals
+    ``before``'s bit for bit. None means some hop was the full product.
     """
-    return _reaggregate(before, after, aggregated, blocks)[0]
-
-
-def _reaggregate(
-    before: GraphDataset,
-    after: GraphDataset,
-    aggregated: AggregatedFeatures,
-    blocks: list[np.ndarray],
-) -> tuple[AggregatedFeatures, np.ndarray | None]:
-    """:func:`reaggregate`, also returning the rows it recomputed at any hop.
-
-    The row sets grow from hop to hop, so these are the last hop's rows; every
-    other row of the result equals ``aggregated`` bit for bit. None means some
-    hop was the full product.
-    """
-    hops = len(blocks) - 1
-    scheme = aggregated.scheme
+    state = before._hop_state
+    if state is not None and state[:2] == (hops, scheme):
+        object.__setattr__(before, "_hop_state", None)
+        aggregated, blocks = state[2:]
+    else:
+        aggregated, blocks = _aggregate(before, build_propagation(before, hops), scheme)
     n = after.n_nodes
     adj = after.adjacency
     degree_changed = np.diff(adj.indptr) != np.diff(before.adjacency.indptr)
@@ -357,16 +344,19 @@ def _reaggregate(
             blocks[k][rows] = _propagation_rows(adj, rows).dot(blocks[k - 1])
         row_sets.append(rows)
     if scheme == SGC:
-        return AggregatedFeatures(values=blocks[hops], scheme=scheme), row_sets[-1]
-    values = aggregated.values.copy()
-    f = after.n_features
-    for k, rows in enumerate(row_sets):
-        cols = slice(k * f, (k + 1) * f)
-        if rows is None:
-            np.divide(blocks[k], hops + 1, out=values[:, cols])
-        elif rows.size:
-            values[rows, cols] = blocks[k][rows] / (hops + 1)
-    return AggregatedFeatures(values=values, scheme=scheme), row_sets[-1]
+        values = blocks[hops]
+    else:
+        values = aggregated.values.copy()
+        f = after.n_features
+        for k, rows in enumerate(row_sets):
+            cols = slice(k * f, (k + 1) * f)
+            if rows is None:
+                np.divide(blocks[k], hops + 1, out=values[:, cols])
+            elif rows.size:
+                values[rows, cols] = blocks[k][rows] / (hops + 1)
+    updated = AggregatedFeatures(values=values, scheme=scheme)
+    object.__setattr__(after, "_hop_state", (hops, scheme, updated, blocks))
+    return aggregated, updated, row_sets[-1]
 
 
 def _canonical_pairs(edges) -> np.ndarray:

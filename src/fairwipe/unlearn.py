@@ -238,13 +238,12 @@ def sequential_unlearn(
 
     Every edited aggregation is :func:`graph.reaggregate`, which recomputes
     only the rows the request can change; those rows are passed on to
-    :func:`newton_unlearn` as ``changed_rows``. The returned graph carries its
-    aggregation and hop blocks for ``(hops, scheme)``; a call given such a
-    graph starts from them and takes them off it, since they are then
-    edited in place. Any other input is aggregated in full once. Feeding each
-    call the graph the previous one returned thus keeps every request about
-    the size of its edit. One carrying graph must not be fed to two calls
-    running at the same time in different threads.
+    :func:`newton_unlearn` as ``changed_rows``. The hop blocks ride on the
+    graphs and :mod:`graph` alone carries, moves and drops them: feeding each
+    call the graph the previous one returned keeps every request about the
+    size of its edit, and any other input is aggregated in full once. One
+    graph must not be fed to two calls running at the same time in different
+    threads.
 
     Returns ``(results, final_budget, edited_dataset)``; the edited dataset is
     included because lazily built requests cannot be replayed by the caller.
@@ -252,18 +251,11 @@ def sequential_unlearn(
     results: list[UnlearnResult] = []
     current = dataset
     step_model = model
-    carried = dataset._carried_hops(hops, scheme)
     for request in requests:
         if callable(request):
             request = request(current)
         edited = request.apply(current)
-        if carried is None:
-            carried = graph.aggregate_hops(current, graph.build_propagation(current, hops), scheme)
-        elif current is dataset:
-            # reaggregate edits the blocks in place: the input must not keep them.
-            dataset._carry_hops(hops, scheme, None)
-        agg, blocks = carried
-        agg_new, rows = graph._reaggregate(current, edited, agg, blocks)
+        agg, agg_new, rows = graph.reaggregate(current, edited, hops, scheme)
         result = newton_unlearn(
             step_model,
             agg,
@@ -277,9 +269,6 @@ def sequential_unlearn(
         budget = budget.record(result.residual_norm)
         step_model = replace(step_model, weights=result.updated_weights)
         current = edited
-        carried = (agg_new, blocks)
-    if carried is not None:
-        current._carry_hops(hops, scheme, carried)
     return results, budget, current
 
 

@@ -97,9 +97,14 @@ class TestRun:
             "epsilon_prime = nan",
             "task = edge\nepsilon_prime = inf",
             "lambda = 0",
+            "lambda = nan",
+            "lambda = inf",
             "tolerance = 0",
+            "tolerance = nan",
+            "tolerance = inf",
             "hops = -1",
             "train_frac = 1.2\nval_frac = -0.1\ntest_frac = -0.1",
+            "train_frac = nan",
             "k = 0",
             "node_scope = test",
         ],

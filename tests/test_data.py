@@ -277,6 +277,9 @@ class TestMakeSplits:
             make_splits(ds, (0.5, 0.2, 0.2), seed=0)
         with pytest.raises(ValueError, match="positive"):
             make_splits(ds, (1.0, 0.0, 0.0), seed=0)
+        for fractions in ((np.nan, 0.2, 0.2), (0.6, np.nan, 0.2), (np.inf, 0.2, 0.2), (0.6, 0.2, -np.inf)):
+            with pytest.raises(ValueError, match="split fractions"):
+                make_splits(ds, fractions, seed=0)
 
     def test_missing_group_errors_after_one_resample(self):
         ds = random_dataset(n=12, seed=0)

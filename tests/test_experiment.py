@@ -108,6 +108,9 @@ class TestParseConfig:
     def test_fraction_validation(self):
         with pytest.raises(ConfigError, match="sum to 1"):
             make_config(train_frac=0.5)
+        for field in ("train_frac", "val_frac", "test_frac"):
+            with pytest.raises(ConfigError, match="split fractions"):
+                make_config(**{field: float("nan")})
 
     def test_unknown_arm_rejected(self):
         with pytest.raises(ConfigError, match="arms"):
@@ -161,8 +164,28 @@ class TestRunExperiment:
         config = make_config(task="edge", edge_fraction=0.05, edge_batches=2, seeds=(0,))
         rows = run_experiment(config, dataset=bench_dataset)
         unlearn = next(r for r in rows if r.arm == "unlearn")
-        assert unlearn.k == int(round(0.05 / 2 * bench_dataset.n_edges)) * 2
+        assert unlearn.k == int(round(0.05 * bench_dataset.n_edges))
         assert unlearn.residual_norm > 0
+
+    @pytest.mark.parametrize("fraction, batches, removed", [(0.01, 10, 7), (0.1, 100, 66), (0.1, 1000, 66)])
+    def test_edge_batches_share_the_edge_budget(self, fraction, batches, removed):
+        """``edge_fraction`` of the 665 edges in all, in at most ``edge_batches``
+        non-empty batches whose sizes differ by at most one."""
+        ds = homophilous_dataset(n=100, f=5, seed=2)
+        config = make_config(task="edge", edge_fraction=fraction, edge_batches=batches, seeds=(0,))
+        rows = run_experiment(config, dataset=ds)
+        assert [(r.arm, r.k) for r in rows if not r.aggregate] == [
+            ("pretrained", 2),
+            ("unlearn", removed),
+            ("retrain", removed),
+        ]
+        sizes, current = [], ds
+        for request in experiment._select_removal(config, ds, 0):
+            request = request(current)
+            sizes.append(len(request.edges))
+            current = request.apply(current)
+        assert sum(sizes) == removed and len(sizes) <= batches
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
 
     def test_node_task(self, bench_dataset):
         config = make_config(task="node", k=3, seeds=(0,))
@@ -212,8 +235,7 @@ def long_hand_unlearn(model, dataset, requests, budget, scheme, hops):
         budget = budget.record(result.residual_norm)
         model = dataclasses.replace(model, weights=result.updated_weights)
         current, agg = edited, agg_new
-    # The runner reads the edited aggregation off the returned graph.
-    current._carry_hops(hops, scheme, (agg, []))
+    # The returned graph carries no hop blocks: the runner aggregates it in full.
     return results, budget, current
 
 
@@ -283,8 +305,7 @@ class TestOneRemovalPath:
 
             return wrapper
 
-        patch_everywhere(monkeypatch, graph, "aggregate", counting)
-        patch_everywhere(monkeypatch, graph, "aggregate_hops", counting)
+        patch_everywhere(monkeypatch, graph, "_aggregate", counting)
         config = make_config(seeds=(0, 1), **TASK_CONFIGS[task])
         with warnings.catch_warnings():
             warnings.simplefilter("error")

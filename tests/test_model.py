@@ -171,6 +171,12 @@ class TestTrain:
         with pytest.raises(ValueError, match="empty"):
             train(empty, agg, TrainConfig(lam=1.0), noise_std=0.0)
 
+    @pytest.mark.parametrize("field", ["lam", "tolerance"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+    def test_config_needs_positive_finite_settings(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            TrainConfig(**{field: value})
+
 
 class TestPredict:
     def test_zero_weights_all_label_zero(self):

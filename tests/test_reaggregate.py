@@ -1,7 +1,7 @@
 """Edit-local re-aggregation against the full recompute.
 
-`reaggregate` carries one graph's hop blocks over to an edited copy and
-recomputes only the rows the edit can reach; every result here is checked
+`reaggregate` moves the hop blocks a graph carries over to an edited copy
+and recomputes only the rows the edit can reach; every result here is checked
 against `aggregate(edited, build_propagation(edited, L), scheme)`.
 """
 
@@ -20,8 +20,8 @@ from fairwipe.graph import (
     GPR,
     SGC,
     aggregate,
-    aggregate_hops,
     build_propagation,
+    carried_aggregation,
     reaggregate,
     remove_edges,
     remove_nodes,
@@ -81,6 +81,11 @@ def assert_close(actual, expected):
     np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-12)
 
 
+def counting_full_passes():
+    """A spy on `graph._aggregate`, which every full aggregation goes through."""
+    return mock.patch.object(graph, "_aggregate", wraps=graph._aggregate)
+
+
 class TestReaggregate:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -95,13 +100,14 @@ class TestReaggregate:
         edited = random_edit(ds, kind, rng)
         if edited is None:
             return
-        agg, blocks = aggregate_hops(ds, build_propagation(ds, hops), scheme)
+        agg = carried_aggregation(ds, hops, scheme)
         assert_close(agg.values, full_values(ds, hops, scheme))
         before = agg.values.copy()
-        new = reaggregate(ds, edited, agg, blocks)
+        old, new, _ = reaggregate(ds, edited, hops, scheme)
+        assert old is agg
         assert new.scheme == scheme
         assert_close(new.values, full_values(edited, hops, scheme))
-        for block, expected in zip(blocks, dense_blocks(edited, hops)):
+        for block, expected in zip(edited._hop_state[3], dense_blocks(edited, hops)):
             assert_close(block, expected)
         np.testing.assert_array_equal(agg.values, before)
 
@@ -115,20 +121,22 @@ class TestReaggregate:
     def test_chain_of_edits(self, seed, scheme, hops, kinds):
         rng = np.random.default_rng(seed)
         current = random_dataset(n=int(rng.integers(10, 150)), f=3, seed=seed, avg_degree=float(rng.uniform(1, 5)))
-        agg, blocks = aggregate_hops(current, build_propagation(current, hops), scheme)
+        carried_aggregation(current, hops, scheme)
         for kind in kinds:
             edited = random_edit(current, kind, rng)
             if edited is None:
                 continue
-            agg = reaggregate(current, edited, agg, blocks)
+            with counting_full_passes() as full:
+                _, agg, _ = reaggregate(current, edited, hops, scheme)
+            assert full.call_count == 0
             assert_close(agg.values, full_values(edited, hops, scheme))
             current = edited
 
     def test_unchanged_graph_keeps_every_row(self):
         ds = random_dataset(n=40, f=3, seed=4)
         for scheme in (SGC, GPR):
-            agg, blocks = aggregate_hops(ds, build_propagation(ds, 2), scheme)
-            new = reaggregate(ds, ds, agg, blocks)
+            agg = carried_aggregation(ds, 2, scheme)
+            _, new, _ = reaggregate(ds, ds, 2, scheme)
             np.testing.assert_array_equal(new.values, agg.values)
 
     @settings(max_examples=80, deadline=None)
@@ -164,9 +172,9 @@ class TestReaggregate:
             seen.append(rows.copy())
             return original(adjacency, rows)
 
-        agg, blocks = aggregate_hops(ds, build_propagation(ds, hops), GPR)
+        carried_aggregation(ds, hops, GPR)
         with mock.patch.object(graph, "_propagation_rows", spy):
-            reaggregate(ds, edited, agg, blocks)
+            reaggregate(ds, edited, hops, GPR)
         assert len(seen) == len(expected)
         for rows, want in zip(seen, expected):
             np.testing.assert_array_equal(rows, want)
@@ -264,8 +272,13 @@ def assert_same_result(actual, expected):
     assert abs(actual.residual_norm - expected.residual_norm) <= 1e-12
 
 
+def carries(ds, hops, scheme):
+    return ds._hop_state is not None and ds._hop_state[:2] == (hops, scheme)
+
+
 def assert_carries_its_own_hops(ds, hops, scheme):
-    agg, blocks = ds._carried_hops(hops, scheme)
+    assert carries(ds, hops, scheme)
+    _, _, agg, blocks = ds._hop_state
     assert agg.scheme == scheme
     assert_close(agg.values, full_values(ds, hops, scheme))
     assert len(blocks) == hops + 1
@@ -275,9 +288,47 @@ def assert_carries_its_own_hops(ds, hops, scheme):
 
 def one_call(model, ds, request, hops, scheme):
     """One single-request ``sequential_unlearn`` call; also counts its full aggregations."""
-    with mock.patch.object(graph, "aggregate_hops", wraps=graph.aggregate_hops) as full:
+    with counting_full_passes() as full:
         (result,), _, edited = sequential_unlearn(model, ds, [request], BUDGET, scheme, hops)
     return result, edited, full.call_count
+
+
+class TestCarriedAggregation:
+    """`carried_aggregation` and `reaggregate` are the only readers and writers of the carried blocks."""
+
+    @pytest.mark.parametrize("scheme", [SGC, GPR])
+    def test_fresh_graph_aggregates_once(self, scheme):
+        ds = random_dataset(n=40, f=3, seed=6)
+        with counting_full_passes() as full:
+            agg = carried_aggregation(ds, 2, scheme)
+            assert carried_aggregation(ds, 2, scheme) is agg
+        assert full.call_count == 1
+        assert_carries_its_own_hops(ds, 2, scheme)
+
+    @pytest.mark.parametrize("scheme", [SGC, GPR])
+    def test_reaggregate_moves_the_blocks(self, scheme):
+        ds = random_dataset(n=40, f=3, seed=7)
+        carried_aggregation(ds, 2, scheme)
+        edited = remove_edges(ds, [tuple(ds.edge_pairs()[0])])
+        with counting_full_passes() as full:
+            _, new, _ = reaggregate(ds, edited, 2, scheme)
+            assert not carries(ds, 2, scheme)
+            assert carried_aggregation(edited, 2, scheme) is new
+        assert full.call_count == 0
+        assert_carries_its_own_hops(edited, 2, scheme)
+
+    def test_state_for_other_settings_survives(self):
+        ds = random_dataset(n=40, f=3, seed=8)
+        other = carried_aggregation(ds, 1, GPR)
+        state = ds._hop_state
+        edited = remove_edges(ds, [tuple(ds.edge_pairs()[0])])
+        with counting_full_passes() as full:
+            old, new, _ = reaggregate(ds, edited, 2, SGC)
+        assert full.call_count == 1
+        assert ds._hop_state is state and carried_aggregation(ds, 1, GPR) is other
+        assert_close(old.values, full_values(ds, 2, SGC))
+        assert_close(new.values, full_values(edited, 2, SGC))
+        assert_carries_its_own_hops(edited, 2, SGC)
 
 
 class TestCarriedHops:
@@ -301,7 +352,7 @@ class TestCarriedHops:
             result, edited, full = one_call(model, current, request, hops, scheme)
             assert full == (i == 0)
             assert_same_result(result, expected)
-            assert current._carried_hops(hops, scheme) is None
+            assert not carries(current, hops, scheme)
             assert_carries_its_own_hops(edited, hops, scheme)
             model = replace(model, weights=result.updated_weights)
             current = edited
@@ -319,7 +370,7 @@ class TestCarriedHops:
         for (hops, scheme), kind in calls:
             request = random_request(current, kind, rng)
             expected = reference_step(model, current, request, hops, scheme)
-            had_state = current._carried_hops(hops, scheme) is not None
+            had_state = carries(current, hops, scheme)
             other_state = current._hop_state
             result, edited, full = one_call(model, current, request, hops, scheme)
             assert full == (not had_state)
@@ -366,7 +417,7 @@ class TestCarriedHops:
             pickle.loads(pickle.dumps(edited)),
         ]
         for other in copies:
-            assert other._carried_hops(2, GPR) is None
+            assert other._hop_state is None
         assert replace(edited) == edited
         assert "_hop_state" not in repr(edited)
         assert_carries_its_own_hops(edited, 2, GPR)
@@ -377,7 +428,7 @@ class TestCarriedHops:
         ds = random_dataset(n=40, f=3, seed=3)
         model = trained_model(ds, 2, scheme, 3)
         _, _, current = sequential_unlearn(model, ds, [EdgeRemoval((tuple(ds.edge_pairs()[0]),))], BUDGET, scheme, 2)
-        agg, blocks = current._carried_hops(2, scheme)
+        _, _, agg, blocks = current._hop_state
         snapshot = [agg.values.copy()] + [b.copy() for b in blocks]
         adjacency = [a.copy() for a in (current.adjacency.data, current.adjacency.indices, current.adjacency.indptr)]
         n = current.n_nodes
@@ -463,7 +514,7 @@ def test_retrain_oracle_builds_its_own_aggregation(scheme):
     config = TrainConfig(lam=1.0, seed=5)
     model = trained_model(ds, 2, scheme, 5)
     _, _, edited = sequential_unlearn(model, ds, [EdgeRemoval((tuple(ds.edge_pairs()[0]),))], BUDGET, scheme, 2)
-    assert edited._carried_hops(2, scheme) is not None
+    assert carries(edited, 2, scheme)
     with mock.patch.object(graph, "aggregate", wraps=graph.aggregate) as agg, mock.patch.object(
         graph, "build_propagation", wraps=graph.build_propagation
     ) as prop:

@@ -42,8 +42,7 @@ batch = max(1, dataset.n_edges // 50)
 
 
 def next_batch(current):
-    chosen = select_edges(current, min(batch, current.n_edges), kind="proposed").chosen
-    return EdgeRemoval(tuple((int(i), int(j)) for i, j in chosen))
+    return EdgeRemoval(select_edges(current, min(batch, current.n_edges), kind="proposed").chosen)
 
 
 # First pass: measure the residuals, then pick a budget that is exhausted

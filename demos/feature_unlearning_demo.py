@@ -42,7 +42,7 @@ m = int(dataset.train_mask.sum())
 print(f"nodes={dataset.n_nodes}  features={dataset.n_features}  edges={dataset.n_edges}  train={m}")
 
 rho = pearson_correlations(dataset.features, dataset.sensitive)
-print(f"feature correlations with the sensitive attribute: {np.round(rho.rho, 3)}")
+print(f"feature correlations with the sensitive attribute: {np.round(rho, 3)}")
 
 print("\n=== noise calibration (epsilon=1, delta=1e-4) ===")
 bound = worstcase_bound_feature(dataset.n_features, K, m, lam=LAM)
@@ -62,7 +62,7 @@ print(f"accuracy={acc:.3f}  delta_sp={dsp:.3f}  delta_eo={deo:.3f}")
 print("\n=== unlearn the top correlated features ===")
 selection = select_features(dataset.features, dataset.sensitive, K)
 print(f"selected columns (by |correlation|): {[int(c) for c in selection.chosen]}")
-edited = FeatureRemoval(tuple(int(c) for c in selection.chosen)).apply(dataset)
+edited = FeatureRemoval(selection.chosen).apply(dataset)
 agg_new = aggregate(edited, build_propagation(edited, HOPS), "sgc")
 result = newton_unlearn(model, agg, agg_new, dataset.labels, dataset.train_mask)
 print(f"gradient residual after the update: {result.residual_norm:.3e} (bound {bound:.3e})")
@@ -82,4 +82,4 @@ print(f"|w_unlearned - w_retrained| = {gap:.3e}")
 print(f"strong-convexity guarantee: residual/(lam*m) = {result.residual_norm / (LAM * m):.3e}")
 
 rho_after = pearson_correlations(edited.features, edited.sensitive)
-print(f"\ncorrelation norm: {rho.norm:.3f} -> {rho_after.norm:.3f}")
+print(f"\ncorrelation norm: {np.linalg.norm(rho):.3f} -> {np.linalg.norm(rho_after):.3f}")

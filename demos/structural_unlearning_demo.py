@@ -58,8 +58,7 @@ print(f"\npre-trained: accuracy={base_acc:.3f}  delta_sp={base_dsp:.3f}")
 
 def unlearn_edges(kind):
     k = max(1, int(round(0.10 * dataset.n_edges)))
-    chosen = select_edges(dataset, k, kind=kind, seed=SEED).chosen
-    edited = EdgeRemoval(tuple((int(i), int(j)) for i, j in chosen)).apply(dataset)
+    edited = EdgeRemoval(select_edges(dataset, k, kind=kind, seed=SEED).chosen).apply(dataset)
     agg_new = aggregate(edited, build_propagation(edited, HOPS), "sgc")
     result = newton_unlearn(model, agg, agg_new, dataset.labels, dataset.train_mask)
     p, _ = predict(replace(model, weights=result.updated_weights), agg_new)
@@ -78,7 +77,7 @@ print("(intra-edge removal mitigates; inter-edge removal amplifies)")
 print("\n=== node unlearning (top-scored training nodes) ===")
 selection = select_nodes(dataset, k=10, scope="train")
 print(f"top node scores: {np.round(selection.scores[np.argsort(-selection.scores)[:5]], 3)}")
-edited = NodeRemoval(tuple(int(v) for v in selection.chosen)).apply(dataset)
+edited = NodeRemoval(selection.chosen).apply(dataset)
 agg_new = aggregate(edited, build_propagation(edited, HOPS), "sgc")
 result = newton_unlearn(
     model, agg, agg_new, edited.labels, dataset.train_mask, edited.train_mask

@@ -8,7 +8,6 @@ retrain-from-scratch oracle verifies every update.
 
 from .data import DatasetManifest, DataValidationError, load_dataset, make_splits
 from .fairness import (
-    CorrelationVector,
     SelectionResult,
     alpha_diagnostics,
     edge_bias_scores,

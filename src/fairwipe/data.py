@@ -234,8 +234,8 @@ def make_splits(
 
     If the test set misses a sensitive group, one reseeded resample is
     attempted before giving up (fairness metrics need both groups). The
-    result keeps the input's memoised edge pairs, degree statistics and edge
-    scores.
+    result keeps the input's memoised edge keys and pairs, degree statistics
+    and edge scores.
     """
     fractions = tuple(float(f) for f in fractions)
     if not all(0 < f < np.inf for f in fractions):

@@ -174,8 +174,8 @@ class ResultRow:
     delta_eo: float
     raw_sp: float
     rho_norm: float
-    alpha1: float
-    alpha2: float
+    alpha1: float | None
+    alpha2: float | None
     residual_norm: float | None
     worstcase_bound: float | None
     certified: bool | None
@@ -192,13 +192,16 @@ def _evaluate(dataset: GraphDataset, agg, model: TrainedModel) -> dict:
     preds, scores = predict(model, agg)
     test = dataset.test_mask
     delta_sp, delta_eo = fairness.fairness_metrics(preds, dataset.labels, dataset.sensitive, test)
-    alpha1, alpha2 = fairness.alpha_diagnostics(dataset)
+    try:
+        alpha1, alpha2 = fairness.alpha_diagnostics(dataset)
+    except ValueError:  # a fully isolated group leaves the alphas undefined
+        alpha1 = alpha2 = None
     return dict(
         accuracy=float((preds[test] == dataset.labels[test]).mean()),
         delta_sp=delta_sp,
         delta_eo=delta_eo,
         raw_sp=fairness._score_gap(scores, dataset.sensitive),
-        rho_norm=fairness.pearson_correlations(agg.values, dataset.sensitive).norm,
+        rho_norm=float(np.linalg.norm(fairness.pearson_correlations(agg.values, dataset.sensitive))),
         alpha1=alpha1,
         alpha2=alpha2,
     )
@@ -213,16 +216,15 @@ def _select_removal(config: ExperimentConfig, dataset: GraphDataset, seed: int) 
             chosen = rng.choice(dataset.n_features, size=config.k, replace=False)
         else:
             chosen = select_features(dataset.features, dataset.sensitive, config.k).chosen
-        return [FeatureRemoval(tuple(int(c) for c in chosen))]
+        return [FeatureRemoval(chosen)]
     if config.task == "node":
         chosen = select_nodes(
             dataset, config.k, scope=config.node_scope, kind=config.selector, seed=seed
         ).chosen
-        return [NodeRemoval(tuple(int(v) for v in chosen))]
+        return [NodeRemoval(chosen)]
 
     def next_batch(current: GraphDataset, k: int) -> EdgeRemoval:
-        sel = select_edges(current, k, kind=config.selector, seed=seed)
-        return EdgeRemoval(tuple((int(i), int(j)) for i, j in sel.chosen))
+        return EdgeRemoval(select_edges(current, k, kind=config.selector, seed=seed).chosen)
 
     total = max(1, int(round(config.edge_fraction * dataset.n_edges)))
     batches = min(config.edge_batches, total)

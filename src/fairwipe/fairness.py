@@ -22,23 +22,11 @@ NODE_KINDS = ("proposed", "random", "bias-term-only", "degree-only")
 
 
 @dataclass(frozen=True)
-class CorrelationVector:
-    """Per-column Pearson correlation with the sensitive attribute."""
-
-    rho: np.ndarray
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.rho))
-
-
-@dataclass(frozen=True)
 class SelectionResult:
     """Top-k candidates in descending score order (ties break by lowest index)."""
 
     chosen: np.ndarray
     scores: np.ndarray
-    candidates: np.ndarray
 
 
 def _check_binary_groups(s: np.ndarray) -> np.ndarray:
@@ -50,7 +38,7 @@ def _check_binary_groups(s: np.ndarray) -> np.ndarray:
     return s
 
 
-def pearson_correlations(columns: np.ndarray, s: np.ndarray) -> CorrelationVector:
+def pearson_correlations(columns: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Pearson correlation of every column with s; zero-variance columns map to 0.
 
     A column counts as constant when its centred norm is below 1e-12 of its
@@ -73,10 +61,10 @@ def pearson_correlations(columns: np.ndarray, s: np.ndarray) -> CorrelationVecto
     x_norm = np.sqrt(centred_sq)
     live = x_norm > 1e-12 * np.maximum(1.0, raw_norm)
     rho = np.divide(xc.T @ sc, x_norm * np.linalg.norm(sc), out=np.zeros(x.shape[1]), where=live)
-    return CorrelationVector(rho=np.clip(rho, -1.0, 1.0))
+    return np.clip(rho, -1.0, 1.0)
 
 
-def _top_k(scores: np.ndarray, candidates: np.ndarray, k: int) -> SelectionResult:
+def _top_k(scores: np.ndarray, candidates: np.ndarray, k: int) -> np.ndarray:
     """Sort by descending score, ties by lowest candidate, and take the first k.
 
     Only the candidates scoring at least the k-th highest score can be chosen,
@@ -84,13 +72,8 @@ def _top_k(scores: np.ndarray, candidates: np.ndarray, k: int) -> SelectionResul
     """
     kth = -np.partition(-scores, k - 1)[k - 1]
     keep = np.flatnonzero(scores >= kth)
-    top_scores, top = scores[keep], candidates[keep]
-    if top.ndim == 1:
-        order = np.lexsort((top, -top_scores))
-    else:
-        order = np.lexsort((top[:, 1], top[:, 0], -top_scores))
-    chosen = top[order[:k]]
-    return SelectionResult(chosen=chosen, scores=scores, candidates=candidates)
+    top = candidates[keep]
+    return top[np.lexsort((top, -scores[keep]))[:k]]
 
 
 def select_features(features: np.ndarray, s: np.ndarray, k: int) -> SelectionResult:
@@ -99,14 +82,14 @@ def select_features(features: np.ndarray, s: np.ndarray, k: int) -> SelectionRes
     n_features = features.shape[1]
     if not 1 <= k <= n_features:
         raise ValueError(f"k must lie in [1, {n_features}]")
-    scores = np.abs(pearson_correlations(features, s).rho)
-    return _top_k(scores, np.arange(n_features), k)
+    scores = np.abs(pearson_correlations(features, s))
+    return SelectionResult(chosen=_top_k(scores, np.arange(n_features), k), scores=scores)
 
 
 def edge_bias_scores(pairs: np.ndarray, s: np.ndarray, stats: DegreeStats) -> np.ndarray:
     """Intra-edges score 1/min(d_i, d_j); inter-edges score 0."""
     pairs = np.atleast_2d(np.asarray(pairs, dtype=np.int64))
-    return graph._edge_scores(pairs, np.asarray(s), stats.degree)
+    return graph._edge_scores(pairs[:, 0], pairs[:, 1], np.asarray(s), stats.degree)
 
 
 def node_bias_scores(nodes: np.ndarray, stats: DegreeStats) -> np.ndarray:
@@ -131,20 +114,24 @@ def select_edges(dataset: GraphDataset, k: int, kind: str = "proposed", seed: in
     ``proposed`` ranks by the scores memoised on the graph, which
     :func:`graph.remove_edges` carries to its result re-scored only where the
     degrees changed. The random kinds rank by a seeded uniform draw, plus 1
-    on intra- (``random-intra``) or inter-edges (``random-inter``).
+    on intra- (``random-intra``) or inter-edges (``random-inter``). Edges
+    rank as their memoised ``i * n + j`` keys, which sort as the pairs do;
+    only the k chosen keys become pairs.
     """
     _check_kind(kind, EDGE_KINDS, "edge")
-    pairs = dataset.edge_pairs()
-    if not 1 <= k <= len(pairs):
-        raise ValueError(f"k must lie in [1, {len(pairs)}]")
+    keys = graph._edge_keys(dataset)
+    if not 1 <= k <= len(keys):
+        raise ValueError(f"k must lie in [1, {len(keys)}]")
     if kind == "proposed":
         scores = graph._proposed_edge_scores(dataset)
     else:
-        scores = np.random.default_rng(seed).random(len(pairs))
+        scores = np.random.default_rng(seed).random(len(keys))
         if kind != "random":
-            intra = dataset.sensitive[pairs[:, 0]] == dataset.sensitive[pairs[:, 1]]
+            i, j = np.divmod(keys, dataset.n_nodes)
+            intra = dataset.sensitive[i] == dataset.sensitive[j]
             scores += intra if kind == "random-intra" else ~intra
-    return _top_k(scores, pairs, k)
+    chosen = np.column_stack(np.divmod(_top_k(scores, keys, k), dataset.n_nodes))
+    return SelectionResult(chosen=chosen, scores=scores)
 
 
 def select_nodes(
@@ -179,7 +166,7 @@ def select_nodes(
         d = degree_stats(dataset).degree[nodes].astype(np.float64)
         with np.errstate(divide="ignore"):
             scores = np.where(d > 0, 1.0 / d, 0.0)
-    return _top_k(scores, nodes, k)
+    return SelectionResult(chosen=_top_k(scores, nodes, k), scores=scores)
 
 
 def fairness_metrics(predictions, labels, s, test_mask):
@@ -223,7 +210,7 @@ def raw_sp_and_bound(matrix: np.ndarray, weights: np.ndarray, s: np.ndarray, lam
     n1 = int((s == 1).sum())
     s_bar = float(np.linalg.norm(s - s.mean()))
     sigma = float(np.sqrt(matrix.var(axis=0).mean()))
-    rho_norm = pearson_correlations(matrix, s).norm
+    rho_norm = float(np.linalg.norm(pearson_correlations(matrix, s)))
     bound = LOGISTIC.c * n**1.5 * s_bar * sigma * rho_norm / (n0 * n1 * lam)
     return raw_sp, float(bound)
 

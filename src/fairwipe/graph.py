@@ -4,8 +4,8 @@ All values are immutable after construction: structural edits (edge/node removal
 feature zeroing) return new :class:`GraphDataset` instances. :func:`aggregate`
 propagates from scratch; :func:`reaggregate` moves the hop blocks a graph
 carries over to an edited copy and recomputes only the rows the edit can reach.
-Edge pairs, degree statistics and edge scores are memoised on the graph.
-:func:`remove_edges` carries the pairs and scores over to its result, updated
+Edge keys, degree statistics and edge scores are memoised on the graph.
+:func:`remove_edges` carries the keys and scores over to its result, updated
 for the edit, and the result counts its degrees once, on first use;
 :func:`zero_feature_columns` keeps the whole memo as it is.
 """
@@ -25,19 +25,21 @@ GPR = "gpr"
 class GraphDataset:
     """An attributed graph with a binary sensitive attribute and binary labels.
 
-    The adjacency matrix is symmetric CSR with zero diagonal (self-loops are
-    added only when building the propagation operator) and strictly positive
-    stored values. Masks select disjoint train/validation/test node sets.
+    The adjacency matrix is canonical symmetric CSR with zero diagonal
+    (self-loops are added only when building the propagation operator) and
+    strictly positive stored values; the constructor canonicalises a copy of
+    a matrix with unsorted or duplicate entries. Masks select disjoint
+    train/validation/test node sets.
 
     ``_hop_state`` is private: the aggregation and hop blocks this graph
     carries for one ``(hops, scheme)``; only this module sets, moves and
-    reads it. ``_memo`` is private too: the read-only edge pairs, degree
-    statistics and edge scores computed for this graph so far. Neither
+    reads it. ``_memo`` is private too: the read-only edge keys and pairs,
+    degree statistics and edge scores computed for this graph so far. Neither
     is an ``__init__`` argument; both are excluded from ``repr`` and ``==``,
     and are dropped by ``dataclasses.replace``, copies and pickles, so no two
     graphs share them. The memo depends only on the adjacency and the
     sensitive column: edits and splits that keep both copy it to their
-    result, and :func:`remove_edges` carries its edge pairs and scores.
+    result, and :func:`remove_edges` carries its edge keys and scores.
     """
 
     adjacency: sp.csr_matrix
@@ -51,6 +53,10 @@ class GraphDataset:
     _memo: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.adjacency.has_canonical_format:
+            adjacency = self.adjacency.copy()
+            adjacency.sum_duplicates()
+            object.__setattr__(self, "adjacency", adjacency)
         self._check_fields()
         if self.adjacency.diagonal().any():
             raise ValueError("adjacency must have zero diagonal (no stored self-loops)")
@@ -131,11 +137,11 @@ class GraphDataset:
         return self.adjacency.nnz // 2
 
     def edge_pairs(self) -> np.ndarray:
-        """All undirected edges as an (n_edges, 2) array of pairs with i < j, sorted by (i, j).
+        """All undirected edges as an (n_edges, 2) int64 array of pairs with i < j, sorted by (i, j).
 
         The array is memoised and read-only.
         """
-        return self._memoised("edge_pairs", _upper_pairs)[0]
+        return self._memoised("edge_pairs", lambda ds: _frozen(np.column_stack(np.divmod(_edge_keys(ds), ds.n_nodes))))
 
 
 @dataclass(frozen=True)
@@ -190,21 +196,20 @@ def _frozen(*arrays: np.ndarray):
     return arrays[0]
 
 
-def _upper_pairs(dataset: GraphDataset) -> tuple[np.ndarray, np.ndarray]:
-    """The edge pairs and their sorted ``i * n + j`` keys, both read-only.
+def _edge_keys(dataset: GraphDataset) -> np.ndarray:
+    """The sorted int64 keys ``i * n + j`` of the edges (i, j) with i < j, memoised and read-only.
 
-    The upper triangle is read row by row from the CSR arrays, which is
-    already lexicographic once each row's column indices are sorted.
+    Keys sort as their pairs do. The canonical CSR lists the upper triangle
+    row by row in that order.
     """
-    adj = dataset.adjacency
-    if not adj.has_sorted_indices:
-        adj = adj.sorted_indices()
-    rows = np.repeat(np.arange(dataset.n_nodes, dtype=adj.indices.dtype), np.diff(adj.indptr))
-    upper = adj.indices > rows
-    pairs = np.column_stack([rows[upper], adj.indices[upper]])
-    keys = rows[upper].astype(np.int64) * dataset.n_nodes + adj.indices[upper]
-    _frozen(pairs, keys)
-    return pairs, keys
+
+    def keys(ds: GraphDataset) -> np.ndarray:
+        adj = ds.adjacency
+        rows = np.repeat(np.arange(ds.n_nodes, dtype=np.int64), np.diff(adj.indptr))
+        upper = adj.indices > rows
+        return _frozen(rows[upper] * ds.n_nodes + adj.indices[upper])
+
+    return dataset._memoised("edge_keys", keys)
 
 
 def _row_entries(adj: sp.csr_matrix, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -359,25 +364,6 @@ def reaggregate(
     return aggregated, updated, row_sets[-1]
 
 
-def _canonical_pairs(edges) -> np.ndarray:
-    """The pairs as (min, max) rows in lexicographic order; self-loops are rejected."""
-    pairs = np.asarray(edges, dtype=np.int64)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValueError("edges must be (i, j) pairs")
-    pairs = np.sort(pairs, axis=1)
-    if (pairs[:, 0] == pairs[:, 1]).any():
-        raise ValueError("self-loops are not valid edges")
-    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-
-
-def _canonical(adj: sp.csr_matrix) -> sp.csr_matrix:
-    """``adj``, or a copy with sorted indices and duplicate entries summed."""
-    if not adj.has_canonical_format:
-        adj = adj.copy()
-        adj.sum_duplicates()
-    return adj
-
-
 def _delete_entries(adj: sp.csr_matrix, doomed: np.ndarray) -> sp.csr_matrix:
     """Canonical ``adj`` without the stored entries at the sorted, unique positions ``doomed``."""
     rows = np.searchsorted(adj.indptr, doomed, side="right") - 1
@@ -397,58 +383,56 @@ def remove_edges(dataset: GraphDataset, edges) -> GraphDataset:
     Pair direction does not matter and a repeated pair removes its edge once.
     Both CSR positions of every pair are found among the stored entries of
     its two rows; the edit drops them and shifts ``indptr``. The input's edge
-    pairs and scores are carried over to the result, updated for the edit.
+    keys and scores are carried over to the result, updated for the edit.
     """
-    edges = list(edges)
-    if not edges:
+    pairs = np.asarray(edges, dtype=np.int64)
+    if pairs.size == 0:
         return dataset
-    pairs = _canonical_pairs(edges)
-    pairs = pairs[np.r_[True, (np.diff(pairs, axis=0) != 0).any(axis=1)]]
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("edges must be (i, j) pairs")
+    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+    if (lo == hi).any():
+        raise ValueError("self-loops are not valid edges")
     n = dataset.n_nodes
-    if pairs.min() < 0 or pairs.max() >= n:
+    if lo.min() < 0 or hi.max() >= n:
         raise IndexError(f"edge index out of range [0, {n})")
-    adj = _canonical(dataset.adjacency)
-    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    entries, owner = _row_entries(adj, rows)
-    hit = adj.indices[entries] == cols[owner]
-    pos = np.full(rows.size, -1, dtype=np.int64)
+    keys = np.unique(lo * n + hi)
+    lo, hi = np.divmod(keys, n)
+    adj = dataset.adjacency
+    entries, owner = _row_entries(adj, np.r_[lo, hi])
+    hit = adj.indices[entries] == np.r_[hi, lo][owner]
+    pos = np.full(2 * keys.size, -1, dtype=np.int64)
     pos[owner[hit]] = entries[hit]
-    present = (pos[: len(pairs)] >= 0) & (pos[len(pairs) :] >= 0)
+    present = (pos[: keys.size] >= 0) & (pos[keys.size :] >= 0)
     if not present.all():
-        missing = pairs[~present][0]
-        raise ValueError(f"edge {tuple(missing)} not present; rejecting the whole request")
+        missing = np.flatnonzero(~present)[0]
+        raise ValueError(f"edge ({lo[missing]}, {hi[missing]}) not present; rejecting the whole request")
     new_adj = _delete_entries(adj, np.sort(pos))
     memo = None
-    # A non-canonical input's memo counts its duplicate entries; start afresh.
-    if dataset._memo and "edge_pairs" in dataset._memo and adj is dataset.adjacency:
-        memo = _memo_after_removal(dataset._memo, new_adj, dataset.sensitive, pairs)
+    if dataset._memo and "edge_keys" in dataset._memo:
+        memo = _memo_after_removal(dataset._memo, new_adj, dataset.sensitive, keys)
     return dataset._edited(memo=memo, adjacency=new_adj)
 
 
 def _memo_after_removal(memo: dict, adj: sp.csr_matrix, sensitive: np.ndarray, removed: np.ndarray) -> dict:
-    """The memoised edge pairs and scores carried to ``adj``, less the unique canonical pairs ``removed``.
+    """The memoised edge keys and scores carried to ``adj``, less the sorted unique keys ``removed``.
 
     Removing (i, j) lowers the degrees of i and j alone, so only the edges
     incident to them in ``adj`` are re-scored.
     """
     n = adj.shape[0]
-    pairs, keys = memo["edge_pairs"]
-    gone = np.searchsorted(keys, removed[:, 0] * n + removed[:, 1])
-    # Each pair as one void item: numpy deletes those with one mask over the
-    # items, while a 2-D delete along axis 0 is about ten times slower.
-    row = np.dtype((np.void, 2 * pairs.itemsize))
-    pairs = np.delete(pairs.view(row).ravel(), gone).view(pairs.dtype).reshape(-1, 2)
-    keys = np.delete(keys, gone)
-    carried = {"edge_pairs": (_frozen(pairs, keys), keys)}
+    gone = np.searchsorted(memo["edge_keys"], removed)
+    keys = _frozen(np.delete(memo["edge_keys"], gone))
+    carried = {"edge_keys": keys}
     if "edge_scores" in memo:
         scores = np.delete(memo["edge_scores"], gone)
-        ends = np.unique(removed)
+        ends = np.unique(np.divmod(removed, n))
         entries, owner = _row_entries(adj, ends)
         u, v = ends[owner], adj.indices[entries]
         # Sorted queries keep the search cache-friendly on bulk batches.
-        at = np.searchsorted(keys, np.sort(np.minimum(u, v) * n + np.maximum(u, v)))
-        scores[at] = _edge_scores(pairs[at], sensitive, np.diff(adj.indptr))
+        affected = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+        degree = np.diff(adj.indptr)
+        scores[np.searchsorted(keys, affected)] = _edge_scores(*np.divmod(affected, n), sensitive, degree)
         carried["edge_scores"] = _frozen(scores)
     return carried
 
@@ -459,7 +443,7 @@ def remove_nodes(dataset: GraphDataset, nodes) -> GraphDataset:
     Indices are kept stable (no compaction) so weight dimensionality and row
     alignment survive a sequence of removals.
     """
-    nodes = np.asarray(sorted(set(int(v) for v in nodes)), dtype=np.int64)
+    nodes = np.unique(np.asarray(nodes, dtype=np.int64))
     if nodes.size == 0:
         return dataset
     n = dataset.n_nodes
@@ -467,7 +451,7 @@ def remove_nodes(dataset: GraphDataset, nodes) -> GraphDataset:
         raise ValueError(f"node index out of range [0, {n})")
     keep = np.ones(n, dtype=bool)
     keep[nodes] = False
-    adj = _canonical(dataset.adjacency)
+    adj = dataset.adjacency
     row_kept = np.repeat(keep, np.diff(adj.indptr))
     new_adj = _delete_entries(adj, np.flatnonzero(~(row_kept & keep[adj.indices])))
     new_x = dataset.features.copy()
@@ -484,7 +468,7 @@ def remove_nodes(dataset: GraphDataset, nodes) -> GraphDataset:
 
 def zero_feature_columns(dataset: GraphDataset, columns) -> GraphDataset:
     """Zero the listed feature columns for all nodes (graph structure unchanged, memo kept)."""
-    cols = np.asarray(sorted(set(int(c) for c in columns)), dtype=np.int64)
+    cols = np.unique(np.asarray(columns, dtype=np.int64))
     if cols.size == 0:
         return dataset
     f = dataset.n_features
@@ -533,17 +517,16 @@ def _count_degrees(dataset: GraphDataset) -> DegreeStats:
     )
 
 
-def _edge_scores(pairs: np.ndarray, sensitive: np.ndarray, degree: np.ndarray) -> np.ndarray:
-    """Intra-edges score 1/min(d_i, d_j); inter-edges score 0."""
-    intra = sensitive[pairs[:, 0]] == sensitive[pairs[:, 1]]
-    min_deg = np.minimum(degree[pairs[:, 0]], degree[pairs[:, 1]])
-    return np.where(intra, 1.0 / min_deg, 0.0)
+def _edge_scores(i: np.ndarray, j: np.ndarray, sensitive: np.ndarray, degree: np.ndarray) -> np.ndarray:
+    """Intra-edges (i, j) score 1/min(d_i, d_j); inter-edges score 0."""
+    return np.where(sensitive[i] == sensitive[j], 1.0 / np.minimum(degree[i], degree[j]), 0.0)
 
 
 def _proposed_edge_scores(dataset: GraphDataset) -> np.ndarray:
-    """The proposed score of every edge in ``edge_pairs()`` order, memoised and read-only."""
+    """The proposed score of every edge in key order, memoised and read-only."""
 
     def score(ds: GraphDataset) -> np.ndarray:
-        return _frozen(_edge_scores(ds.edge_pairs(), np.asarray(ds.sensitive), np.diff(ds.adjacency.indptr)))
+        i, j = np.divmod(_edge_keys(ds), ds.n_nodes)
+        return _frozen(_edge_scores(i, j, np.asarray(ds.sensitive), np.diff(ds.adjacency.indptr)))
 
     return dataset._memoised("edge_scores", score)

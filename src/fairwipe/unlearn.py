@@ -25,10 +25,10 @@ from .model import LOGISTIC, TrainConfig, TrainedModel, logistic_hessian, train
 class FeatureRemoval:
     """Zero the listed feature columns across all nodes."""
 
-    features: tuple[int, ...]
+    features: tuple[int, ...] | np.ndarray
 
     def __post_init__(self):
-        if not self.features:
+        if len(self.features) == 0:
             raise ValueError("removal request must be non-empty")
 
     def apply(self, dataset: GraphDataset) -> GraphDataset:
@@ -39,10 +39,10 @@ class FeatureRemoval:
 class EdgeRemoval:
     """Drop the listed undirected edges."""
 
-    edges: tuple[tuple[int, int], ...]
+    edges: tuple[tuple[int, int], ...] | np.ndarray
 
     def __post_init__(self):
-        if not self.edges:
+        if len(self.edges) == 0:
             raise ValueError("removal request must be non-empty")
 
     def apply(self, dataset: GraphDataset) -> GraphDataset:
@@ -53,10 +53,10 @@ class EdgeRemoval:
 class NodeRemoval:
     """Detach the listed nodes (incident edges, features, and mask membership)."""
 
-    nodes: tuple[int, ...]
+    nodes: tuple[int, ...] | np.ndarray
 
     def __post_init__(self):
-        if not self.nodes:
+        if len(self.nodes) == 0:
             raise ValueError("removal request must be non-empty")
 
     def apply(self, dataset: GraphDataset) -> GraphDataset:

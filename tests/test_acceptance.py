@@ -185,7 +185,7 @@ def test_c4_raw_sp_bound():
     ds = _tabular_instance(7)
     x = ds.features.copy()
     w = np.full(x.shape[1], 0.01)
-    order = np.argsort(-np.abs(pearson_correlations(x, ds.sensitive).rho))
+    order = np.argsort(-np.abs(pearson_correlations(x, ds.sensitive)))
     previous = np.inf
     for col in order:
         _, bound = raw_sp_and_bound(x, w, ds.sensitive, LAM)
@@ -215,10 +215,10 @@ def test_c5_selector_quality():
         for k in range(1, 6):
             fair = x.copy()
             fair[:, select_features(x, s, k).chosen] = 0.0
-            fair_norms[k].append(pearson_correlations(fair, s).norm)
+            fair_norms[k].append(np.linalg.norm(pearson_correlations(fair, s)))
             rand = x.copy()
             rand[:, rng.choice(20, size=k, replace=False)] = 0.0
-            random_norms[k].append(pearson_correlations(rand, s).norm)
+            random_norms[k].append(np.linalg.norm(pearson_correlations(rand, s)))
     assert hits >= 99, f"planted column recovered in {hits}/100 seeds"
     for k in range(1, 6):
         assert np.mean(fair_norms[k]) < np.mean(random_norms[k]), k

@@ -187,6 +187,24 @@ class TestRunExperiment:
         assert sum(sizes) == removed and len(sizes) <= batches
         assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
 
+    def test_removal_that_isolates_a_group_keeps_its_seed(self):
+        """Removing every edge leaves both groups isolated: the alphas are
+        undefined, so the edited arms leave them empty and the seed stays."""
+        ds = homophilous_dataset(n=100, f=5, seed=2)
+        config = ExperimentConfig(manifest=None, task="edge", edge_fraction=1.0, edge_batches=7)
+        rows = run_experiment(config, dataset=ds)
+        assert len(rows) == 9
+        per_seed = {r.arm: r for r in rows if not r.aggregate}
+        assert per_seed["pretrained"].alpha1 is not None and per_seed["pretrained"].alpha2 is not None
+        for arm in ("unlearn", "retrain"):
+            assert per_seed[arm].k == 665
+            assert per_seed[arm].alpha1 is None and per_seed[arm].alpha2 is None
+        header, *lines = emit_results(rows).splitlines()
+        columns = header.split(",")
+        for line in lines:
+            cells = dict(zip(columns, line.split(",")))
+            assert (cells["alpha1"] == "") == (cells["arm"] != "pretrained")
+
     def test_node_task(self, bench_dataset):
         config = make_config(task="node", k=3, seeds=(0,))
         rows = run_experiment(config, dataset=bench_dataset)

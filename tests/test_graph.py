@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from fairwipe import data, synthetic
 from fairwipe.data import DatasetManifest, load_dataset
+from fairwipe.fairness import EDGE_KINDS, select_edges
 from fairwipe.graph import (
+    DegreeStats,
     GraphDataset,
     aggregate,
     build_propagation,
@@ -187,7 +189,7 @@ class TestRemoveEdges:
 
     def test_missing_edge_rejects_whole_request(self):
         ds = tiny_dataset(adjacency_from_edges(3, [(0, 1), (1, 2)]))
-        with pytest.raises(ValueError, match="not present"):
+        with pytest.raises(ValueError, match=r"^edge \(0, 2\) not present"):
             remove_edges(ds, [(0, 1), (0, 2)])
         # the present edge must survive the rejected request
         assert ds.adjacency[0, 1] == 1.0
@@ -214,7 +216,7 @@ class TestRemoveEdges:
     def test_missing_edge_leaves_input_untouched(self):
         ds = tiny_dataset(adjacency_from_edges(4, [(0, 1), (1, 2), (2, 3)]))
         before = ds.adjacency.toarray().copy()
-        with pytest.raises(ValueError, match="not present"):
+        with pytest.raises(ValueError, match=r"^edge \(0, 3\) not present"):
             remove_edges(ds, [(1, 2), (3, 0), (2, 3)])
         np.testing.assert_array_equal(ds.adjacency.toarray(), before)
         assert ds.adjacency.nnz == 6
@@ -434,6 +436,49 @@ class TestDatasetValidation:
         out = remove_edges(ds, [tuple(ds.edge_pairs()[0])])
         np.testing.assert_array_equal(ds.adjacency.toarray(), before)
         assert out.adjacency.nnz == ds.adjacency.nnz - 2
+
+    def test_an_edge_stored_in_halves_counts_once(self):
+        """The path 0-1-2-3 with both directions of (0, 1) stored as two 0.5 entries."""
+        data = [0.5, 0.5, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0]
+        adjacency = sp.csr_matrix((data, [1, 1, 0, 0, 2, 1, 3, 2], [0, 2, 5, 7, 8]), shape=(4, 4))
+        ds = tiny_dataset(adjacency, sensitive=[0, 0, 1, 1])
+        assert ds.n_edges == 3
+        np.testing.assert_array_equal(ds.edge_pairs(), [[0, 1], [1, 2], [2, 3]])
+        stats = degree_stats(ds)
+        np.testing.assert_array_equal(stats.degree, [1, 2, 2, 1])
+        assert (stats.intra_edges, stats.inter_edges) == (2, 1)
+        path = adjacency_from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        np.testing.assert_array_equal(ds.adjacency.toarray(), path.toarray())
+        assert adjacency.nnz == 8
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**6), layout=st.sampled_from(("unsorted", "duplicates")))
+    def test_any_stored_layout_gives_the_canonical_graph(self, seed, layout):
+        rng = np.random.default_rng(seed)
+        canonical = random_dataset(n=int(rng.integers(4, 25)), seed=seed)
+        assert canonical.adjacency.has_canonical_format
+        stored = stored_differently(canonical.adjacency, layout, rng)
+        before = [stored.indptr.copy(), stored.indices.copy(), stored.data.copy()]
+        ds = replace(canonical, adjacency=stored)
+        assert ds.n_edges == canonical.n_edges
+        np.testing.assert_array_equal(ds.edge_pairs(), canonical.edge_pairs())
+        for f in fields(DegreeStats):
+            np.testing.assert_array_equal(getattr(degree_stats(ds), f.name), getattr(degree_stats(canonical), f.name))
+        pairs = canonical.edge_pairs()
+        if len(pairs):
+            for kind in EDGE_KINDS:
+                k = int(rng.integers(1, len(pairs) + 1))
+                np.testing.assert_array_equal(
+                    select_edges(ds, k, kind=kind, seed=seed).chosen,
+                    select_edges(canonical, k, kind=kind, seed=seed).chosen,
+                )
+            take = pairs[rng.choice(len(pairs), size=int(rng.integers(1, len(pairs) + 1)), replace=False)]
+            out, expected = remove_edges(ds, take), remove_edges(canonical, take)
+            np.testing.assert_array_equal(out.adjacency.indptr, expected.adjacency.indptr)
+            np.testing.assert_array_equal(out.adjacency.indices, expected.adjacency.indices)
+            np.testing.assert_allclose(out.adjacency.data, expected.adjacency.data, rtol=1e-15)
+        for array, copied in zip((stored.indptr, stored.indices, stored.data), before):
+            np.testing.assert_array_equal(array, copied)
 
 
 # Adjacencies the full check rejects: asymmetric, a stored self-loop, non-positive weights.

@@ -8,16 +8,24 @@ any expected statistics before anything downstream runs.
 
 from __future__ import annotations
 
+import io
 import json
+import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 import scipy.sparse as sp
 
 from .graph import GraphDataset, degree_stats
 from .synthetic import split_masks
+
+
+# What the bulk edge parse reads as an int64: decimal digits with an optional sign.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 class DataValidationError(ValueError):
@@ -73,21 +81,21 @@ class DatasetManifest:
 def _read_edge_list(path: Path, n_nodes: int) -> sp.csr_matrix:
     if not path.exists():
         raise DataValidationError(f"edge file not found: {path}")
-    src, dst = [], []
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.replace(",", " ").split()
-            if len(parts) < 2:
-                raise DataValidationError(f"{path}:{lineno}: expected two node ids, got {line!r}")
-            src.append(int(parts[0]))
-            dst.append(int(parts[1]))
-    if not src:
+    text = path.read_text()
+    try:
+        with warnings.catch_warnings():
+            # An empty list gets its own error below.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            ids = np.loadtxt(
+                io.StringIO(text.replace(",", " ")), dtype=np.int64, comments="#", usecols=(0, 1), ndmin=2
+            )
+    except ValueError as exc:
+        _raise_edge_line_error(path, text, exc)
+    if len(ids) == 0:
         raise DataValidationError(f"{path}: no edges found")
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
+    if ids.min() < 0:
+        _raise_edge_line_error(path, text, "negative node id")
+    src, dst = ids.T
     base = min(src.min(), dst.min())
     if base >= 1:
         if max(src.max(), dst.max()) < n_nodes:
@@ -107,7 +115,10 @@ def _read_edge_list(path: Path, n_nodes: int) -> sp.csr_matrix:
         src, dst = src[~loops], dst[~loops]
     lo = np.minimum(src, dst)
     hi = np.maximum(src, dst)
-    keys = np.unique(lo * n_nodes + hi)
+    keys = np.sort(lo * n_nodes + hi)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    keys = keys[first]
     if len(keys) < len(lo):
         warnings.warn(f"{path}: removed {len(lo) - len(keys)} duplicate edge listing(s)")
     lo, hi = keys // n_nodes, keys % n_nodes
@@ -115,67 +126,130 @@ def _read_edge_list(path: Path, n_nodes: int) -> sp.csr_matrix:
     return sp.csr_matrix((data, (np.r_[lo, hi], np.r_[hi, lo])), shape=(n_nodes, n_nodes))
 
 
-def _read_feature_table(path: Path):
+def _raise_edge_line_error(path: Path, text: str, reason) -> NoReturn:
+    """Raise the error for an edge list the bulk parse rejected for ``reason``, naming its first bad line.
+
+    As in the bulk parse, a line is read up to any ``#`` with commas as
+    spaces, and lines left empty are skipped; a line needs two node ids that
+    are non-negative 64-bit integers.
+    """
+    for lineno, line in enumerate(text.split("\n"), 1):
+        ids = line.split("#", 1)[0].replace(",", " ").split()[:2]
+        if not ids:
+            continue
+        if len(ids) < 2:
+            raise DataValidationError(f"{path}:{lineno}: expected two node ids, got {line.strip()!r}")
+        if not all(_INTEGER.fullmatch(i) and 0 <= int(i) <= _INT64_MAX for i in ids):
+            raise DataValidationError(f"{path}:{lineno}: node ids must be non-negative integers, got {line.strip()!r}")
+    raise DataValidationError(f"{path}: {reason}")
+
+
+def _read_feature_table(manifest: DatasetManifest) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The raw feature matrix and the binary sensitive and label columns of the manifest's table.
+
+    A repeated column name reads its last column. Columns the manifest does
+    not read (dropped ones among them) may hold text. The feature matrix is
+    column-major, so each column's mean and standard deviation sum one
+    contiguous column.
+    """
+    path = manifest.features_path
     if not path.exists():
         raise DataValidationError(f"feature file not found: {path}")
-    text = path.read_text().strip().splitlines()
-    if len(text) < 2:
+    header_line, _, body = path.read_text().strip().partition("\n")
+    if not body:
         raise DataValidationError(f"{path}: need a header row and at least one node row")
-    delimiter = None
-    for cand in ("\t", ",", ";"):
-        if cand in text[0]:
-            delimiter = cand
-            break
-    header = [h.strip() for h in (text[0].split(delimiter) if delimiter else text[0].split())]
-    rows = []
-    for lineno, line in enumerate(text[1:], 2):
-        cells = [c.strip() for c in (line.split(delimiter) if delimiter else line.split())]
-        if len(cells) != len(header):
-            raise DataValidationError(f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}")
-        rows.append(cells)
-    return header, rows
-
-
-def _binary_column(cells: list[str], name: str, value_map: tuple[str, str] | None) -> np.ndarray:
-    if value_map is not None:
-        lookup = {value_map[0]: 0, value_map[1]: 1}
-        try:
-            return np.asarray([lookup[c] for c in cells], dtype=np.int64)
-        except KeyError as exc:
-            raise DataValidationError(f"column {name!r} contains unmapped value {exc}")
+    delimiter = next((cand for cand in ("\t", ",", ";") if cand in header_line), None)
+    header = [h.strip() for h in header_line.split(delimiter)]
+    for col in (manifest.sensitive_column, manifest.label_column, *manifest.drop_columns):
+        if col not in header:
+            raise DataValidationError(f"{path}: column {col!r} not found")
+    index = {name: i for i, name in enumerate(header)}
+    binary = [
+        (name, value_map, index[name])
+        for name, value_map in (
+            (manifest.sensitive_column, manifest.sensitive_values),
+            (manifest.label_column, manifest.label_values),
+        )
+    ]
+    excluded = {manifest.sensitive_column, manifest.label_column, *manifest.drop_columns}
+    features = [index[name] for name in header if name not in excluded]
+    read = {i for _, _, i in binary} | set(features)
+    converters = {i: lambda cell: 0.0 for i in range(len(header)) if i not in read}
+    for _, value_map, i in binary:
+        if value_map is not None:
+            converters[i] = _value_lookup(value_map)
     try:
-        values = np.asarray([float(c) for c in cells])
-    except ValueError:
-        raise DataValidationError(f"column {name!r} is not numeric; provide a value mapping")
+        table = np.loadtxt(io.StringIO(body), delimiter=delimiter, comments=None, converters=converters, ndmin=2)
+    except ValueError as exc:
+        _raise_table_cell_error(path, body, delimiter, len(header), binary, features, exc)
+    sensitive, labels = (_binary_column(table[:, i], name) for name, _, i in binary)
+    x = np.asfortranarray(table[:, features])
+    finite = np.isfinite(x).all(axis=0)
+    if not finite.all():
+        raise DataValidationError(f"{path}: non-finite feature value in column {header[features[np.argmin(finite)]]!r}")
+    return x, sensitive, labels
+
+
+def _value_lookup(value_map: tuple[str, str]):
+    """A cell converter mapping the two values, once stripped, onto 0.0 and 1.0."""
+    lookup = {value_map[0]: 0.0, value_map[1]: 1.0}
+    return lambda cell: lookup[cell.strip()]
+
+
+def _binary_column(values: np.ndarray, name: str) -> np.ndarray:
     if not np.isin(values, (0.0, 1.0)).all():
         raise DataValidationError(f"column {name!r} is not binary 0/1; provide a value mapping")
     return values.astype(np.int64)
 
 
+def _raise_table_cell_error(path, body, delimiter, n_cells, binary, features, reason) -> NoReturn:
+    """Raise the error for a table body the bulk parse rejected for ``reason``, from a scan of its cells.
+
+    In order: the first ragged line (the header is line 1; empty lines are
+    skipped, as the bulk parse skips them), then an unmapped, non-numeric or
+    non-binary value in the sensitive and then the label column, then a
+    non-numeric feature value.
+    """
+    rows = []
+    for lineno, line in enumerate(body.split("\n"), 2):
+        cells = [c.strip() for c in line.split(delimiter)]
+        if not line or not cells:
+            continue
+        if len(cells) != n_cells:
+            raise DataValidationError(f"{path}:{lineno}: expected {n_cells} cells, got {len(cells)}")
+        rows.append(cells)
+    for name, value_map, i in binary:
+        cells = [row[i] for row in rows]
+        if value_map is not None:
+            unmapped = [c for c in cells if c not in value_map]
+            if unmapped:
+                raise DataValidationError(f"column {name!r} contains unmapped value {unmapped[0]!r}")
+            continue
+        try:
+            values = np.asarray([float(c) for c in cells])
+        except ValueError:
+            raise DataValidationError(f"column {name!r} is not numeric; provide a value mapping")
+        _binary_column(values, name)
+    for i in features:
+        for row in rows:
+            try:
+                float(row[i])
+            except ValueError as exc:
+                raise DataValidationError(f"{path}: non-numeric feature value ({exc})")
+    raise DataValidationError(f"{path}: {reason}")
+
+
 def load_dataset(manifest: DatasetManifest) -> GraphDataset:
     """Read, normalize, and validate a dataset; returns it with a fixed split.
 
-    Feature columns are standardized to zero mean and unit variance
-    (zero-variance columns stay zero), then all rows are scaled by the largest
-    row norm so the maximum row norm is exactly 1. The split is always the
-    60/20/20 train/val/test split drawn with seed 0; :func:`make_splits`
-    draws others.
+    Each file is read once and parsed in bulk; a file the bulk parse rejects
+    is scanned line by line only to name the bad line or column. Feature
+    columns are standardized to zero mean and unit variance (zero-variance
+    columns stay zero), then all rows are scaled by the largest row norm so
+    the maximum row norm is exactly 1. The split is always the 60/20/20
+    train/val/test split drawn with seed 0; :func:`make_splits` draws others.
     """
-    header, rows = _read_feature_table(manifest.features_path)
-    for col in (manifest.sensitive_column, manifest.label_column, *manifest.drop_columns):
-        if col not in header:
-            raise DataValidationError(f"{manifest.features_path}: column {col!r} not found")
-    columns = {name: [row[i] for row in rows] for i, name in enumerate(header)}
-    sensitive = _binary_column(columns[manifest.sensitive_column], manifest.sensitive_column, manifest.sensitive_values)
-    labels = _binary_column(columns[manifest.label_column], manifest.label_column, manifest.label_values)
-    excluded = {manifest.sensitive_column, manifest.label_column, *manifest.drop_columns}
-    feature_names = [name for name in header if name not in excluded]
-    try:
-        x = np.asarray(
-            [[float(v) for v in columns[name]] for name in feature_names], dtype=np.float64
-        ).T
-    except ValueError as exc:
-        raise DataValidationError(f"{manifest.features_path}: non-numeric feature value ({exc})")
+    x, sensitive, labels = _read_feature_table(manifest)
     n = x.shape[0]
 
     std = x.std(axis=0)

@@ -75,10 +75,11 @@ class GraphDataset:
         """This graph with ``changes`` applied and ``memo`` as its memo, for the structural edits below.
 
         Without ``memo``, a result that keeps the adjacency and the sensitive
-        column gets a copy of this graph's memo. Only the O(n) checks run. The
-        O(nnz) adjacency checks (symmetry, zero diagonal, positive weights)
-        hold by construction: an edit keeps the adjacency or removes both
-        directions of entries from a validated one.
+        column gets a copy of this graph's memo. Only the O(n) checks run, and
+        the binary checks only when the sensitive or label column is replaced.
+        The O(nnz) adjacency checks (symmetry, zero diagonal, positive
+        weights) hold by construction: an edit keeps the adjacency or removes
+        both directions of entries from a validated one.
         """
         edited = object.__new__(GraphDataset)
         for f in fields(self):
@@ -89,7 +90,7 @@ class GraphDataset:
             memo = dict(self._memo)
         object.__setattr__(edited, "_hop_state", None)
         object.__setattr__(edited, "_memo", memo)
-        edited._check_fields()
+        edited._check_fields(binary=edited.sensitive is not self.sensitive or edited.labels is not self.labels)
         return edited
 
     def _memoised(self, key: str, compute):
@@ -100,8 +101,8 @@ class GraphDataset:
             self._memo[key] = compute(self)
         return self._memo[key]
 
-    def _check_fields(self) -> None:
-        """The O(n) checks: shapes, binary sensitive and label columns, disjoint masks."""
+    def _check_fields(self, binary: bool = True) -> None:
+        """The O(n) checks: shapes, binary sensitive and label columns (if ``binary``), disjoint masks."""
         n = self.adjacency.shape[0]
         if self.adjacency.shape != (n, n):
             raise ValueError("adjacency must be square")
@@ -111,7 +112,7 @@ class GraphDataset:
             v = getattr(self, name)
             if v.shape != (n,):
                 raise ValueError(f"{name} must have length {n}")
-        for name in ("sensitive", "labels"):
+        for name in ("sensitive", "labels") if binary else ():
             v = np.asarray(getattr(self, name))
             if not np.isin(v, (0, 1)).all():
                 raise ValueError(f"{name} must be binary 0/1")

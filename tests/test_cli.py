@@ -126,6 +126,15 @@ class TestRun:
         code = main(["run", "--config", str(toy_workspace / "exp.cfg")])
         assert code == 3
 
+    @pytest.mark.parametrize("line", ["1 x", "-1 2"])
+    def test_bad_node_id_exits_3(self, toy_workspace, capsys, line):
+        edges = toy_workspace / "edges.txt"
+        edges.write_text(edges.read_text() + line + "\n")
+        n_lines = len(edges.read_text().splitlines())
+        code = main(["run", "--config", str(toy_workspace / "exp.cfg")])
+        assert code == 3
+        assert f"edges.txt:{n_lines}: node ids must be non-negative integers, got {line!r}" in capsys.readouterr().err
+
     def test_unwritable_output_exits_2(self, toy_workspace, capsys):
         out = toy_workspace / "no" / "such" / "dir" / "results.csv"
         code = main(["run", "--config", str(toy_workspace / "exp.cfg"), "--out", str(out)])

@@ -1,11 +1,18 @@
 import json
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairwipe import graph
 from fairwipe.data import DatasetManifest, DataValidationError, load_dataset, make_splits
+from fairwipe.graph import GraphDataset
+from fairwipe.synthetic import split_masks
 
 from conftest import random_dataset
 
@@ -40,6 +47,10 @@ MALFORMED = {
     "ragged-row": ({}, lambda e, f, m: replace_line(f, 3, "0,1,0.5"), r"features\.csv:3: expected 4 cells, got 3"),
     "text-sensitive": (dict(sensitive=("a", "a", "b", "b")), None, r"column 'sens' is not numeric; provide a value"),
     "text-feature": ({}, lambda e, f, m: replace_line(f, 3, "0,1,x,0.5"), r"features\.csv: non-numeric feature value"),
+    "text-node-id": (dict(edge_lines=["0 1", "1 x"]), None, r"edges\.txt:3: node ids must be non-negative integers, got '1 x'"),
+    "negative-node-id": (dict(edge_lines=["-1 2", "1 2"]), None, r"edges\.txt:2: node ids must be non-negative integers, got '-1 2'"),
+    "nan-feature": ({}, lambda e, f, m: replace_line(f, 3, "0,1,nan,0.5"), r"features\.csv: non-finite feature value in column 'f0'"),
+    "inf-feature": ({}, lambda e, f, m: replace_line(f, 4, "0,1,0.5,-inf"), r"features\.csv: non-finite feature value in column 'f1'"),
     "bad-manifest": ({}, lambda e, f, m: m.write_text("{"), r"manifest\.json is not valid JSON"),
     "no-edge-file": ({}, lambda e, f, m: e.unlink(), r"edge file not found: .*edges\.txt"),
     "no-feature-file": ({}, lambda e, f, m: f.unlink(), r"feature file not found: .*features\.csv"),
@@ -249,6 +260,160 @@ class TestLoadDataset:
         edge_path, feat_path = write_dataset_files(delimiter="\t")
         manifest = DatasetManifest.from_json(write_manifest(tmp_path, edge_path, feat_path))
         assert load_dataset(manifest).n_features == 2
+
+
+def reference_load(manifest):
+    """`load_dataset` as a line-by-line parse: the reference for the bulk parse on well-formed files."""
+    lines = manifest.features_path.read_text().strip().splitlines()
+    delimiter = next((c for c in ("\t", ",", ";") if c in lines[0]), None)
+    header = [h.strip() for h in lines[0].split(delimiter)]
+    columns = {name: [row[i] for row in [[c.strip() for c in line.split(delimiter)] for line in lines[1:]]]
+               for i, name in enumerate(header)}
+
+    def binary(name, value_map):
+        if value_map is None:
+            return np.asarray([float(c) for c in columns[name]]).astype(np.int64)
+        return np.asarray([{value_map[0]: 0, value_map[1]: 1}[c] for c in columns[name]], dtype=np.int64)
+
+    excluded = {manifest.sensitive_column, manifest.label_column, *manifest.drop_columns}
+    x = np.asarray([[float(v) for v in columns[name]] for name in header if name not in excluded]).T
+    n = x.shape[0]
+    std, mean = x.std(axis=0), x.mean(axis=0)
+    live = std > 0
+    x[:, live] = (x[:, live] - mean[live]) / std[live]
+    x[:, ~live] = 0.0
+    max_norm = np.linalg.norm(x, axis=1).max()
+    if max_norm > 0:
+        x /= max_norm
+
+    path = manifest.edges_path
+    src, dst = [], []
+    for line in path.read_text().splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            parts = line.replace(",", " ").split()
+            src.append(int(parts[0]))
+            dst.append(int(parts[1]))
+    src, dst = np.asarray(src), np.asarray(dst)
+    base = min(src.min(), dst.min())
+    if base >= 1:
+        if max(src.max(), dst.max()) < n:
+            warnings.warn(
+                f"{path}: node ids run from {base} to {max(src.max(), dst.max())} with {n} feature rows, "
+                "so the list may be 1-based or 0-based with node 0 isolated; reading it as 1-based"
+            )
+        src, dst = src - 1, dst - 1
+    loops = src == dst
+    if loops.any():
+        warnings.warn(f"{path}: dropped {int(loops.sum())} self-loop(s)")
+        src, dst = src[~loops], dst[~loops]
+    pairs = sorted({(min(i, j), max(i, j)) for i, j in zip(src.tolist(), dst.tolist())})
+    if len(pairs) < len(src):
+        warnings.warn(f"{path}: removed {len(src) - len(pairs)} duplicate edge listing(s)")
+    lo, hi = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+    adjacency = sp.csr_matrix((np.ones(2 * len(lo)), (np.r_[lo, hi], np.r_[hi, lo])), shape=(n, n))
+    train, val, test = split_masks(n, (0.6, 0.2, 0.2), np.random.default_rng(0))
+    return GraphDataset(
+        adjacency=adjacency,
+        features=x,
+        sensitive=binary(manifest.sensitive_column, manifest.sensitive_values),
+        labels=binary(manifest.label_column, manifest.label_values),
+        train_mask=train,
+        val_mask=val,
+        test_mask=test,
+    )
+
+
+@st.composite
+def edge_list_text(draw, n):
+    """An edge list with whitespace, comma and mixed separators, comments, blank lines,
+    0- or 1-based ids, duplicates and self-loops."""
+    base = draw(st.sampled_from((0, 1)))
+    ids = st.integers(base, n - 1 + base)
+    line = st.tuples(
+        st.sampled_from(("", "  ", "\t")),
+        ids,
+        st.sampled_from((" ", "\t", ",", ", ", " ,\t")),
+        ids,
+        st.sampled_from(("", " ", " 0.5", " # note", "\t# a,b")),
+        st.sampled_from(("", "", "# comment", "  # indented, comment", "   ")),
+    )
+    lines = ["# edge list"]
+    for lead, i, sep, j, tail, before in draw(st.lists(line, min_size=1, max_size=3 * n)):
+        lines += [before] if before else []
+        lines.append(f"{lead}{i}{sep}{j}{tail}")
+    return "\n".join(lines) + draw(st.sampled_from(("", "\n", "\n\n")))
+
+
+@st.composite
+def feature_table_text(draw, n):
+    """A feature table with a tab, semicolon, comma or whitespace delimiter, columns in any
+    order, padded cells, optionally value-mapped sensitive and label columns and a dropped
+    text column. Returns the text and the manifest entries it needs."""
+    delimiter = draw(st.sampled_from(("\t", ";", ",", None)))
+    n_features = draw(st.integers(1, 4))
+    mapped = {"sens": draw(st.sampled_from((None, ("M", "F")))), "label": draw(st.sampled_from((None, ("-1", "1"))))}
+    names = ["sens", "label", *(f"f{c}" for c in range(n_features))]
+    # A dropped text column, and a repeated name (its last column is read).
+    names += [name for name in ("note", "f0") if draw(st.booleans())]
+    names = draw(st.permutations(names))
+    number = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    formats = st.sampled_from((repr, "{:.6g}".format, "{:.3e}".format))
+
+    def cell(name, i):
+        if name == "note":
+            return f"text{i}"
+        if name in mapped:
+            value = draw(st.integers(0, 1))
+            return mapped[name][value] if mapped[name] else draw(st.sampled_from((str(value), f"{value}.0")))
+        return draw(formats)(draw(number))
+
+    pad = st.sampled_from(("", " ", "  "))
+    gap = st.sampled_from((" ", "\t", "  \t"))
+
+    def join(cells, gaps):
+        if delimiter is None:
+            return "".join(c + draw(gaps) for c in cells[:-1]) + cells[-1]
+        return delimiter.join(f"{draw(pad)}{c}{draw(pad)}" for c in cells)
+
+    # A tab in the header would make it a tab-delimited table.
+    lines = [join(names, pad.filter(bool))] + [join([cell(name, i) for name in names], gap) for i in range(n)]
+    text = draw(st.sampled_from(("", "\n"))) + "\n".join(lines) + draw(st.sampled_from(("", "\n", "\n \n")))
+    entries = {
+        "drop_columns": ["note"] if "note" in names else [],
+        "sensitive_values": list(mapped["sens"]) if mapped["sens"] else None,
+        "label_values": list(mapped["label"]) if mapped["label"] else None,
+    }
+    return text, {key: value for key, value in entries.items() if value is not None}
+
+
+def loaded_with_warnings(load, manifest):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ds = load(manifest)
+    return ds, [str(w.message) for w in caught]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(5, 12))
+def test_bulk_parse_matches_the_line_parse(data, n):
+    edge_text = data.draw(edge_list_text(n))
+    table_text, entries = data.draw(feature_table_text(n))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        edge_path, feat_path = tmp / "edges.txt", tmp / "features.csv"
+        edge_path.write_text(edge_text)
+        feat_path.write_text(table_text)
+        manifest = DatasetManifest.from_json(write_manifest(tmp, edge_path, feat_path, **entries))
+        got, got_warnings = loaded_with_warnings(load_dataset, manifest)
+        want, want_warnings = loaded_with_warnings(reference_load, manifest)
+    assert got_warnings == want_warnings
+    for name in ("features", "sensitive", "labels", "train_mask", "val_mask", "test_mask"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.flags.f_contiguous, a.tobytes()) == (b.dtype, b.shape, b.flags.f_contiguous, b.tobytes())
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got.adjacency, name), getattr(want.adjacency, name)
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
 
 
 class TestMakeSplits:

@@ -537,8 +537,19 @@ class TestIncrementalValidation:
             bad(ds, labels=ds.labels[:-1])
         with pytest.raises(ValueError, match="binary"):
             bad(ds, sensitive=ds.sensitive * 2)
+        with pytest.raises(ValueError, match="^labels must be binary"):
+            bad(ds, labels=ds.labels + 2)
         with pytest.raises(ValueError, match="disjoint"):
             bad(ds, val_mask=ds.train_mask)
+
+    def test_edits_keeping_both_columns_skip_the_binary_checks(self):
+        ds = random_dataset(n=30, seed=3)
+        with mock.patch.object(np, "isin", side_effect=AssertionError("binary check ran")):
+            remove_edges(ds, [tuple(ds.edge_pairs()[0])])
+            remove_nodes(ds, [0, 5])
+            zero_feature_columns(ds, [1])
+            with pytest.raises(AssertionError, match="binary check ran"):
+                ds._edited(labels=ds.labels.copy())
 
     @pytest.mark.parametrize("problem", sorted(BAD_ADJACENCIES))
     def test_constructor_rejects(self, problem):

@@ -4,6 +4,9 @@ All values are immutable after construction: structural edits (edge/node removal
 feature zeroing) return new :class:`GraphDataset` instances. :func:`aggregate`
 propagates from scratch; :func:`reaggregate` moves the hop blocks a graph
 carries over to an edited copy and recomputes only the rows the edit can reach.
+When a hop is the full product it multiplies by the propagation matrix the
+graph carries, with only the degree-changed rows rebuilt, and the copy carries
+that matrix on. :func:`aggregate` and :func:`build_propagation` never read it.
 Edge keys, degree statistics and edge scores are memoised on the graph.
 :func:`remove_edges` carries the keys and scores over to its result, updated
 for the edit, and the result counts its degrees once, on first use;
@@ -31,13 +34,13 @@ class GraphDataset:
     a matrix with unsorted or duplicate entries. Masks select disjoint
     train/validation/test node sets.
 
-    ``_hop_state`` is private: the aggregation and hop blocks this graph
-    carries for one ``(hops, scheme)``; only this module sets, moves and
-    reads it. ``_memo`` is private too: the read-only edge keys and pairs,
-    degree statistics and edge scores computed for this graph so far. Neither
-    is an ``__init__`` argument; both are excluded from ``repr`` and ``==``,
-    and are dropped by ``dataclasses.replace``, copies and pickles, so no two
-    graphs share them. The memo depends only on the adjacency and the
+    ``_hop_state`` is private: the aggregation, hop blocks and propagation
+    matrix (or None) this graph carries for one ``(hops, scheme)``; only this
+    module sets, moves and reads it. ``_memo`` is private too: the read-only
+    edge keys and pairs, degree statistics and edge scores computed for this
+    graph so far. Neither is an ``__init__`` argument; both are excluded from
+    ``repr`` and ``==``, and are dropped by ``dataclasses.replace``, copies
+    and pickles, so no two graphs share them. The memo depends only on the adjacency and the
     sensitive column: edits and splits that keep both copy it to their
     result, and :func:`remove_edges` carries its edge keys and scores.
     """
@@ -213,10 +216,10 @@ def _edge_keys(dataset: GraphDataset) -> np.ndarray:
     return dataset._memoised("edge_keys", keys)
 
 
-def _row_entries(adj: sp.csr_matrix, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """CSR positions of the stored entries of the listed rows, and the index into ``rows`` of each."""
-    starts = adj.indptr[rows]
-    lengths = adj.indptr[rows + 1] - starts
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
     owner = np.repeat(np.arange(rows.size), lengths)
     offsets = np.cumsum(lengths) - lengths
     return np.arange(owner.size) + np.repeat(starts - offsets, lengths), owner
@@ -240,6 +243,25 @@ def _propagation_rows(adjacency: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matr
     m = rows.size
     loops = sp.csr_matrix((np.ones(m), rows, np.arange(m + 1)), shape=(m, adjacency.shape[1]))
     return _row_normalize((adjacency[rows] + loops).tocsr())
+
+
+def _hop_rows(adjacency: sp.csr_matrix, p: sp.csr_matrix | None, rows: np.ndarray) -> sp.csr_matrix:
+    """The listed rows of the propagation matrix: sliced from ``p``, or built from the adjacency rows without it."""
+    return _propagation_rows(adjacency, rows) if p is None else p[rows]
+
+
+def _splice_rows(p: sp.csr_matrix, rows: np.ndarray, new: sp.csr_matrix) -> sp.csr_matrix:
+    """``p`` with its sorted, unique listed rows replaced by the rows of ``new``, none longer than the row it replaces.
+
+    Each replaced row drops entries from its end down to the new row's
+    length, and the new row is written over what is left.
+    """
+    cut = p.indptr[rows + 1] - p.indptr[rows] - np.diff(new.indptr)
+    out = _delete_entries(p, np.repeat(p.indptr[rows + 1] - np.cumsum(cut), cut) + np.arange(cut.sum()))
+    written, _ = _row_entries(out.indptr, rows)
+    out.data[written] = new.data
+    out.indices[written] = new.indices
+    return out
 
 
 def _aggregate(
@@ -278,11 +300,12 @@ def carried_aggregation(dataset: GraphDataset, hops: int, scheme: str) -> Aggreg
     """The aggregation ``dataset`` carries for ``(hops, scheme)``.
 
     On first use the graph is aggregated in full and carries the result, with
-    its hop blocks, for :func:`reaggregate`.
+    its hop blocks and propagation matrix, for :func:`reaggregate`.
     """
     state = dataset._hop_state
     if state is None or state[:2] != (hops, scheme):
-        state = (hops, scheme, *_aggregate(dataset, build_propagation(dataset, hops), scheme))
+        prop = build_propagation(dataset, hops)
+        state = (hops, scheme, *_aggregate(dataset, prop, scheme), prop.matrix)
         object.__setattr__(dataset, "_hop_state", state)
     return state[2]
 
@@ -292,20 +315,26 @@ def reaggregate(
 ) -> tuple[AggregatedFeatures, AggregatedFeatures, np.ndarray | None]:
     """Aggregate ``after`` from ``before``'s hop blocks, recomputing only the rows that can change.
 
-    The blocks are the ones ``before`` carries for ``(hops, scheme)``, taken
-    off it; a graph that carries none for them is aggregated in full, and
-    whatever it carries for other settings stays. The blocks are edited in
-    place into ``after``'s, and ``after`` carries them. ``after`` must differ
-    from ``before`` only by removed edges and changed feature rows, as the
-    removal requests produce. Row i of hop k can then change only if
+    The blocks and propagation matrix are the ones ``before`` carries for
+    ``(hops, scheme)``, taken off it; a graph that carries none for them is
+    aggregated in full, and whatever it carries for other settings stays. The
+    blocks are edited in place into ``after``'s, and ``after`` carries them.
+    ``after`` must differ from ``before`` only by removed edges and changed
+    feature rows, as the removal requests produce. Row i of hop k can then
+    change only if
 
     - i's degree changed: with edges only removed, these are exactly the rows
       whose propagation row changed;
     - i changed at hop k-1, or is a neighbour in ``after`` of such a row;
 
-    with the changed feature rows as hop 0's set. Only those rows of
-    ``after``'s propagation matrix are built; once the set covers more than
-    half the graph the hop is the full product.
+    with the changed feature rows as hop 0's set. Once the set covers more
+    than half the graph the hop is the full product. Every hop's set is
+    planned first. If some hop is full, ``after``'s propagation matrix is
+    ``before``'s with only the degree-changed rows rebuilt (or built in full
+    when ``before`` carries none); the full hops multiply by it, the partial
+    ones slice their rows from it, and ``after`` carries it. Otherwise only
+    the partial hops' rows of ``after``'s propagation matrix are built, and
+    ``after`` carries no matrix.
 
     Returns ``before``'s aggregation, ``after``'s, which equals
     ``aggregate(after, build_propagation(after, hops), scheme)``, and the rows
@@ -316,9 +345,11 @@ def reaggregate(
     state = before._hop_state
     if state is not None and state[:2] == (hops, scheme):
         object.__setattr__(before, "_hop_state", None)
-        aggregated, blocks = state[2:]
+        aggregated, blocks, p = state[2:]
     else:
-        aggregated, blocks = _aggregate(before, build_propagation(before, hops), scheme)
+        prop = build_propagation(before, hops)
+        aggregated, blocks = _aggregate(before, prop, scheme)
+        p = prop.matrix
     n = after.n_nodes
     adj = after.adjacency
     degree_changed = np.diff(adj.indptr) != np.diff(before.adjacency.indptr)
@@ -326,29 +357,38 @@ def reaggregate(
         changed = np.zeros(n, dtype=bool)
     else:
         changed = (after.features != before.features).any(axis=1)
-    blocks[0] = after.features
-    rows = np.flatnonzero(changed)
     # Per hop: the recomputed rows, or None once the hop is the full product.
+    # Rows already in the set had their neighbours added, so only the rows
+    # that joined it last are expanded.
+    rows = joined = np.flatnonzero(changed)
     row_sets = [rows]
-    p = None
-    for k in range(1, hops + 1):
+    for _ in range(hops):
         if rows is not None:
-            if rows.size:
-                changed[adj[rows].indices] = True
-            changed |= degree_changed
+            reached = changed | degree_changed
+            reached[adj.indices[_row_entries(adj.indptr, joined)[0]]] = True
+            joined = np.flatnonzero(reached & ~changed)
+            changed = reached
             rows = np.flatnonzero(changed)
             if 2 * rows.size > n:
                 rows = None
+        row_sets.append(rows)
+    if row_sets[-1] is not None:
+        p = None
+    elif p is None:
+        p = build_propagation(after, hops).matrix
+    elif degree_changed.any():
+        rebuilt = np.flatnonzero(degree_changed)
+        p = _splice_rows(p, rebuilt, _propagation_rows(adj, rebuilt))
+    blocks[0] = after.features
+    for k in range(1, hops + 1):
+        rows = row_sets[k]
         if rows is None:
-            if p is None:
-                p = build_propagation(after, hops).matrix
             blocks[k] = np.asarray(p.dot(blocks[k - 1]))
         elif rows.size:
             if scheme == SGC and k == hops:
                 # The last SGC block is ``aggregated.values``: edit a copy.
                 blocks[k] = blocks[k].copy()
-            blocks[k][rows] = _propagation_rows(adj, rows).dot(blocks[k - 1])
-        row_sets.append(rows)
+            blocks[k][rows] = _hop_rows(adj, p, rows).dot(blocks[k - 1])
     if scheme == SGC:
         values = blocks[hops]
     else:
@@ -361,7 +401,7 @@ def reaggregate(
             elif rows.size:
                 values[rows, cols] = blocks[k][rows] / (hops + 1)
     updated = AggregatedFeatures(values=values, scheme=scheme)
-    object.__setattr__(after, "_hop_state", (hops, scheme, updated, blocks))
+    object.__setattr__(after, "_hop_state", (hops, scheme, updated, blocks, p))
     return aggregated, updated, row_sets[-1]
 
 
@@ -400,7 +440,7 @@ def remove_edges(dataset: GraphDataset, edges) -> GraphDataset:
     keys = np.unique(lo * n + hi)
     lo, hi = np.divmod(keys, n)
     adj = dataset.adjacency
-    entries, owner = _row_entries(adj, np.r_[lo, hi])
+    entries, owner = _row_entries(adj.indptr, np.r_[lo, hi])
     hit = adj.indices[entries] == np.r_[hi, lo][owner]
     pos = np.full(2 * keys.size, -1, dtype=np.int64)
     pos[owner[hit]] = entries[hit]
@@ -428,7 +468,7 @@ def _memo_after_removal(memo: dict, adj: sp.csr_matrix, sensitive: np.ndarray, r
     if "edge_scores" in memo:
         scores = np.delete(memo["edge_scores"], gone)
         ends = np.unique(np.divmod(removed, n))
-        entries, owner = _row_entries(adj, ends)
+        entries, owner = _row_entries(adj.indptr, ends)
         u, v = ends[owner], adj.indices[entries]
         # Sorted queries keep the search cache-friendly on bulk batches.
         affected = np.sort(np.minimum(u, v) * n + np.maximum(u, v))

@@ -12,10 +12,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairwipe import graph, unlearn
+from fairwipe.fairness import select_edges
 from fairwipe.graph import (
     GPR,
     SGC,
@@ -68,6 +70,11 @@ def random_edit(ds, kind, rng):
         return remove_edges(ds, [tuple(p) for p in pairs[take]])
     if kind == "node":
         return remove_nodes(ds, rng.choice(ds.n_nodes, size=int(rng.integers(1, 3)), replace=False))
+    if kind == "bulk":
+        # About a tenth of the edges at once, as one batch of the edge protocol.
+        if len(pairs) == 0:
+            return None
+        return remove_edges(ds, pairs[rng.choice(len(pairs), size=max(1, len(pairs) // 10), replace=False)])
     if kind == "feature":
         return zero_feature_columns(ds, [int(rng.integers(ds.n_features))])
     # A few feature rows replaced, the graph unchanged.
@@ -166,14 +173,14 @@ class TestReaggregate:
                 expected.append(np.flatnonzero(changed))
 
         seen = []
-        original = graph._propagation_rows
+        original = graph._hop_rows
 
-        def spy(adjacency, rows):
+        def spy(adjacency, p, rows):
             seen.append(rows.copy())
-            return original(adjacency, rows)
+            return original(adjacency, p, rows)
 
         carried_aggregation(ds, hops, GPR)
-        with mock.patch.object(graph, "_propagation_rows", spy):
+        with mock.patch.object(graph, "_hop_rows", spy):
             reaggregate(ds, edited, hops, GPR)
         assert len(seen) == len(expected)
         for rows, want in zip(seen, expected):
@@ -276,14 +283,23 @@ def carries(ds, hops, scheme):
     return ds._hop_state is not None and ds._hop_state[:2] == (hops, scheme)
 
 
+def assert_same_csr(actual, expected):
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(actual, name), getattr(expected, name)
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+    assert actual.shape == expected.shape
+
+
 def assert_carries_its_own_hops(ds, hops, scheme):
     assert carries(ds, hops, scheme)
-    _, _, agg, blocks = ds._hop_state
+    _, _, agg, blocks, p = ds._hop_state
     assert agg.scheme == scheme
     assert_close(agg.values, full_values(ds, hops, scheme))
     assert len(blocks) == hops + 1
     for block, expected in zip(blocks, dense_blocks(ds, hops)):
         assert_close(block, expected)
+    if p is not None:
+        assert_same_csr(p, build_propagation(ds, hops).matrix)
 
 
 def one_call(model, ds, request, hops, scheme):
@@ -329,6 +345,100 @@ class TestCarriedAggregation:
         assert_close(old.values, full_values(ds, 2, SGC))
         assert_close(new.values, full_values(edited, 2, SGC))
         assert_carries_its_own_hops(edited, 2, SGC)
+
+
+def weighted(ds, rng):
+    """``ds`` with symmetric positive edge weights drawn from [0.1, 3)."""
+    upper = sp.triu(ds.adjacency, format="csr")
+    upper.data = rng.uniform(0.1, 3.0, size=upper.nnz)
+    return replace(ds, adjacency=(upper + upper.T).tocsr())
+
+
+def spying_on(name):
+    return mock.patch.object(graph, name, wraps=getattr(graph, name))
+
+
+class TestCarriedOperator:
+    """A full hop multiplies by the propagation matrix `before` carries, with only the degree-changed rows rebuilt."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        scheme=st.sampled_from([SGC, GPR]),
+        hops=st.integers(0, 3),
+        is_weighted=st.booleans(),
+        kinds=st.lists(st.sampled_from(EDITS + ("bulk",)), min_size=1, max_size=8),
+    )
+    def test_carried_operator_is_the_rebuilt_one(self, seed, scheme, hops, is_weighted, kinds):
+        rng = np.random.default_rng(seed)
+        current = random_dataset(n=int(rng.integers(10, 150)), f=3, seed=seed, avg_degree=float(rng.uniform(1, 6)))
+        if is_weighted:
+            current = weighted(current, rng)
+        carried_aggregation(current, hops, scheme)
+        assert_same_csr(current._hop_state[4], build_propagation(current, hops).matrix)
+        for kind in kinds:
+            edited = random_edit(current, kind, rng)
+            if edited is None:
+                continue
+            _, agg, rows = reaggregate(current, edited, hops, scheme)
+            assert_close(agg.values, full_values(edited, hops, scheme))
+            p = edited._hop_state[4]
+            # An operator is carried exactly when some hop was the full product.
+            assert (p is None) == (rows is not None)
+            if p is not None:
+                assert_same_csr(p, build_propagation(edited, hops).matrix)
+            current = edited
+
+    def test_bulk_batches_build_the_operator_once(self):
+        """Ten re-scored batches of about 2% of the edges: every batch has a full
+        hop, and only the seed graph's operator is built."""
+        ds = random_dataset(n=300, f=3, seed=9, avg_degree=6.0)
+        batch = ds.n_edges // 50
+        with spying_on("build_propagation") as built, spying_on("_splice_rows") as spliced:
+            carried_aggregation(ds, 3, SGC)
+            current = ds
+            for _ in range(10):
+                edited = remove_edges(current, select_edges(current, batch).chosen)
+                _, agg, rows = reaggregate(current, edited, 3, SGC)
+                assert rows is None
+                assert_close(agg.values, full_values(edited, 3, SGC))
+                current = edited
+            assert built.call_count == 1 and built.call_args.args[0] is ds
+            assert spliced.call_count == 10
+        assert_carries_its_own_hops(current, 3, SGC)
+
+    @pytest.mark.parametrize("scheme", [SGC, GPR])
+    def test_feature_removal_reuses_the_operator(self, scheme):
+        ds = random_dataset(n=60, f=3, seed=10)
+        model = trained_model(ds, 2, scheme, 10)
+        carried_aggregation(ds, 2, scheme)
+        p = ds._hop_state[4]
+        with spying_on("build_propagation") as built, spying_on("_splice_rows") as spliced:
+            (result,), _, edited = sequential_unlearn(model, ds, [FeatureRemoval((1,))], BUDGET, scheme, 2)
+        assert built.call_count == spliced.call_count == 0
+        assert edited._hop_state[4] is p
+        assert_carries_its_own_hops(edited, 2, scheme)
+        assert_same_result(result, reference_step(model, ds, FeatureRemoval((1,)), 2, scheme))
+
+    @pytest.mark.parametrize("scheme", [SGC, GPR])
+    def test_single_edge_request_leaves_the_operator_alone(self, scheme):
+        """An all-partial request neither builds nor splices an operator and carries
+        none; the next request with a full hop builds the edited graph's once."""
+        ds = random_dataset(n=400, f=3, seed=11, avg_degree=2.0)
+        model = trained_model(ds, 2, scheme, 11)
+        carried_aggregation(ds, 2, scheme)
+        edge = EdgeRemoval((tuple(ds.edge_pairs()[0]),))
+        with spying_on("build_propagation") as built, spying_on("_splice_rows") as spliced:
+            (result,), _, edited = sequential_unlearn(model, ds, [edge], BUDGET, scheme, 2)
+        assert built.call_count == spliced.call_count == 0
+        assert edited._hop_state[4] is None
+        assert_carries_its_own_hops(edited, 2, scheme)
+        assert_same_result(result, reference_step(model, ds, edge, 2, scheme))
+
+        with spying_on("build_propagation") as built, spying_on("_splice_rows") as spliced:
+            _, _, rows = reaggregate(edited, zero_feature_columns(edited, [0]), 2, scheme)
+        assert rows is None
+        assert built.call_count == 1 and spliced.call_count == 0
 
 
 class TestCarriedHops:
@@ -428,7 +538,7 @@ class TestCarriedHops:
         ds = random_dataset(n=40, f=3, seed=3)
         model = trained_model(ds, 2, scheme, 3)
         _, _, current = sequential_unlearn(model, ds, [EdgeRemoval((tuple(ds.edge_pairs()[0]),))], BUDGET, scheme, 2)
-        _, _, agg, blocks = current._hop_state
+        _, _, agg, blocks, p = current._hop_state
         snapshot = [agg.values.copy()] + [b.copy() for b in blocks]
         adjacency = [a.copy() for a in (current.adjacency.data, current.adjacency.indices, current.adjacency.indptr)]
         n = current.n_nodes
@@ -444,7 +554,7 @@ class TestCarriedHops:
                 sequential_unlearn(model, current, [request], BUDGET, scheme, 2)
             with pytest.raises(error):
                 request.apply(current)
-            assert current._hop_state[2] is agg and current._hop_state[3] is blocks
+            assert current._hop_state[2] is agg and current._hop_state[3] is blocks and current._hop_state[4] is p
             for array, before in zip([agg.values, *blocks], snapshot):
                 np.testing.assert_array_equal(array, before)
             for array, before in zip((current.adjacency.data, current.adjacency.indices, current.adjacency.indptr), adjacency):

@@ -121,32 +121,9 @@ def _read_edge_list(path: Path, n_nodes: int) -> sp.csr_matrix:
     keys = keys[first]
     if len(keys) < len(lo):
         warnings.warn(f"{path}: removed {len(lo) - len(keys)} duplicate edge listing(s)")
-    return _symmetric_csr(keys, n_nodes)
-
-
-def _symmetric_csr(keys: np.ndarray, n: int) -> sp.csr_matrix:
-    """The canonical binary symmetric CSR of the edges with sorted, unique keys ``i * n + j`` (i < j).
-
-    Row r holds its lower entries (r, i), i < r, then its upper entries
-    (r, j), j > r. The keys list the upper entries row by row in column
-    order, and the transposed keys sorted do the same for the lower ones. An
-    entry's CSR position is its index in its own list plus the number of
-    entries of the other list that come before it in row-major order.
-    """
-    lo, hi = np.divmod(keys, n)
-    lower_rows, lower_cols = np.divmod(np.sort(hi * n + lo), n)
-    lower_through = np.cumsum(np.bincount(lower_rows, minlength=n))
-    upper_count = np.bincount(lo, minlength=n)
-    upper_through = np.cumsum(upper_count)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    indptr[1:] = lower_through + upper_through
-    indices = np.empty(2 * keys.size, dtype=np.int64)
-    order = np.arange(keys.size)
-    indices[order + lower_through[lo]] = hi
-    indices[order + (upper_through - upper_count)[lower_rows]] = lower_cols
-    adjacency = sp.csr_matrix((np.ones(2 * keys.size), indices, indptr), shape=(n, n))
-    adjacency.has_canonical_format = True
-    return adjacency
+    lo, hi = keys // n_nodes, keys % n_nodes
+    data = np.ones(2 * len(lo))
+    return sp.csr_matrix((data, (np.r_[lo, hi], np.r_[hi, lo])), shape=(n_nodes, n_nodes))
 
 
 def _raise_edge_line_error(path: Path, text: str, reason) -> NoReturn:

@@ -4,9 +4,9 @@ All values are immutable after construction: structural edits (edge/node removal
 feature zeroing) return new :class:`GraphDataset` instances. :func:`aggregate`
 propagates from scratch; :func:`reaggregate` moves the hop blocks a graph
 carries over to an edited copy and recomputes only the rows the edit can reach.
-When a hop is the full product it multiplies by the propagation matrix the
-graph carries, with only the degree-changed rows rebuilt, and the copy carries
-that matrix on. :func:`aggregate` and :func:`build_propagation` never read it.
+It moves the propagation matrix the graph carries too, with only the
+degree-changed rows rebuilt, and takes every hop's rows from it.
+:func:`aggregate` and :func:`build_propagation` never read it.
 Edge keys, degree statistics and edge scores are memoised on the graph.
 :func:`remove_edges` carries the keys and scores over to its result, updated
 for the edit, and the result counts its degrees once, on first use;
@@ -35,14 +35,15 @@ class GraphDataset:
     train/validation/test node sets.
 
     ``_hop_state`` is private: the aggregation, hop blocks and propagation
-    matrix (or None) this graph carries for one ``(hops, scheme)``; only this
-    module sets, moves and reads it. ``_memo`` is private too: the read-only
-    edge keys and pairs, degree statistics and edge scores computed for this
-    graph so far. Neither is an ``__init__`` argument; both are excluded from
+    matrix this graph carries for one ``(hops, scheme)``; only this module
+    sets, moves and reads it. ``_memo`` is private too: the read-only edge
+    keys and pairs, degree statistics and edge scores computed for this graph
+    so far. Neither is an ``__init__`` argument; both are excluded from
     ``repr`` and ``==``, and are dropped by ``dataclasses.replace``, copies
-    and pickles, so no two graphs share them. The memo depends only on the adjacency and the
-    sensitive column: edits and splits that keep both copy it to their
-    result, and :func:`remove_edges` carries its edge keys and scores.
+    and pickles, so no two graphs share them. The memo depends only on the
+    adjacency and the sensitive column: edits and splits that keep both copy
+    it to their result, and :func:`remove_edges` carries its edge keys and
+    scores.
     """
 
     adjacency: sp.csr_matrix
@@ -245,11 +246,6 @@ def _propagation_rows(adjacency: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matr
     return _row_normalize((adjacency[rows] + loops).tocsr())
 
 
-def _hop_rows(adjacency: sp.csr_matrix, p: sp.csr_matrix | None, rows: np.ndarray) -> sp.csr_matrix:
-    """The listed rows of the propagation matrix: sliced from ``p``, or built from the adjacency rows without it."""
-    return _propagation_rows(adjacency, rows) if p is None else p[rows]
-
-
 def _splice_rows(p: sp.csr_matrix, rows: np.ndarray, new: sp.csr_matrix) -> sp.csr_matrix:
     """``p`` with its sorted, unique listed rows replaced by the rows of ``new``, none longer than the row it replaces.
 
@@ -327,14 +323,10 @@ def reaggregate(
       whose propagation row changed;
     - i changed at hop k-1, or is a neighbour in ``after`` of such a row;
 
-    with the changed feature rows as hop 0's set. Once the set covers more
-    than half the graph the hop is the full product. Every hop's set is
-    planned first. If some hop is full, ``after``'s propagation matrix is
-    ``before``'s with only the degree-changed rows rebuilt (or built in full
-    when ``before`` carries none); the full hops multiply by it, the partial
-    ones slice their rows from it, and ``after`` carries it. Otherwise only
-    the partial hops' rows of ``after``'s propagation matrix are built, and
-    ``after`` carries no matrix.
+    with the changed feature rows as hop 0's set. ``after``'s propagation
+    matrix is ``before``'s with only the degree-changed rows rebuilt, and
+    ``after`` carries it. A hop slices its rows from it, and once the set
+    covers more than half the graph the hop is the full product.
 
     Returns ``before``'s aggregation, ``after``'s, which equals
     ``aggregate(after, build_propagation(after, hops), scheme)``, and the rows
@@ -357,12 +349,16 @@ def reaggregate(
         changed = np.zeros(n, dtype=bool)
     else:
         changed = (after.features != before.features).any(axis=1)
+    if degree_changed.any():
+        rebuilt = np.flatnonzero(degree_changed)
+        p = _splice_rows(p, rebuilt, _propagation_rows(adj, rebuilt))
+    blocks[0] = after.features
     # Per hop: the recomputed rows, or None once the hop is the full product.
     # Rows already in the set had their neighbours added, so only the rows
     # that joined it last are expanded.
     rows = joined = np.flatnonzero(changed)
     row_sets = [rows]
-    for _ in range(hops):
+    for k in range(1, hops + 1):
         if rows is not None:
             reached = changed | degree_changed
             reached[adj.indices[_row_entries(adj.indptr, joined)[0]]] = True
@@ -371,24 +367,14 @@ def reaggregate(
             rows = np.flatnonzero(changed)
             if 2 * rows.size > n:
                 rows = None
-        row_sets.append(rows)
-    if row_sets[-1] is not None:
-        p = None
-    elif p is None:
-        p = build_propagation(after, hops).matrix
-    elif degree_changed.any():
-        rebuilt = np.flatnonzero(degree_changed)
-        p = _splice_rows(p, rebuilt, _propagation_rows(adj, rebuilt))
-    blocks[0] = after.features
-    for k in range(1, hops + 1):
-        rows = row_sets[k]
         if rows is None:
             blocks[k] = np.asarray(p.dot(blocks[k - 1]))
         elif rows.size:
             if scheme == SGC and k == hops:
                 # The last SGC block is ``aggregated.values``: edit a copy.
                 blocks[k] = blocks[k].copy()
-            blocks[k][rows] = _hop_rows(adj, p, rows).dot(blocks[k - 1])
+            blocks[k][rows] = p[rows].dot(blocks[k - 1])
+        row_sets.append(rows)
     if scheme == SGC:
         values = blocks[hops]
     else:

@@ -172,15 +172,20 @@ class TestReaggregate:
             if changed.any():
                 expected.append(np.flatnonzero(changed))
 
+        # A partial hop slices its rows from the carried propagation matrix,
+        # which the splice replaces when some degree changed: spy on both.
         seen = []
-        original = graph._hop_rows
 
-        def spy(adjacency, p, rows):
-            seen.append(rows.copy())
-            return original(adjacency, p, rows)
+        class RowSpy(sp.csr_matrix):
+            def __getitem__(self, key):
+                seen.append(np.array(key))
+                return super().__getitem__(key)
 
         carried_aggregation(ds, hops, GPR)
-        with mock.patch.object(graph, "_hop_rows", spy):
+        *carried, p = ds._hop_state
+        object.__setattr__(ds, "_hop_state", (*carried, RowSpy(p)))
+        splice = graph._splice_rows
+        with mock.patch.object(graph, "_splice_rows", lambda *args: RowSpy(splice(*args))):
             reaggregate(ds, edited, hops, GPR)
         assert len(seen) == len(expected)
         for rows, want in zip(seen, expected):
@@ -298,8 +303,7 @@ def assert_carries_its_own_hops(ds, hops, scheme):
     assert len(blocks) == hops + 1
     for block, expected in zip(blocks, dense_blocks(ds, hops)):
         assert_close(block, expected)
-    if p is not None:
-        assert_same_csr(p, build_propagation(ds, hops).matrix)
+    assert_same_csr(p, build_propagation(ds, hops).matrix)
 
 
 def one_call(model, ds, request, hops, scheme):
@@ -359,7 +363,7 @@ def spying_on(name):
 
 
 class TestCarriedOperator:
-    """A full hop multiplies by the propagation matrix `before` carries, with only the degree-changed rows rebuilt."""
+    """Every hop reads the propagation matrix `before` carries, with only the degree-changed rows rebuilt."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -380,13 +384,9 @@ class TestCarriedOperator:
             edited = random_edit(current, kind, rng)
             if edited is None:
                 continue
-            _, agg, rows = reaggregate(current, edited, hops, scheme)
+            _, agg, _ = reaggregate(current, edited, hops, scheme)
             assert_close(agg.values, full_values(edited, hops, scheme))
-            p = edited._hop_state[4]
-            # An operator is carried exactly when some hop was the full product.
-            assert (p is None) == (rows is not None)
-            if p is not None:
-                assert_same_csr(p, build_propagation(edited, hops).matrix)
+            assert_same_csr(edited._hop_state[4], build_propagation(edited, hops).matrix)
             current = edited
 
     def test_bulk_batches_build_the_operator_once(self):
@@ -421,24 +421,19 @@ class TestCarriedOperator:
         assert_same_result(result, reference_step(model, ds, FeatureRemoval((1,)), 2, scheme))
 
     @pytest.mark.parametrize("scheme", [SGC, GPR])
-    def test_single_edge_request_leaves_the_operator_alone(self, scheme):
-        """An all-partial request neither builds nor splices an operator and carries
-        none; the next request with a full hop builds the edited graph's once."""
+    def test_single_edge_request_splices_its_two_rows(self, scheme):
+        """A single-edge request builds no operator: it rebuilds and splices in
+        only the rows of the edge's two ends."""
         ds = random_dataset(n=400, f=3, seed=11, avg_degree=2.0)
         model = trained_model(ds, 2, scheme, 11)
         carried_aggregation(ds, 2, scheme)
-        edge = EdgeRemoval((tuple(ds.edge_pairs()[0]),))
+        edge = tuple(int(v) for v in ds.edge_pairs()[0])
         with spying_on("build_propagation") as built, spying_on("_splice_rows") as spliced:
-            (result,), _, edited = sequential_unlearn(model, ds, [edge], BUDGET, scheme, 2)
-        assert built.call_count == spliced.call_count == 0
-        assert edited._hop_state[4] is None
+            (result,), _, edited = sequential_unlearn(model, ds, [EdgeRemoval((edge,))], BUDGET, scheme, 2)
+        assert built.call_count == 0 and spliced.call_count == 1
+        np.testing.assert_array_equal(spliced.call_args.args[1], sorted(edge))
         assert_carries_its_own_hops(edited, 2, scheme)
-        assert_same_result(result, reference_step(model, ds, edge, 2, scheme))
-
-        with spying_on("build_propagation") as built, spying_on("_splice_rows") as spliced:
-            _, _, rows = reaggregate(edited, zero_feature_columns(edited, [0]), 2, scheme)
-        assert rows is None
-        assert built.call_count == 1 and spliced.call_count == 0
+        assert_same_result(result, reference_step(model, ds, EdgeRemoval((edge,)), 2, scheme))
 
 
 class TestCarriedHops:
@@ -539,6 +534,7 @@ class TestCarriedHops:
         model = trained_model(ds, 2, scheme, 3)
         _, _, current = sequential_unlearn(model, ds, [EdgeRemoval((tuple(ds.edge_pairs()[0]),))], BUDGET, scheme, 2)
         _, _, agg, blocks, p = current._hop_state
+        assert p is not None
         snapshot = [agg.values.copy()] + [b.copy() for b in blocks]
         adjacency = [a.copy() for a in (current.adjacency.data, current.adjacency.indices, current.adjacency.indptr)]
         n = current.n_nodes

@@ -19,7 +19,7 @@ from typing import NoReturn
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import GraphDataset, degree_stats
+from .graph import GraphDataset, _sorted_unique, degree_stats
 from .synthetic import split_masks
 
 
@@ -115,10 +115,7 @@ def _read_edge_list(path: Path, n_nodes: int) -> sp.csr_matrix:
         src, dst = src[~loops], dst[~loops]
     lo = np.minimum(src, dst)
     hi = np.maximum(src, dst)
-    keys = np.sort(lo * n_nodes + hi)
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    keys = keys[first]
+    keys = _sorted_unique(lo * n_nodes + hi)
     if len(keys) < len(lo):
         warnings.warn(f"{path}: removed {len(lo) - len(keys)} duplicate edge listing(s)")
     lo, hi = keys // n_nodes, keys % n_nodes
@@ -246,7 +243,8 @@ def load_dataset(manifest: DatasetManifest) -> GraphDataset:
     is scanned line by line only to name the bad line or column. Feature
     columns are standardized to zero mean and unit variance (zero-variance
     columns stay zero), then all rows are scaled by the largest row norm so
-    the maximum row norm is exactly 1. The split is always the 60/20/20
+    the maximum row norm is exactly 1; they are returned row-major, as the
+    hop products read them. The split is always the 60/20/20
     train/val/test split drawn with seed 0; :func:`make_splits` draws others.
     """
     x, sensitive, labels = _read_feature_table(manifest)
@@ -265,7 +263,7 @@ def load_dataset(manifest: DatasetManifest) -> GraphDataset:
     train, val, test = split_masks(n, (0.6, 0.2, 0.2), np.random.default_rng(0))
     dataset = GraphDataset(
         adjacency=adjacency,
-        features=x,
+        features=np.ascontiguousarray(x),
         sensitive=sensitive,
         labels=labels,
         train_mask=train,

@@ -4,9 +4,9 @@ All values are immutable after construction: structural edits (edge/node removal
 feature zeroing) return new :class:`GraphDataset` instances. :func:`aggregate`
 propagates from scratch; :func:`reaggregate` moves the hop blocks a graph
 carries over to an edited copy and recomputes only the rows the edit can reach.
-It moves the propagation matrix the graph carries too, with only the
-degree-changed rows rebuilt, and takes every hop's rows from it.
-:func:`aggregate` and :func:`build_propagation` never read it.
+A hop applies ``P = D⁻¹(A + I)`` as ``D⁻¹(A @ B + B)``, so the graph carries
+one inverse-degree vector for it, never a matrix; :func:`aggregate` and
+:func:`build_propagation` never read what a graph carries.
 Edge keys, degree statistics and edge scores are memoised on the graph.
 :func:`remove_edges` carries the keys and scores over to its result, updated
 for the edit, and the result counts its degrees once, on first use;
@@ -29,13 +29,13 @@ class GraphDataset:
     """An attributed graph with a binary sensitive attribute and binary labels.
 
     The adjacency matrix is canonical symmetric CSR with zero diagonal
-    (self-loops are added only when building the propagation operator) and
+    (self-loops enter only the propagation, as its ``+ I``) and
     strictly positive stored values; the constructor canonicalises a copy of
     a matrix with unsorted or duplicate entries. Masks select disjoint
     train/validation/test node sets.
 
-    ``_hop_state`` is private: the aggregation, hop blocks and propagation
-    matrix this graph carries for one ``(hops, scheme)``; only this module
+    ``_hop_state`` is private: the aggregation, hop blocks and inverse
+    degrees this graph carries for one ``(hops, scheme)``; only this module
     sets, moves and reads it. ``_memo`` is private too: the read-only edge
     keys and pairs, degree statistics and edge scores computed for this graph
     so far. Neither is an ``__init__`` argument; both are excluded from
@@ -151,9 +151,10 @@ class GraphDataset:
 
 @dataclass(frozen=True)
 class PropagationOperator:
-    """Row-stochastic propagation matrix with self-loops, plus the hop count."""
+    """``P = D⁻¹(A + I)`` as the graph's own adjacency and the read-only ``1 / (row sums + 1)``; the hop count."""
 
-    matrix: sp.csr_matrix
+    adjacency: sp.csr_matrix
+    inverse_degree: np.ndarray
     hops: int
 
     def __post_init__(self):
@@ -226,37 +227,31 @@ def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.n
     return np.arange(owner.size) + np.repeat(starts - offsets, lengths), owner
 
 
-def _row_normalize(a_bar: sp.csr_matrix) -> sp.csr_matrix:
-    """Scale every row of ``a_bar`` (adjacency rows plus their self-loops) in place to sum to 1."""
-    inv_deg = 1.0 / np.asarray(a_bar.sum(axis=1)).ravel()
-    a_bar.data *= np.repeat(inv_deg, np.diff(a_bar.indptr))
-    return a_bar
+def _sorted_unique(values) -> np.ndarray:
+    """``np.unique(values)`` by a sort and a neighbour compare, many times faster on int64 keys than its hashing."""
+    out = np.sort(values, axis=None)
+    keep = np.ones(out.size, dtype=bool)
+    keep[1:] = out[1:] != out[:-1]
+    return out[keep]
+
+
+def _inverse_degree(adjacency: sp.csr_matrix) -> np.ndarray:
+    """``1 / (row sums + 1)`` of the rows of ``adjacency``: the inverse degrees with self-loops."""
+    return 1.0 / (adjacency @ np.ones(adjacency.shape[1]) + 1.0)
 
 
 def build_propagation(dataset: GraphDataset, hops: int) -> PropagationOperator:
-    """Left-normalize the adjacency with self-loops: every row of the result sums to 1."""
-    a_bar = (dataset.adjacency + sp.identity(dataset.n_nodes, format="csr")).tocsr()
-    return PropagationOperator(matrix=_row_normalize(a_bar), hops=hops)
+    """The row-stochastic operator ``D⁻¹(A + I)`` of the graph, held as its adjacency and inverse degrees."""
+    return PropagationOperator(dataset.adjacency, _frozen(_inverse_degree(dataset.adjacency)), hops)
 
 
-def _propagation_rows(adjacency: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
-    """The listed rows of the propagation matrix, built from those adjacency rows alone."""
-    m = rows.size
-    loops = sp.csr_matrix((np.ones(m), rows, np.arange(m + 1)), shape=(m, adjacency.shape[1]))
-    return _row_normalize((adjacency[rows] + loops).tocsr())
-
-
-def _splice_rows(p: sp.csr_matrix, rows: np.ndarray, new: sp.csr_matrix) -> sp.csr_matrix:
-    """``p`` with its sorted, unique listed rows replaced by the rows of ``new``, none longer than the row it replaces.
-
-    Each replaced row drops entries from its end down to the new row's
-    length, and the new row is written over what is left.
-    """
-    cut = p.indptr[rows + 1] - p.indptr[rows] - np.diff(new.indptr)
-    out = _delete_entries(p, np.repeat(p.indptr[rows + 1] - np.cumsum(cut), cut) + np.arange(cut.sum()))
-    written, _ = _row_entries(out.indptr, rows)
-    out.data[written] = new.data
-    out.indices[written] = new.indices
+def _hop(adjacency: sp.csr_matrix, inverse_degree: np.ndarray, block: np.ndarray, rows=None) -> np.ndarray:
+    """One hop ``D⁻¹(A @ block + block)``, or only its listed ``rows``, each bit for bit the full hop's."""
+    if rows is not None:
+        adjacency, inverse_degree = adjacency[rows], inverse_degree[rows]
+    out = adjacency @ block
+    out += block if rows is None else block[rows]
+    out *= inverse_degree[:, None]
     return out
 
 
@@ -267,14 +262,13 @@ def _aggregate(
 
     SGC keeps the last hop block; GPR concatenates all of them scaled by 1/(L+1).
     """
-    p = prop.matrix
-    if p.shape[1] != dataset.n_nodes:
-        raise ValueError(f"propagation is {p.shape[0]}x{p.shape[1]} but features have {dataset.n_nodes} rows")
+    if prop.adjacency.shape[1] != dataset.n_nodes:
+        raise ValueError(f"propagation covers {prop.adjacency.shape[1]} nodes but features have {dataset.n_nodes} rows")
     if scheme not in (SGC, GPR):
         raise ValueError(f"unknown aggregation scheme: {scheme!r}")
     blocks = [dataset.features]
     for _ in range(prop.hops):
-        blocks.append(np.asarray(p.dot(blocks[-1])))
+        blocks.append(_hop(prop.adjacency, prop.inverse_degree, blocks[-1]))
     if scheme == SGC:
         values = blocks[-1]
     else:
@@ -296,12 +290,12 @@ def carried_aggregation(dataset: GraphDataset, hops: int, scheme: str) -> Aggreg
     """The aggregation ``dataset`` carries for ``(hops, scheme)``.
 
     On first use the graph is aggregated in full and carries the result, with
-    its hop blocks and propagation matrix, for :func:`reaggregate`.
+    its hop blocks and inverse degrees, for :func:`reaggregate`.
     """
     state = dataset._hop_state
     if state is None or state[:2] != (hops, scheme):
         prop = build_propagation(dataset, hops)
-        state = (hops, scheme, *_aggregate(dataset, prop, scheme), prop.matrix)
+        state = (hops, scheme, *_aggregate(dataset, prop, scheme), prop.inverse_degree)
         object.__setattr__(dataset, "_hop_state", state)
     return state[2]
 
@@ -311,7 +305,7 @@ def reaggregate(
 ) -> tuple[AggregatedFeatures, AggregatedFeatures, np.ndarray | None]:
     """Aggregate ``after`` from ``before``'s hop blocks, recomputing only the rows that can change.
 
-    The blocks and propagation matrix are the ones ``before`` carries for
+    The blocks and inverse degrees are the ones ``before`` carries for
     ``(hops, scheme)``, taken off it; a graph that carries none for them is
     aggregated in full, and whatever it carries for other settings stays. The
     blocks are edited in place into ``after``'s, and ``after`` carries them.
@@ -323,10 +317,10 @@ def reaggregate(
       whose propagation row changed;
     - i changed at hop k-1, or is a neighbour in ``after`` of such a row;
 
-    with the changed feature rows as hop 0's set. ``after``'s propagation
-    matrix is ``before``'s with only the degree-changed rows rebuilt, and
-    ``after`` carries it. A hop slices its rows from it, and once the set
-    covers more than half the graph the hop is the full product.
+    with the changed feature rows as hop 0's set. ``after`` carries a copy of
+    ``before``'s inverse degrees with the degree-changed entries recomputed.
+    Once a hop's set covers more than half the graph, the hop is the full
+    product; either way a row is the same bit for bit.
 
     Returns ``before``'s aggregation, ``after``'s, which equals
     ``aggregate(after, build_propagation(after, hops), scheme)``, and the rows
@@ -337,11 +331,11 @@ def reaggregate(
     state = before._hop_state
     if state is not None and state[:2] == (hops, scheme):
         object.__setattr__(before, "_hop_state", None)
-        aggregated, blocks, p = state[2:]
+        aggregated, blocks, inverse_degree = state[2:]
     else:
         prop = build_propagation(before, hops)
         aggregated, blocks = _aggregate(before, prop, scheme)
-        p = prop.matrix
+        inverse_degree = prop.inverse_degree
     n = after.n_nodes
     adj = after.adjacency
     degree_changed = np.diff(adj.indptr) != np.diff(before.adjacency.indptr)
@@ -351,7 +345,9 @@ def reaggregate(
         changed = (after.features != before.features).any(axis=1)
     if degree_changed.any():
         rebuilt = np.flatnonzero(degree_changed)
-        p = _splice_rows(p, rebuilt, _propagation_rows(adj, rebuilt))
+        inverse_degree = inverse_degree.copy()
+        inverse_degree[rebuilt] = _inverse_degree(adj[rebuilt])
+        _frozen(inverse_degree)
     blocks[0] = after.features
     # Per hop: the recomputed rows, or None once the hop is the full product.
     # Rows already in the set had their neighbours added, so only the rows
@@ -368,12 +364,12 @@ def reaggregate(
             if 2 * rows.size > n:
                 rows = None
         if rows is None:
-            blocks[k] = np.asarray(p.dot(blocks[k - 1]))
+            blocks[k] = _hop(adj, inverse_degree, blocks[k - 1])
         elif rows.size:
             if scheme == SGC and k == hops:
                 # The last SGC block is ``aggregated.values``: edit a copy.
                 blocks[k] = blocks[k].copy()
-            blocks[k][rows] = p[rows].dot(blocks[k - 1])
+            blocks[k][rows] = _hop(adj, inverse_degree, blocks[k - 1], rows)
         row_sets.append(rows)
     if scheme == SGC:
         values = blocks[hops]
@@ -387,7 +383,7 @@ def reaggregate(
             elif rows.size:
                 values[rows, cols] = blocks[k][rows] / (hops + 1)
     updated = AggregatedFeatures(values=values, scheme=scheme)
-    object.__setattr__(after, "_hop_state", (hops, scheme, updated, blocks, p))
+    object.__setattr__(after, "_hop_state", (hops, scheme, updated, blocks, inverse_degree))
     return aggregated, updated, row_sets[-1]
 
 
@@ -423,7 +419,7 @@ def remove_edges(dataset: GraphDataset, edges) -> GraphDataset:
     n = dataset.n_nodes
     if lo.min() < 0 or hi.max() >= n:
         raise IndexError(f"edge index out of range [0, {n})")
-    keys = np.unique(lo * n + hi)
+    keys = _sorted_unique(lo * n + hi)
     lo, hi = np.divmod(keys, n)
     adj = dataset.adjacency
     entries, owner = _row_entries(adj.indptr, np.r_[lo, hi])
@@ -453,7 +449,7 @@ def _memo_after_removal(memo: dict, adj: sp.csr_matrix, sensitive: np.ndarray, r
     carried = {"edge_keys": keys}
     if "edge_scores" in memo:
         scores = np.delete(memo["edge_scores"], gone)
-        ends = np.unique(np.divmod(removed, n))
+        ends = _sorted_unique(np.divmod(removed, n))
         entries, owner = _row_entries(adj.indptr, ends)
         u, v = ends[owner], adj.indices[entries]
         # Sorted queries keep the search cache-friendly on bulk batches.
@@ -470,7 +466,7 @@ def remove_nodes(dataset: GraphDataset, nodes) -> GraphDataset:
     Indices are kept stable (no compaction) so weight dimensionality and row
     alignment survive a sequence of removals.
     """
-    nodes = np.unique(np.asarray(nodes, dtype=np.int64))
+    nodes = _sorted_unique(np.asarray(nodes, dtype=np.int64))
     if nodes.size == 0:
         return dataset
     n = dataset.n_nodes
@@ -495,7 +491,7 @@ def remove_nodes(dataset: GraphDataset, nodes) -> GraphDataset:
 
 def zero_feature_columns(dataset: GraphDataset, columns) -> GraphDataset:
     """Zero the listed feature columns for all nodes (graph structure unchanged, memo kept)."""
-    cols = np.unique(np.asarray(columns, dtype=np.int64))
+    cols = _sorted_unique(np.asarray(columns, dtype=np.int64))
     if cols.size == 0:
         return dataset
     f = dataset.n_features

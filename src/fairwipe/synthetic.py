@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from .graph import GraphDataset
+from .graph import GraphDataset, _sorted_unique
 
 
 def gaussian_features(n: int, f: int, rng: np.random.Generator, sigma: float | None = None) -> np.ndarray:
@@ -39,7 +39,7 @@ def random_adjacency(n: int, avg_degree: float, rng: np.random.Generator) -> sp.
     keep = rows != cols
     lo = np.minimum(rows[keep], cols[keep])
     hi = np.maximum(rows[keep], cols[keep])
-    pairs = np.unique(lo.astype(np.int64) * n + hi)[:target]
+    pairs = _sorted_unique(lo.astype(np.int64) * n + hi)[:target]
     lo, hi = pairs // n, pairs % n
     data = np.ones(2 * len(lo))
     return sp.csr_matrix((data, (np.r_[lo, hi], np.r_[hi, lo])), shape=(n, n))

@@ -163,7 +163,7 @@ def newton_unlearn(
     sig_new = expit(z_new @ w)
     rows = None
     if changed_rows is not None:
-        rows = np.union1d(changed_rows, np.flatnonzero(train_mask != mask_new))
+        rows = graph._sorted_unique(np.concatenate([changed_rows, np.flatnonzero(train_mask != mask_new)]))
         if 2 * rows.size > y.size:
             rows = None
     if rows is None:

@@ -315,7 +315,7 @@ def reference_load(manifest):
     train, val, test = split_masks(n, (0.6, 0.2, 0.2), np.random.default_rng(0))
     return GraphDataset(
         adjacency=adjacency,
-        features=x,
+        features=np.ascontiguousarray(x),
         sensitive=binary(manifest.sensitive_column, manifest.sensitive_values),
         labels=binary(manifest.label_column, manifest.label_values),
         train_mask=train,

@@ -4,10 +4,10 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fairwipe import data, synthetic
+from fairwipe import data, graph, synthetic
 from fairwipe.data import DatasetManifest, load_dataset
 from fairwipe.fairness import EDGE_KINDS, select_edges
 from fairwipe.graph import (
@@ -50,33 +50,58 @@ def adjacency_from_edges(n, edges):
     return sp.csr_matrix(mat)
 
 
+def dense_propagation(adjacency):
+    """The dense row-normalized adjacency with self-loops, D⁻¹(A + I)."""
+    a_bar = adjacency.toarray() + np.eye(adjacency.shape[0])
+    return a_bar / a_bar.sum(axis=1, keepdims=True)
+
+
+def applied_propagation(ds):
+    """The propagation matrix as `aggregate` applies it: one SGC hop of identity features."""
+    eye = replace(ds, features=np.eye(ds.n_nodes))
+    return aggregate(eye, build_propagation(eye, 1), "sgc").values
+
+
 class TestPropagation:
     def test_two_nodes_one_edge(self):
         ds = tiny_dataset(adjacency_from_edges(2, [(0, 1)]))
-        p = build_propagation(ds, hops=1).matrix.toarray()
+        p = applied_propagation(ds)
         np.testing.assert_allclose(p, [[0.5, 0.5], [0.5, 0.5]])
+        np.testing.assert_allclose(p, dense_propagation(ds.adjacency), rtol=0, atol=1e-15)
 
     def test_edgeless_graph_is_identity(self):
         for n in (1, 3, 7):
             ds = tiny_dataset(sp.csr_matrix((n, n)))
-            p = build_propagation(ds, hops=2).matrix.toarray()
-            np.testing.assert_allclose(p, np.eye(n))
+            np.testing.assert_array_equal(applied_propagation(ds), np.eye(n))
+            eye = replace(ds, features=np.eye(n))
+            np.testing.assert_array_equal(aggregate(eye, build_propagation(eye, 2), "sgc").values, np.eye(n))
 
     def test_triangle_rows_are_thirds(self):
         ds = tiny_dataset(adjacency_from_edges(3, [(0, 1), (1, 2), (0, 2)]))
-        p = build_propagation(ds, hops=1).matrix.toarray()
-        np.testing.assert_allclose(p, np.full((3, 3), 1 / 3))
+        np.testing.assert_allclose(applied_propagation(ds), np.full((3, 3), 1 / 3))
 
     def test_rows_sum_to_one_on_random_graphs(self):
         for seed in range(25):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(2, 40))
             ds = tiny_dataset(random_adjacency(n, float(rng.uniform(0, 6)), rng))
-            p = build_propagation(ds, hops=3).matrix
-            row_sums = np.asarray(p.sum(axis=1)).ravel()
-            assert np.abs(row_sums - 1.0).max() < 1e-9
+            p = applied_propagation(ds)
+            np.testing.assert_allclose(p, dense_propagation(ds.adjacency), rtol=0, atol=1e-15)
+            assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-9
             assert p.diagonal().min() > 0
-            assert p.data.min() >= 0
+            assert p.min() >= 0
+
+    def test_operator_is_the_adjacency_and_inverse_degrees(self):
+        """No matrix is built: the operator holds the graph's own adjacency and
+        a read-only 1 / (row sum + 1), weighted rows included."""
+        mat = np.zeros((4, 4))
+        for (i, j), w in {(0, 1): 0.5, (1, 2): 2.0, (0, 3): 1.5}.items():
+            mat[i, j] = mat[j, i] = w
+        ds = tiny_dataset(mat)
+        prop = build_propagation(ds, hops=3)
+        assert prop.adjacency is ds.adjacency and prop.hops == 3
+        np.testing.assert_array_equal(prop.inverse_degree, 1.0 / (mat.sum(axis=1) + 1.0))
+        assert not prop.inverse_degree.flags.writeable
 
     def test_negative_hops_rejected(self):
         ds = tiny_dataset(sp.csr_matrix((2, 2)))
@@ -313,8 +338,7 @@ class TestRemoveNodes:
         ds = tiny_dataset(adjacency_from_edges(3, [(0, 1), (0, 2)]))
         out = remove_nodes(ds, [0])
         assert out.adjacency.nnz == 0
-        p = build_propagation(out, 1).matrix.toarray()
-        np.testing.assert_allclose(p, np.eye(3))
+        np.testing.assert_array_equal(applied_propagation(out), np.eye(3))
 
     def test_remove_empty_set_is_identity(self):
         ds = tiny_dataset(adjacency_from_edges(2, [(0, 1)]))
@@ -613,3 +637,27 @@ def test_degree_stats_match_dense_counts(seed):
     assert stats.intra_edges == int((a & ~other).sum()) // 2
     assert stats.boundary_sizes == tuple(int(((s == g) & (a & other).any(axis=1)).sum()) for g in (0, 1))
     assert stats.degree.dtype == stats.inter_degree.dtype == stats.intra_degree.dtype == np.int64
+
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.one_of(
+        st.lists(INT64, max_size=60),
+        st.lists(st.integers(-3, 3), max_size=60),
+        st.builds(lambda v, k: [v] * k, INT64, st.integers(1, 20)),
+    ),
+    modulus=st.integers(1, 50),
+)
+@example(values=[], modulus=1)
+@example(values=[7] * 9, modulus=3)
+@example(values=[-(2**63), 2**63 - 1, -1, 0, 2**63 - 1, -(2**63)], modulus=5)
+def test_sorted_unique_matches_np_unique(values, modulus):
+    """The sort-and-compare dedupe gives `np.unique`'s array: empty, all-equal,
+    negative and extreme int64 keys, and a pair of arrays flattened as one."""
+    keys = np.asarray(values, dtype=np.int64).reshape(-1)
+    for arg in (keys, np.divmod(keys, modulus)):
+        got, want = graph._sorted_unique(arg), np.unique(arg)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())

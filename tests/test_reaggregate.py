@@ -164,32 +164,28 @@ class TestReaggregate:
         a_new = edited.adjacency.toarray() != 0
         degree_changed = (ds.adjacency.toarray() != 0).sum(axis=1) != a_new.sum(axis=1)
         changed = (edited.features != ds.features).any(axis=1)
+        # Per hop: the rows recomputed, None for a full hop (every later hop
+        # is full too), nothing for a hop with no row to recompute.
         expected = []
         for _ in range(hops):
             changed = changed | degree_changed | a_new[changed].any(axis=0)
             if 2 * changed.sum() > ds.n_nodes:
+                expected += [None] * (hops - len(expected))
                 break
             if changed.any():
                 expected.append(np.flatnonzero(changed))
 
-        # A partial hop slices its rows from the carried propagation matrix,
-        # which the splice replaces when some degree changed: spy on both.
-        seen = []
-
-        class RowSpy(sp.csr_matrix):
-            def __getitem__(self, key):
-                seen.append(np.array(key))
-                return super().__getitem__(key)
-
+        # Every hop, partial or full, goes through the one hop helper.
         carried_aggregation(ds, hops, GPR)
-        *carried, p = ds._hop_state
-        object.__setattr__(ds, "_hop_state", (*carried, RowSpy(p)))
-        splice = graph._splice_rows
-        with mock.patch.object(graph, "_splice_rows", lambda *args: RowSpy(splice(*args))):
+        with spying_on("_hop") as hop:
             reaggregate(ds, edited, hops, GPR)
+        seen = [call.args[3] if len(call.args) == 4 else None for call in hop.call_args_list]
         assert len(seen) == len(expected)
         for rows, want in zip(seen, expected):
-            np.testing.assert_array_equal(rows, want)
+            if want is None:
+                assert rows is None
+            else:
+                np.testing.assert_array_equal(rows, want)
 
 
 class TestSequentialUnlearnChain:
@@ -288,22 +284,20 @@ def carries(ds, hops, scheme):
     return ds._hop_state is not None and ds._hop_state[:2] == (hops, scheme)
 
 
-def assert_same_csr(actual, expected):
-    for name in ("indptr", "indices", "data"):
-        a, b = getattr(actual, name), getattr(expected, name)
-        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
-    assert actual.shape == expected.shape
+def assert_same_bytes(actual, expected):
+    assert (actual.dtype, actual.shape, actual.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
 
 
 def assert_carries_its_own_hops(ds, hops, scheme):
     assert carries(ds, hops, scheme)
-    _, _, agg, blocks, p = ds._hop_state
+    _, _, agg, blocks, inverse_degree = ds._hop_state
     assert agg.scheme == scheme
     assert_close(agg.values, full_values(ds, hops, scheme))
     assert len(blocks) == hops + 1
     for block, expected in zip(blocks, dense_blocks(ds, hops)):
         assert_close(block, expected)
-    assert_same_csr(p, build_propagation(ds, hops).matrix)
+    assert_same_bytes(inverse_degree, build_propagation(ds, hops).inverse_degree)
+    assert not inverse_degree.flags.writeable
 
 
 def one_call(model, ds, request, hops, scheme):
@@ -363,7 +357,7 @@ def spying_on(name):
 
 
 class TestCarriedOperator:
-    """Every hop reads the propagation matrix `before` carries, with only the degree-changed rows rebuilt."""
+    """Every hop reads the inverse degrees `before` carries, with only the degree-changed entries recomputed."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -379,59 +373,71 @@ class TestCarriedOperator:
         if is_weighted:
             current = weighted(current, rng)
         carried_aggregation(current, hops, scheme)
-        assert_same_csr(current._hop_state[4], build_propagation(current, hops).matrix)
+        assert_same_bytes(current._hop_state[4], build_propagation(current, hops).inverse_degree)
         for kind in kinds:
             edited = random_edit(current, kind, rng)
             if edited is None:
                 continue
             _, agg, _ = reaggregate(current, edited, hops, scheme)
             assert_close(agg.values, full_values(edited, hops, scheme))
-            assert_same_csr(edited._hop_state[4], build_propagation(edited, hops).matrix)
+            assert_same_bytes(edited._hop_state[4], build_propagation(edited, hops).inverse_degree)
             current = edited
 
     def test_bulk_batches_build_the_operator_once(self):
         """Ten re-scored batches of about 2% of the edges: every batch has a full
-        hop, and only the seed graph's operator is built."""
+        hop, only the seed graph's operator is built, and each batch recomputes
+        the inverse degrees of its degree-changed rows alone."""
         ds = random_dataset(n=300, f=3, seed=9, avg_degree=6.0)
         batch = ds.n_edges // 50
-        with spying_on("build_propagation") as built, spying_on("_splice_rows") as spliced:
+        graphs, aggs = [ds], []
+        with spying_on("build_propagation") as built, spying_on("_inverse_degree") as recomputed:
             carried_aggregation(ds, 3, SGC)
-            current = ds
             for _ in range(10):
+                current = graphs[-1]
                 edited = remove_edges(current, select_edges(current, batch).chosen)
                 _, agg, rows = reaggregate(current, edited, 3, SGC)
                 assert rows is None
-                assert_close(agg.values, full_values(edited, 3, SGC))
-                current = edited
-            assert built.call_count == 1 and built.call_args.args[0] is ds
-            assert spliced.call_count == 10
-        assert_carries_its_own_hops(current, 3, SGC)
+                graphs.append(edited)
+                aggs.append(agg)
+        assert built.call_count == 1 and built.call_args.args[0] is ds
+        assert recomputed.call_count == 11
+        for before, after, agg, call in zip(graphs, graphs[1:], aggs, recomputed.call_args_list[1:]):
+            assert_close(agg.values, full_values(after, 3, SGC))
+            removed = np.setdiff1d(graph._edge_keys(before), graph._edge_keys(after))
+            assert call.args[0].shape[0] == np.unique(np.divmod(removed, ds.n_nodes)).size
+        assert_carries_its_own_hops(graphs[-1], 3, SGC)
 
     @pytest.mark.parametrize("scheme", [SGC, GPR])
     def test_feature_removal_reuses_the_operator(self, scheme):
         ds = random_dataset(n=60, f=3, seed=10)
         model = trained_model(ds, 2, scheme, 10)
         carried_aggregation(ds, 2, scheme)
-        p = ds._hop_state[4]
-        with spying_on("build_propagation") as built, spying_on("_splice_rows") as spliced:
+        inverse_degree = ds._hop_state[4]
+        with spying_on("build_propagation") as built, spying_on("_inverse_degree") as recomputed:
             (result,), _, edited = sequential_unlearn(model, ds, [FeatureRemoval((1,))], BUDGET, scheme, 2)
-        assert built.call_count == spliced.call_count == 0
-        assert edited._hop_state[4] is p
+        assert built.call_count == recomputed.call_count == 0
+        assert edited._hop_state[4] is inverse_degree
         assert_carries_its_own_hops(edited, 2, scheme)
         assert_same_result(result, reference_step(model, ds, FeatureRemoval((1,)), 2, scheme))
 
     @pytest.mark.parametrize("scheme", [SGC, GPR])
-    def test_single_edge_request_splices_its_two_rows(self, scheme):
-        """A single-edge request builds no operator: it rebuilds and splices in
-        only the rows of the edge's two ends."""
+    def test_single_edge_request_rewrites_its_two_entries(self, scheme):
+        """A single-edge request builds no operator: it copies the inverse
+        degrees and rewrites only the entries of the edge's two ends."""
         ds = random_dataset(n=400, f=3, seed=11, avg_degree=2.0)
         model = trained_model(ds, 2, scheme, 11)
         carried_aggregation(ds, 2, scheme)
+        before = ds._hop_state[4]
+        kept = before.copy()
         edge = tuple(int(v) for v in ds.edge_pairs()[0])
-        with spying_on("build_propagation") as built, spying_on("_splice_rows") as spliced:
+        with spying_on("build_propagation") as built, spying_on("_inverse_degree") as recomputed:
             (result,), _, edited = sequential_unlearn(model, ds, [EdgeRemoval((edge,))], BUDGET, scheme, 2)
-        assert built.call_count == 0 and spliced.call_count == 1
-        np.testing.assert_array_equal(spliced.call_args.args[1], sorted(edge))
+        after = edited._hop_state[4]
+        assert built.call_count == 0 and recomputed.call_count == 1
+        assert recomputed.call_args.args[0].shape[0] == 2
+        assert after is not before
+        assert_same_bytes(before, kept)
+        np.testing.assert_array_equal(np.flatnonzero(after != before), sorted(edge))
         assert_carries_its_own_hops(edited, 2, scheme)
         assert_same_result(result, reference_step(model, ds, EdgeRemoval((edge,)), 2, scheme))
 
@@ -533,9 +539,9 @@ class TestCarriedHops:
         ds = random_dataset(n=40, f=3, seed=3)
         model = trained_model(ds, 2, scheme, 3)
         _, _, current = sequential_unlearn(model, ds, [EdgeRemoval((tuple(ds.edge_pairs()[0]),))], BUDGET, scheme, 2)
-        _, _, agg, blocks, p = current._hop_state
-        assert p is not None
-        snapshot = [agg.values.copy()] + [b.copy() for b in blocks]
+        _, _, agg, blocks, inverse_degree = current._hop_state
+        assert inverse_degree is not None
+        snapshot = [agg.values.copy(), inverse_degree.copy()] + [b.copy() for b in blocks]
         adjacency = [a.copy() for a in (current.adjacency.data, current.adjacency.indices, current.adjacency.indptr)]
         n = current.n_nodes
         missing = next((i, j) for i in range(n) for j in range(i + 1, n) if current.adjacency[i, j] == 0)
@@ -550,8 +556,9 @@ class TestCarriedHops:
                 sequential_unlearn(model, current, [request], BUDGET, scheme, 2)
             with pytest.raises(error):
                 request.apply(current)
-            assert current._hop_state[2] is agg and current._hop_state[3] is blocks and current._hop_state[4] is p
-            for array, before in zip([agg.values, *blocks], snapshot):
+            carried = current._hop_state
+            assert carried[2] is agg and carried[3] is blocks and carried[4] is inverse_degree
+            for array, before in zip([agg.values, inverse_degree, *blocks], snapshot):
                 np.testing.assert_array_equal(array, before)
             for array, before in zip((current.adjacency.data, current.adjacency.indices, current.adjacency.indptr), adjacency):
                 np.testing.assert_array_equal(array, before)

@@ -3,7 +3,11 @@
 All values are immutable after construction: structural edits (edge/node removal,
 feature zeroing) return new :class:`GraphDataset` instances. :func:`aggregate`
 propagates from scratch; :func:`reaggregate` moves the hop blocks a graph
-carries over to an edited copy and recomputes only the rows the edit can reach.
+carries over to an edited copy and recomputes only the rows the edit can reach,
+writing the edited aggregation into a spare buffer the graph carries. An
+aggregation :func:`reaggregate` returns therefore stays valid only until its
+``after`` graph is passed to :func:`reaggregate` again; the one
+:func:`carried_aggregation` returns is never written.
 A hop applies ``P = D⁻¹(A + I)`` as ``D⁻¹(A @ B + B)``, so the graph carries
 one inverse-degree vector for it, never a matrix; :func:`aggregate` and
 :func:`build_propagation` never read what a graph carries.
@@ -35,8 +39,10 @@ class GraphDataset:
     train/validation/test node sets.
 
     ``_hop_state`` is private: the aggregation, hop blocks and inverse
-    degrees this graph carries for one ``(hops, scheme)``; only this module
-    sets, moves and reads it. ``_memo`` is private too: the read-only edge
+    degrees this graph carries for one ``(hops, scheme)``, a spare buffer of
+    the aggregation's shape with the rows where it is stale, and whether the
+    aggregation may become the next spare; only this module sets, moves and
+    reads it. ``_memo`` is private too: the read-only edge
     keys and pairs, degree statistics and edge scores computed for this graph
     so far. Neither is an ``__init__`` argument; both are excluded from
     ``repr`` and ``==``, and are dropped by ``dataclasses.replace``, copies
@@ -235,14 +241,15 @@ def _sorted_unique(values) -> np.ndarray:
     return out[keep]
 
 
-def _inverse_degree(adjacency: sp.csr_matrix) -> np.ndarray:
-    """``1 / (row sums + 1)`` of the rows of ``adjacency``: the inverse degrees with self-loops."""
-    return 1.0 / (adjacency @ np.ones(adjacency.shape[1]) + 1.0)
+def _inverse_degree(row_sums: np.ndarray) -> np.ndarray:
+    """``1 / (row_sums + 1)``: the inverse degrees with self-loops of rows with these weighted degrees."""
+    return 1.0 / (row_sums + 1.0)
 
 
 def build_propagation(dataset: GraphDataset, hops: int) -> PropagationOperator:
     """The row-stochastic operator ``D⁻¹(A + I)`` of the graph, held as its adjacency and inverse degrees."""
-    return PropagationOperator(dataset.adjacency, _frozen(_inverse_degree(dataset.adjacency)), hops)
+    adjacency = dataset.adjacency
+    return PropagationOperator(adjacency, _frozen(_inverse_degree(adjacency @ np.ones(adjacency.shape[1]))), hops)
 
 
 def _hop(adjacency: sp.csr_matrix, inverse_degree: np.ndarray, block: np.ndarray, rows=None) -> np.ndarray:
@@ -290,14 +297,28 @@ def carried_aggregation(dataset: GraphDataset, hops: int, scheme: str) -> Aggreg
     """The aggregation ``dataset`` carries for ``(hops, scheme)``.
 
     On first use the graph is aggregated in full and carries the result, with
-    its hop blocks and inverse degrees, for :func:`reaggregate`.
+    its hop blocks and inverse degrees, for :func:`reaggregate`. The result is
+    never written: :func:`reaggregate` does not recycle a buffer handed out here.
     """
     state = dataset._hop_state
     if state is None or state[:2] != (hops, scheme):
         prop = build_propagation(dataset, hops)
-        state = (hops, scheme, *_aggregate(dataset, prop, scheme), prop.inverse_degree)
-        object.__setattr__(dataset, "_hop_state", state)
+        state = (hops, scheme, *_aggregate(dataset, prop, scheme), prop.inverse_degree, None, None, False)
+    elif state[7]:
+        state = (*state[:7], False)
+    object.__setattr__(dataset, "_hop_state", state)
     return state[2]
+
+
+def _refreshed_spare(values: np.ndarray, spare: np.ndarray | None, stale: np.ndarray | None) -> np.ndarray:
+    """``values`` in a buffer no caller holds: ``spare`` with its ``stale`` rows (None: all) refreshed, or a copy."""
+    if spare is None:
+        return values.copy()
+    if stale is None:
+        np.copyto(spare, values)
+    else:
+        spare[stale] = values[stale]
+    return spare
 
 
 def reaggregate(
@@ -322,6 +343,16 @@ def reaggregate(
     Once a hop's set covers more than half the graph, the hop is the full
     product; either way a row is the same bit for bit.
 
+    ``after``'s aggregation (for SGC, its last block when that hop is
+    partial) is written into the spare buffer ``before`` carries: the
+    aggregation of the graph ``before`` was edited from. Only the rows the
+    previous call recomputed (all after a full hop) are refreshed, then this
+    edit's rows are written, so an edge request allocates nothing the size of
+    the aggregation. ``after`` keeps ``before``'s aggregation as its spare,
+    unless it was computed in full or handed out by
+    :func:`carried_aggregation`. An aggregation returned here thus stays
+    valid until ``after`` is passed to this function again.
+
     Returns ``before``'s aggregation, ``after``'s, which equals
     ``aggregate(after, build_propagation(after, hops), scheme)``, and the rows
     recomputed at any hop. The row sets grow from hop to hop, so these are the
@@ -331,11 +362,10 @@ def reaggregate(
     state = before._hop_state
     if state is not None and state[:2] == (hops, scheme):
         object.__setattr__(before, "_hop_state", None)
-        aggregated, blocks, inverse_degree = state[2:]
     else:
         prop = build_propagation(before, hops)
-        aggregated, blocks = _aggregate(before, prop, scheme)
-        inverse_degree = prop.inverse_degree
+        state = (hops, scheme, *_aggregate(before, prop, scheme), prop.inverse_degree, None, None, False)
+    aggregated, blocks, inverse_degree, spare, stale, recycle = state[2:]
     n = after.n_nodes
     adj = after.adjacency
     degree_changed = np.diff(adj.indptr) != np.diff(before.adjacency.indptr)
@@ -345,8 +375,11 @@ def reaggregate(
         changed = (after.features != before.features).any(axis=1)
     if degree_changed.any():
         rebuilt = np.flatnonzero(degree_changed)
+        # Each row summed in CSR order, as the full row sum does: the same bits.
+        entries, owner = _row_entries(adj.indptr, rebuilt)
+        row_sums = np.bincount(owner, weights=adj.data[entries], minlength=rebuilt.size)
         inverse_degree = inverse_degree.copy()
-        inverse_degree[rebuilt] = _inverse_degree(adj[rebuilt])
+        inverse_degree[rebuilt] = _inverse_degree(row_sums)
         _frozen(inverse_degree)
     blocks[0] = after.features
     # Per hop: the recomputed rows, or None once the hop is the full product.
@@ -365,16 +398,17 @@ def reaggregate(
                 rows = None
         if rows is None:
             blocks[k] = _hop(adj, inverse_degree, blocks[k - 1])
-        elif rows.size:
+        else:
             if scheme == SGC and k == hops:
-                # The last SGC block is ``aggregated.values``: edit a copy.
-                blocks[k] = blocks[k].copy()
-            blocks[k][rows] = _hop(adj, inverse_degree, blocks[k - 1], rows)
+                # The last SGC block is ``aggregated.values``: edit it in the spare.
+                blocks[k] = _refreshed_spare(blocks[k], spare, stale)
+            if rows.size:
+                blocks[k][rows] = _hop(adj, inverse_degree, blocks[k - 1], rows)
         row_sets.append(rows)
     if scheme == SGC:
         values = blocks[hops]
     else:
-        values = aggregated.values.copy()
+        values = _refreshed_spare(aggregated.values, spare, stale)
         f = after.n_features
         for k, rows in enumerate(row_sets):
             cols = slice(k * f, (k + 1) * f)
@@ -383,7 +417,10 @@ def reaggregate(
             elif rows.size:
                 values[rows, cols] = blocks[k][rows] / (hops + 1)
     updated = AggregatedFeatures(values=values, scheme=scheme)
-    object.__setattr__(after, "_hop_state", (hops, scheme, updated, blocks, inverse_degree))
+    spare = aggregated.values if recycle else None
+    # With no hop, SGC's values are the graph's own feature array: never a spare.
+    state = (hops, scheme, updated, blocks, inverse_degree, spare, row_sets[-1], values is not blocks[0])
+    object.__setattr__(after, "_hop_state", state)
     return aggregated, updated, row_sets[-1]
 
 

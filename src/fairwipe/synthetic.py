@@ -32,7 +32,15 @@ def gaussian_features(n: int, f: int, rng: np.random.Generator, sigma: float | N
 
 
 def random_adjacency(n: int, avg_degree: float, rng: np.random.Generator) -> sp.csr_matrix:
-    """Symmetric binary adjacency with roughly the requested average degree."""
+    """Symmetric binary adjacency with roughly the requested average degree.
+
+    The edges are not uniform. Of about ``2 * target`` pairs drawn, the
+    ``target`` smallest keys ``lo * n + hi`` are kept, which is about half,
+    and the median lower end of a uniform pair is ``(1 - 1/sqrt(2)) * n``:
+    every edge has its lower end among the first 29% or so of node ids. At
+    n=30000 and avg_degree=10 (``feature_unlearning_instance``, seed 23) every
+    lower end is below id 8817; those nodes have mean degree 20.0, the rest 5.9.
+    """
     target = int(n * avg_degree / 2)
     rows = rng.integers(0, n, size=2 * target)
     cols = rng.integers(0, n, size=2 * target)

@@ -7,7 +7,8 @@ against `aggregate(edited, build_propagation(edited, L), scheme)`.
 
 import copy
 import pickle
-from dataclasses import replace
+import tracemalloc
+from dataclasses import dataclass, replace
 from unittest import mock
 
 import numpy as np
@@ -29,7 +30,7 @@ from fairwipe.graph import (
     remove_nodes,
     zero_feature_columns,
 )
-from fairwipe.model import TrainConfig, train
+from fairwipe.model import TrainConfig, TrainedModel, train
 from fairwipe.unlearn import (
     CertificationBudget,
     EdgeRemoval,
@@ -243,10 +244,23 @@ SAME_WIDTH = [(h, SGC) for h in range(4)] + [(0, GPR)]
 BUDGET = CertificationBudget(1.0, 1e-4, epsilon_prime=1.0)
 
 
+@dataclass(frozen=True)
+class RowEdit:
+    """Replace a few feature rows, the graph unchanged: a request ``sequential_unlearn`` accepts."""
+
+    rows: np.ndarray
+    values: np.ndarray
+
+    def apply(self, ds):
+        x = ds.features.copy()
+        x[self.rows] = self.values
+        return replace(ds, features=x)
+
+
 def random_request(ds, kind, rng):
-    """One removal request of the given kind on ``ds``; edge kinds fall back to a feature."""
+    """One request of the given kind on ``ds``; edge kinds fall back to a feature."""
     pairs = ds.edge_pairs()
-    if kind in ("edge", "edges", "lazy") and len(pairs) == 0:
+    if kind in ("edge", "edges", "bulk", "lazy") and len(pairs) == 0:
         kind = "feature"
     if kind == "lazy":
         return lambda current: EdgeRemoval((tuple(int(v) for v in current.edge_pairs()[0]),))
@@ -254,8 +268,13 @@ def random_request(ds, kind, rng):
         size = 1 if kind == "edge" else int(rng.integers(2, 5))
         take = rng.choice(len(pairs), size=min(size, len(pairs)), replace=False)
         return EdgeRemoval(tuple(tuple(int(v) for v in pairs[i]) for i in take))
+    if kind == "bulk":
+        return EdgeRemoval(pairs[rng.choice(len(pairs), size=max(1, len(pairs) // 10), replace=False)])
     if kind == "node":
         return NodeRemoval((int(rng.choice(np.flatnonzero(ds.train_mask))),))
+    if kind == "rows":
+        rows = rng.choice(ds.n_nodes, size=int(rng.integers(1, 4)), replace=False)
+        return RowEdit(rows, rng.normal(size=(rows.size, ds.n_features)))
     return FeatureRemoval((int(rng.integers(ds.n_features)),))
 
 
@@ -290,7 +309,7 @@ def assert_same_bytes(actual, expected):
 
 def assert_carries_its_own_hops(ds, hops, scheme):
     assert carries(ds, hops, scheme)
-    _, _, agg, blocks, inverse_degree = ds._hop_state
+    _, _, agg, blocks, inverse_degree, *_ = ds._hop_state
     assert agg.scheme == scheme
     assert_close(agg.values, full_values(ds, hops, scheme))
     assert len(blocks) == hops + 1
@@ -539,7 +558,7 @@ class TestCarriedHops:
         ds = random_dataset(n=40, f=3, seed=3)
         model = trained_model(ds, 2, scheme, 3)
         _, _, current = sequential_unlearn(model, ds, [EdgeRemoval((tuple(ds.edge_pairs()[0]),))], BUDGET, scheme, 2)
-        _, _, agg, blocks, inverse_degree = current._hop_state
+        _, _, agg, blocks, inverse_degree, *_ = current._hop_state
         assert inverse_degree is not None
         snapshot = [agg.values.copy(), inverse_degree.copy()] + [b.copy() for b in blocks]
         adjacency = [a.copy() for a in (current.adjacency.data, current.adjacency.indices, current.adjacency.indptr)]
@@ -618,6 +637,70 @@ class TestEditSizedNewton:
                 assert not differs[np.setdiff1d(np.arange(current.n_nodes), rows)].any()
             model = replace(model, weights=result.updated_weights)
             current = edited
+
+
+class TestRecycledValues:
+    """`reaggregate` writes an edited aggregation into the spare buffer the graph carries."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        scheme=st.sampled_from([SGC, GPR]),
+        hops=st.integers(1, 3),
+        kinds=st.lists(st.sampled_from(("edge", "bulk", "node", "feature", "rows")), min_size=3, max_size=7),
+        lend=st.integers(0, 10),
+    )
+    def test_every_held_aggregation_keeps_its_bytes(self, seed, scheme, hops, kinds, lend):
+        """Each ``newton_unlearn`` call sees the full recomputes of the graphs
+        before and after its edit, and a stream of one-request calls never
+        writes into the aggregation `carried_aggregation` handed out on one of
+        its graphs, nor into the first call's pre-edit aggregation."""
+        rng = np.random.default_rng(seed)
+        current = random_dataset(n=int(rng.integers(20, 100)), f=3, seed=seed, avg_degree=float(rng.uniform(1, 5)))
+        model = trained_model(current, hops, scheme, seed)
+        # The lent graph is followed by at least two calls, so its buffer would be written.
+        lend = 1 + lend % (len(kinds) - 2)
+        held = []
+
+        def checked(step_model, aggregated, aggregated_new, *args, **kwargs):
+            assert np.array_equal(aggregated.values, expected[0]) and np.array_equal(aggregated_new.values, expected[1])
+            if not held:
+                held.append((aggregated.values, aggregated.values.copy()))
+            return newton_unlearn(step_model, aggregated, aggregated_new, *args, **kwargs)
+
+        for i, kind in enumerate(kinds):
+            if i == lend:
+                lent = carried_aggregation(current, hops, scheme).values
+                held.append((lent, full_values(current, hops, scheme)))
+            request = random_request(current, kind, rng)
+            expected = full_values(current, hops, scheme), full_values(request.apply(current), hops, scheme)
+            with mock.patch.object(unlearn, "newton_unlearn", side_effect=checked):
+                (result,), _, current = sequential_unlearn(model, current, [request], BUDGET, scheme, hops)
+            model = replace(model, weights=result.updated_weights)
+        for values, kept in held:
+            assert_same_bytes(values, kept)
+
+    def test_stream_allocates_no_aggregation_sized_buffer(self):
+        """From the third single-edge GPR request of a stream on, a request
+        allocates nothing the size of the carried aggregation. The traced peak
+        of a request stays below one aggregation (2.56 MB here); the CSR and
+        training-row copies and the rest of a request take about 0.7 MB."""
+        ds = random_dataset(n=5000, f=16, seed=12, avg_degree=4.0, fractions=(0.05, 0.05, 0.9))
+        width = 16 * 4
+        model = TrainedModel(np.random.default_rng(12).normal(scale=0.1, size=width), 1.0, np.zeros(width), 0.0)
+        aggregation = full_values(ds, 3, GPR).nbytes
+        current = ds
+        tracemalloc.start()
+        try:
+            for i, pair in enumerate(ds.edge_pairs()[::101][:6]):
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                _, _, current = sequential_unlearn(model, current, [EdgeRemoval((pair,))], BUDGET, GPR, 3)
+                grown = tracemalloc.get_traced_memory()[1] - start
+                if i >= 2:
+                    assert grown < aggregation, f"request {i} grew the traced heap by {grown} bytes"
+        finally:
+            tracemalloc.stop()
 
 
 @pytest.mark.parametrize("scheme", [SGC, GPR])

@@ -19,7 +19,7 @@ from typing import NoReturn
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import GraphDataset, _sorted_unique, degree_stats
+from .graph import GraphDataset, _sorted_unique, _symmetric_adjacency, degree_stats
 from .synthetic import split_masks
 
 
@@ -119,8 +119,7 @@ def _read_edge_list(path: Path, n_nodes: int) -> sp.csr_matrix:
     if len(keys) < len(lo):
         warnings.warn(f"{path}: removed {len(lo) - len(keys)} duplicate edge listing(s)")
     lo, hi = keys // n_nodes, keys % n_nodes
-    data = np.ones(2 * len(lo))
-    return sp.csr_matrix((data, (np.r_[lo, hi], np.r_[hi, lo])), shape=(n_nodes, n_nodes))
+    return _symmetric_adjacency(lo, hi, n_nodes)
 
 
 def _raise_edge_line_error(path: Path, text: str, reason) -> NoReturn:

@@ -241,6 +241,11 @@ def _sorted_unique(values) -> np.ndarray:
     return out[keep]
 
 
+def _symmetric_adjacency(lo: np.ndarray, hi: np.ndarray, n: int) -> sp.csr_matrix:
+    """The n x n binary symmetric CSR with an edge between ``lo[i]`` and ``hi[i]`` for every i."""
+    return sp.csr_matrix((np.ones(2 * len(lo)), (np.r_[lo, hi], np.r_[hi, lo])), shape=(n, n))
+
+
 def _inverse_degree(row_sums: np.ndarray) -> np.ndarray:
     """``1 / (row_sums + 1)``: the inverse degrees with self-loops of rows with these weighted degrees."""
     return 1.0 / (row_sums + 1.0)
@@ -293,6 +298,12 @@ def aggregate(dataset: GraphDataset, prop: PropagationOperator, scheme: str = SG
     return _aggregate(dataset, prop, scheme)[0]
 
 
+def _full_hop_state(dataset: GraphDataset, hops: int, scheme: str) -> tuple:
+    """The hop state of ``dataset`` aggregated in full, with no spare and nothing to recycle."""
+    prop = build_propagation(dataset, hops)
+    return (hops, scheme, *_aggregate(dataset, prop, scheme), prop.inverse_degree, None, None, False)
+
+
 def carried_aggregation(dataset: GraphDataset, hops: int, scheme: str) -> AggregatedFeatures:
     """The aggregation ``dataset`` carries for ``(hops, scheme)``.
 
@@ -302,8 +313,7 @@ def carried_aggregation(dataset: GraphDataset, hops: int, scheme: str) -> Aggreg
     """
     state = dataset._hop_state
     if state is None or state[:2] != (hops, scheme):
-        prop = build_propagation(dataset, hops)
-        state = (hops, scheme, *_aggregate(dataset, prop, scheme), prop.inverse_degree, None, None, False)
+        state = _full_hop_state(dataset, hops, scheme)
     elif state[7]:
         state = (*state[:7], False)
     object.__setattr__(dataset, "_hop_state", state)
@@ -363,8 +373,7 @@ def reaggregate(
     if state is not None and state[:2] == (hops, scheme):
         object.__setattr__(before, "_hop_state", None)
     else:
-        prop = build_propagation(before, hops)
-        state = (hops, scheme, *_aggregate(before, prop, scheme), prop.inverse_degree, None, None, False)
+        state = _full_hop_state(before, hops, scheme)
     aggregated, blocks, inverse_degree, spare, stale, recycle = state[2:]
     n = after.n_nodes
     adj = after.adjacency

@@ -5,6 +5,10 @@ summed inside the training loss, so the gradient carries ``lam * m * w`` and the
 Hessian's smallest eigenvalue is at least ``lam * m``. An optional linear
 perturbation ``b`` is added to the objective so that post-unlearning gradient
 residuals can be hidden within calibrated noise.
+
+The loss and gradient are written once, in ``_objective``. ``train`` and
+``unlearn.newton_unlearn`` call it and ``logistic_hessian`` on pre-sliced rows
+without checks; only the public ``loss_and_gradient`` and ``hessian`` check inputs.
 """
 
 from __future__ import annotations
@@ -95,6 +99,17 @@ def _check_inputs(weights, z_rows, labels):
     return weights, z_rows, labels
 
 
+def _objective(weights, z_rows, labels, lam, perturbation, sigmoid, scores=None):
+    """``loss_and_gradient`` without its checks, over pre-sliced float rows and a perturbation array:
+    the gradient from the sigmoids ``s = sigma(Z w)``, the loss from the scores ``u = Z w`` (None without)."""
+    m = z_rows.shape[0]
+    grad = z_rows.T @ (sigmoid - labels) + lam * m * weights + perturbation
+    if scores is None:
+        return None, grad
+    loss = float(np.logaddexp(0.0, scores).sum() - labels @ scores) + 0.5 * lam * m * float(weights @ weights)
+    return loss + float(perturbation @ weights), grad
+
+
 def loss_and_gradient(weights, z_rows, labels, lam, perturbation=None):
     """Perturbed training objective and its exact gradient over the given rows.
 
@@ -102,18 +117,11 @@ def loss_and_gradient(weights, z_rows, labels, lam, perturbation=None):
     with ``u_i = z_i.w``; the gradient is ``Z^T (sigmoid(u) - y) + lam*m*w + b``.
     """
     weights, z_rows, labels = _check_inputs(weights, z_rows, labels)
-    m = z_rows.shape[0]
+    b = np.zeros_like(weights) if perturbation is None else np.asarray(perturbation, dtype=np.float64)
+    if b.shape != weights.shape:
+        raise ValueError("perturbation must match weight dimension")
     u = z_rows @ weights
-    loss = float(np.logaddexp(0.0, u).sum() - labels @ u)
-    loss += 0.5 * lam * m * float(weights @ weights)
-    grad = z_rows.T @ (expit(u) - labels) + lam * m * weights
-    if perturbation is not None:
-        b = np.asarray(perturbation, dtype=np.float64)
-        if b.shape != weights.shape:
-            raise ValueError("perturbation must match weight dimension")
-        loss += float(b @ weights)
-        grad = grad + b
-    return loss, grad
+    return _objective(weights, z_rows, labels, lam, b, expit(u), u)
 
 
 def hessian(weights, z_rows, labels, lam):
@@ -160,7 +168,8 @@ def train(
     ``config.seed`` unless an explicit vector is supplied (used by the retrain
     oracle so weight comparisons isolate the update approximation). L-BFGS gets
     the solution close; damped Newton steps then push the gradient norm below
-    ``config.tolerance``, which the certification accounting relies on.
+    ``config.tolerance``, which the certification accounting relies on, or
+    :class:`ConvergenceError` reports the gradient norm where they stopped.
     """
     if noise_std < 0:
         raise ValueError("noise_std must be >= 0")
@@ -179,7 +188,8 @@ def train(
         b = np.zeros(d)
 
     def objective(w):
-        return loss_and_gradient(w, z_tr, y_tr, config.lam, b)
+        u = z_tr @ w
+        return _objective(w, z_tr, y_tr, config.lam, b, expit(u), u)
 
     res = minimize(
         objective,
@@ -194,19 +204,22 @@ def train(
         residual = float(np.linalg.norm(grad))
         if residual <= config.tolerance:
             break
-        h = hessian(w, z_tr, y_tr, config.lam)
+        h = logistic_hessian(z_tr, expit(z_tr @ w), config.lam)
         step = cho_solve(cho_factor(h), -grad)
         # Accept on loss decrease or gradient-norm decrease: close to the
         # optimum the loss change falls below float resolution while the
-        # gradient norm still contracts quadratically.
+        # gradient norm still contracts quadratically. A search that accepts
+        # no step would repeat from the same weights: stop polishing there.
         t = 1.0
         while t > 1e-12:
-            cand_loss, cand_grad = objective(w + t * step)
+            cand = w + t * step
+            cand_loss, cand_grad = objective(cand)
             if cand_loss < loss or np.linalg.norm(cand_grad) < residual:
                 break
             t *= 0.5
-        w = w + t * step
-        loss, grad = cand_loss, cand_grad
+        else:
+            break
+        w, loss, grad = cand, cand_loss, cand_grad
     residual = float(np.linalg.norm(grad))
     if residual > config.tolerance:
         raise ConvergenceError(residual, config.tolerance)

@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from .graph import GraphDataset, _sorted_unique
+from .graph import GraphDataset, _sorted_unique, _symmetric_adjacency
 
 
 def gaussian_features(n: int, f: int, rng: np.random.Generator, sigma: float | None = None) -> np.ndarray:
@@ -48,9 +48,9 @@ def random_adjacency(n: int, avg_degree: float, rng: np.random.Generator) -> sp.
     lo = np.minimum(rows[keep], cols[keep])
     hi = np.maximum(rows[keep], cols[keep])
     pairs = _sorted_unique(lo.astype(np.int64) * n + hi)[:target]
+    # Rebinding frees the drawn pairs before the CSR build allocates its own arrays.
     lo, hi = pairs // n, pairs % n
-    data = np.ones(2 * len(lo))
-    return sp.csr_matrix((data, (np.r_[lo, hi], np.r_[hi, lo])), shape=(n, n))
+    return _symmetric_adjacency(lo, hi, n)
 
 
 def sbm_adjacency(s: np.ndarray, p_in: float, p_out: float, rng: np.random.Generator) -> sp.csr_matrix:
@@ -60,9 +60,7 @@ def sbm_adjacency(s: np.ndarray, p_in: float, p_out: float, rng: np.random.Gener
     same = s[iu[0]] == s[iu[1]]
     prob = np.where(same, p_in, p_out)
     present = rng.random(len(prob)) < prob
-    lo, hi = iu[0][present], iu[1][present]
-    data = np.ones(2 * len(lo))
-    return sp.csr_matrix((data, (np.r_[lo, hi], np.r_[hi, lo])), shape=(n, n))
+    return _symmetric_adjacency(iu[0][present], iu[1][present], n)
 
 
 def split_masks(n: int, fractions: tuple[float, float, float], rng: np.random.Generator):

@@ -18,7 +18,7 @@ from scipy.special import expit
 
 from . import graph
 from .graph import AggregatedFeatures, GraphDataset
-from .model import LOGISTIC, TrainConfig, TrainedModel, logistic_hessian, train
+from .model import LOGISTIC, TrainConfig, TrainedModel, _objective, logistic_hessian, train
 
 
 @dataclass(frozen=True)
@@ -182,8 +182,7 @@ def newton_unlearn(
     h = logistic_hessian(z_new, sig_new, lam)
     w_new = w + cho_solve(cho_factor(h), delta)
 
-    residual = z_new.T @ (expit(z_new @ w_new) - y_new) + lam * m_new * w_new
-    residual += model.perturbation
+    _, residual = _objective(w_new, z_new, y_new, lam, model.perturbation, expit(z_new @ w_new))
     return UnlearnResult(
         updated_weights=w_new,
         delta_vector=delta,

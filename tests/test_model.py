@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import expit
 
+from fairwipe import model as model_module
 from fairwipe.graph import GraphDataset, aggregate, build_propagation
 from fairwipe.model import (
     LOGISTIC,
+    ConvergenceError,
     TrainConfig,
     hessian,
     loss_and_gradient,
@@ -12,6 +17,7 @@ from fairwipe.model import (
     train,
 )
 from fairwipe.synthetic import feature_unlearning_instance
+from fairwipe.unlearn import CertificationBudget, FeatureRemoval, retrain_oracle, sequential_unlearn
 
 from conftest import finite_difference_gradient, finite_difference_hessian, random_dataset
 
@@ -57,6 +63,26 @@ class TestLossAndGradient:
     def test_non_binary_labels_rejected(self):
         with pytest.raises(ValueError, match="binary"):
             loss_and_gradient(np.zeros(2), np.zeros((2, 2)), np.array([0.0, 0.5]), 1.0)
+
+    @settings(max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 40),
+        d=st.integers(1, 6),
+        perturbed=st.booleans(),
+    )
+    def test_matches_the_unchecked_kernel_bit_for_bit(self, seed, m, d, perturbed):
+        w, z, y, lam, b = random_instance(seed, m, d)
+        # Integer labels and a list perturbation are valid inputs the check converts.
+        loss, grad = loss_and_gradient(w, z, y.astype(np.int64), lam, list(b) if perturbed else None)
+        b = b if perturbed else np.zeros(d)
+        u = z @ w
+        kernel_loss, kernel_grad = model_module._objective(w, z, y, lam, b, expit(u), u)
+        assert np.float64(loss).tobytes() == np.float64(kernel_loss).tobytes()
+        assert grad.tobytes() == kernel_grad.tobytes()
+        no_loss, gradient_only = model_module._objective(w, z, y, lam, b, expit(u))
+        assert no_loss is None
+        assert gradient_only.tobytes() == grad.tobytes()
 
 
 class TestHessian:
@@ -155,6 +181,56 @@ class TestTrain:
         _, grad = loss_and_gradient(model.weights, z_tr, y_tr, 10.0, model.perturbation)
         assert np.linalg.norm(grad) <= 1e-8
         assert model.optimizer_residual <= 1e-8
+
+    def test_unreachable_tolerance_stops_at_the_first_exhausted_search(self, monkeypatch):
+        ds = random_dataset(n=200, f=5, seed=1)
+        agg = aggregate(ds, build_propagation(ds, 2), "sgc")
+        calls = []
+        kernel, minimize = model_module._objective, model_module.minimize
+
+        def counted_kernel(*args):
+            calls.append(kernel(*args))
+            return calls[-1]
+
+        lbfgs_calls = []
+
+        def counted_minimize(*args, **kwargs):
+            result = minimize(*args, **kwargs)
+            lbfgs_calls.append(len(calls))
+            return result
+
+        monkeypatch.setattr(model_module, "_objective", counted_kernel)
+        monkeypatch.setattr(model_module, "minimize", counted_minimize)
+        with pytest.raises(ConvergenceError) as raised:
+            train(ds, agg, TrainConfig(lam=1e-2, tolerance=1e-300))
+        # Replay the polish's acceptance rule over its kernel calls: the first
+        # is at L-BFGS's weights, each later one a line-search candidate.
+        loss, grad = calls[lbfgs_calls[0]]
+        rejected_runs = [0]
+        for cand_loss, cand_grad in calls[lbfgs_calls[0] + 1 :]:
+            if cand_loss < loss or np.linalg.norm(cand_grad) < np.linalg.norm(grad):
+                loss, grad = cand_loss, cand_grad
+                rejected_runs.append(0)
+            else:
+                rejected_runs[-1] += 1
+        # One exhausted search (t = 1, 1/2, ..., 2**-39) ends the fit, and no earlier one ran.
+        assert rejected_runs[-1] == 40
+        assert max(rejected_runs[:-1], default=0) < 40
+        assert raised.value.residual == np.linalg.norm(grad)
+
+    def test_loops_call_no_checked_entry_point(self, monkeypatch):
+        def checked(*args, **kwargs):
+            raise AssertionError("a checked entry point ran inside the optimizer or the update")
+
+        for name in ("_check_inputs", "loss_and_gradient", "hessian"):
+            monkeypatch.setattr(model_module, name, checked)
+        ds = feature_unlearning_instance(n=120, f=6, seed=2)
+        agg = aggregate(ds, build_propagation(ds, 2), "gpr")
+        config = TrainConfig(lam=1.0, seed=3)
+        trained = train(ds, agg, config, noise_std=0.05)
+        budget = CertificationBudget(epsilon=1.0, delta=1e-4)
+        _, _, edited = sequential_unlearn(trained, ds, [FeatureRemoval((0,))], budget, "gpr", 2)
+        retrain_oracle(edited, config, trained.perturbation, "gpr", 2)
 
     def test_empty_training_set_rejected(self):
         ds = random_dataset(n=10, seed=0)

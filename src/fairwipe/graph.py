@@ -8,9 +8,10 @@ writing the edited aggregation into a spare buffer the graph carries. An
 aggregation :func:`reaggregate` returns therefore stays valid only until its
 ``after`` graph is passed to :func:`reaggregate` again; the one
 :func:`carried_aggregation` returns is never written.
-A hop applies ``P = D⁻¹(A + I)`` as ``D⁻¹(A @ B + B)``, so the graph carries
-one inverse-degree vector for it, never a matrix; :func:`aggregate` and
-:func:`build_propagation` never read what a graph carries.
+Graphs are unweighted, so a hop applies ``P = D⁻¹(A + I)`` as
+``D⁻¹(A @ B + B)`` with ``D`` read off the CSR row lengths: no matrix or degree
+vector is built. :func:`aggregate` and :func:`build_propagation` never read
+what a graph carries.
 Edge keys, degree statistics and edge scores are memoised on the graph.
 :func:`remove_edges` carries the keys and scores over to its result, updated
 for the edit, and the result counts its degrees once, on first use;
@@ -32,17 +33,18 @@ GPR = "gpr"
 class GraphDataset:
     """An attributed graph with a binary sensitive attribute and binary labels.
 
-    The adjacency matrix is canonical symmetric CSR with zero diagonal
-    (self-loops enter only the propagation, as its ``+ I``) and
-    strictly positive stored values; the constructor canonicalises a copy of
-    a matrix with unsorted or duplicate entries. Masks select disjoint
+    The graph is unweighted: the adjacency matrix is canonical symmetric CSR
+    with zero diagonal (self-loops enter only the propagation, as its
+    ``+ I``) and every stored value 1. The constructor copies any other
+    scipy sparse format, or a CSR with unsorted or duplicate entries, to
+    canonical CSR; duplicates are summed before the values are checked.
+    Features are 2-D; masks are boolean and select disjoint
     train/validation/test node sets.
 
-    ``_hop_state`` is private: the aggregation, hop blocks and inverse
-    degrees this graph carries for one ``(hops, scheme)``, a spare buffer of
-    the aggregation's shape with the rows where it is stale, and whether the
-    aggregation may become the next spare; only this module sets, moves and
-    reads it. ``_memo`` is private too: the read-only edge
+    ``_hop_state`` is private: the aggregation and hop blocks this graph
+    carries for one ``(hops, scheme)``, a spare buffer of the aggregation's
+    shape with the rows where it is stale, and whether the aggregation may
+    become the next spare; only this module sets, moves and reads it. ``_memo`` is private too: the read-only edge
     keys and pairs, degree statistics and edge scores computed for this graph
     so far. Neither is an ``__init__`` argument; both are excluded from
     ``repr`` and ``==``, and are dropped by ``dataclasses.replace``, copies
@@ -63,15 +65,17 @@ class GraphDataset:
     _memo: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.adjacency.has_canonical_format:
-            adjacency = self.adjacency.copy()
+        if not sp.issparse(self.adjacency):
+            raise ValueError(f"adjacency must be a scipy sparse matrix, not {type(self.adjacency).__name__}")
+        if self.adjacency.format != "csr" or not self.adjacency.has_canonical_format:
+            adjacency = self.adjacency.tocsr(copy=True)
             adjacency.sum_duplicates()
             object.__setattr__(self, "adjacency", adjacency)
         self._check_fields()
         if self.adjacency.diagonal().any():
             raise ValueError("adjacency must have zero diagonal (no stored self-loops)")
-        if self.adjacency.nnz and self.adjacency.data.min() <= 0:
-            raise ValueError("adjacency entries must be positive")
+        if (self.adjacency.data != 1.0).any():
+            raise ValueError("adjacency must be unweighted: every stored entry must be 1")
         if (self.adjacency != self.adjacency.T).nnz != 0:
             raise ValueError("adjacency must be symmetric")
 
@@ -87,9 +91,9 @@ class GraphDataset:
         Without ``memo``, a result that keeps the adjacency and the sensitive
         column gets a copy of this graph's memo. Only the O(n) checks run, and
         the binary checks only when the sensitive or label column is replaced.
-        The O(nnz) adjacency checks (symmetry, zero diagonal, positive
-        weights) hold by construction: an edit keeps the adjacency or removes
-        both directions of entries from a validated one.
+        The O(nnz) adjacency checks (symmetry, zero diagonal, unit entries)
+        hold by construction: an edit keeps the adjacency or removes both
+        directions of entries from a validated one.
         """
         edited = object.__new__(GraphDataset)
         for f in fields(self):
@@ -112,16 +116,20 @@ class GraphDataset:
         return self._memo[key]
 
     def _check_fields(self, binary: bool = True) -> None:
-        """The O(n) checks: shapes, binary sensitive and label columns (if ``binary``), disjoint masks."""
+        """The O(n) checks: shapes, boolean masks, binary sensitive and label columns (if ``binary``), disjoint masks."""
         n = self.adjacency.shape[0]
         if self.adjacency.shape != (n, n):
             raise ValueError("adjacency must be square")
+        if self.features.ndim != 2:
+            raise ValueError(f"features must be 2-D (nodes x features), not {self.features.ndim}-D")
         if self.features.shape[0] != n:
             raise ValueError(f"features have {self.features.shape[0]} rows, expected {n}")
         for name in ("sensitive", "labels", "train_mask", "val_mask", "test_mask"):
             v = getattr(self, name)
             if v.shape != (n,):
                 raise ValueError(f"{name} must have length {n}")
+            if name.endswith("_mask") and v.dtype != bool:
+                raise ValueError(f"{name} must be boolean, not {v.dtype}")
         for name in ("sensitive", "labels") if binary else ():
             v = np.asarray(getattr(self, name))
             if not np.isin(v, (0, 1)).all():
@@ -157,10 +165,9 @@ class GraphDataset:
 
 @dataclass(frozen=True)
 class PropagationOperator:
-    """``P = D⁻¹(A + I)`` as the graph's own adjacency and the read-only ``1 / (row sums + 1)``; the hop count."""
+    """``P = D⁻¹(A + I)`` as the graph's own adjacency, whose row lengths are the degrees; the hop count."""
 
     adjacency: sp.csr_matrix
-    inverse_degree: np.ndarray
     hops: int
 
     def __post_init__(self):
@@ -241,29 +248,38 @@ def _sorted_unique(values) -> np.ndarray:
     return out[keep]
 
 
+def _indices(values, bound: int, what: str, error: type[Exception] = ValueError) -> np.ndarray:
+    """``values``, of any shape, as int64 indices in ``[0, bound)`` (``error`` if not).
+
+    A non-empty input of a non-integer dtype raises ValueError: a cast would
+    read a boolean mask or a float as indices.
+    """
+    values = np.asarray(values)
+    if values.size and values.dtype.kind not in "iu":
+        raise ValueError(f"{what} indices must be integers, not {values.dtype}")
+    values = values.astype(np.int64)
+    if values.size and (values.min() < 0 or values.max() >= bound):
+        raise error(f"{what} index out of range [0, {bound})")
+    return values
+
+
 def _symmetric_adjacency(lo: np.ndarray, hi: np.ndarray, n: int) -> sp.csr_matrix:
     """The n x n binary symmetric CSR with an edge between ``lo[i]`` and ``hi[i]`` for every i."""
     return sp.csr_matrix((np.ones(2 * len(lo)), (np.r_[lo, hi], np.r_[hi, lo])), shape=(n, n))
 
 
-def _inverse_degree(row_sums: np.ndarray) -> np.ndarray:
-    """``1 / (row_sums + 1)``: the inverse degrees with self-loops of rows with these weighted degrees."""
-    return 1.0 / (row_sums + 1.0)
-
-
 def build_propagation(dataset: GraphDataset, hops: int) -> PropagationOperator:
-    """The row-stochastic operator ``D⁻¹(A + I)`` of the graph, held as its adjacency and inverse degrees."""
-    adjacency = dataset.adjacency
-    return PropagationOperator(adjacency, _frozen(_inverse_degree(adjacency @ np.ones(adjacency.shape[1]))), hops)
+    """The row-stochastic operator ``D⁻¹(A + I)`` of the graph, held as its adjacency."""
+    return PropagationOperator(dataset.adjacency, hops)
 
 
-def _hop(adjacency: sp.csr_matrix, inverse_degree: np.ndarray, block: np.ndarray, rows=None) -> np.ndarray:
+def _hop(adjacency: sp.csr_matrix, block: np.ndarray, rows=None) -> np.ndarray:
     """One hop ``D⁻¹(A @ block + block)``, or only its listed ``rows``, each bit for bit the full hop's."""
     if rows is not None:
-        adjacency, inverse_degree = adjacency[rows], inverse_degree[rows]
+        adjacency = adjacency[rows]
     out = adjacency @ block
     out += block if rows is None else block[rows]
-    out *= inverse_degree[:, None]
+    out *= (1.0 / (np.diff(adjacency.indptr) + 1.0))[:, None]
     return out
 
 
@@ -280,7 +296,7 @@ def _aggregate(
         raise ValueError(f"unknown aggregation scheme: {scheme!r}")
     blocks = [dataset.features]
     for _ in range(prop.hops):
-        blocks.append(_hop(prop.adjacency, prop.inverse_degree, blocks[-1]))
+        blocks.append(_hop(prop.adjacency, blocks[-1]))
     if scheme == SGC:
         values = blocks[-1]
     else:
@@ -300,22 +316,21 @@ def aggregate(dataset: GraphDataset, prop: PropagationOperator, scheme: str = SG
 
 def _full_hop_state(dataset: GraphDataset, hops: int, scheme: str) -> tuple:
     """The hop state of ``dataset`` aggregated in full, with no spare and nothing to recycle."""
-    prop = build_propagation(dataset, hops)
-    return (hops, scheme, *_aggregate(dataset, prop, scheme), prop.inverse_degree, None, None, False)
+    return (hops, scheme, *_aggregate(dataset, build_propagation(dataset, hops), scheme), None, None, False)
 
 
 def carried_aggregation(dataset: GraphDataset, hops: int, scheme: str) -> AggregatedFeatures:
     """The aggregation ``dataset`` carries for ``(hops, scheme)``.
 
     On first use the graph is aggregated in full and carries the result, with
-    its hop blocks and inverse degrees, for :func:`reaggregate`. The result is
-    never written: :func:`reaggregate` does not recycle a buffer handed out here.
+    its hop blocks, for :func:`reaggregate`. The result is never written:
+    :func:`reaggregate` does not recycle a buffer handed out here.
     """
     state = dataset._hop_state
     if state is None or state[:2] != (hops, scheme):
         state = _full_hop_state(dataset, hops, scheme)
-    elif state[7]:
-        state = (*state[:7], False)
+    elif state[6]:
+        state = (*state[:6], False)
     object.__setattr__(dataset, "_hop_state", state)
     return state[2]
 
@@ -336,22 +351,21 @@ def reaggregate(
 ) -> tuple[AggregatedFeatures, AggregatedFeatures, np.ndarray | None]:
     """Aggregate ``after`` from ``before``'s hop blocks, recomputing only the rows that can change.
 
-    The blocks and inverse degrees are the ones ``before`` carries for
-    ``(hops, scheme)``, taken off it; a graph that carries none for them is
-    aggregated in full, and whatever it carries for other settings stays. The
-    blocks are edited in place into ``after``'s, and ``after`` carries them.
-    ``after`` must differ from ``before`` only by removed edges and changed
-    feature rows, as the removal requests produce. Row i of hop k can then
-    change only if
+    The blocks are the ones ``before`` carries for ``(hops, scheme)``, taken
+    off it; a graph that carries none for them is aggregated in full, and
+    whatever it carries for other settings stays. The blocks are edited in
+    place into ``after``'s, and ``after`` carries them. ``after`` must differ
+    from ``before`` only by removed edges and changed feature rows, as the
+    removal requests produce. Row i of hop k can then change only if
 
     - i's degree changed: with edges only removed, these are exactly the rows
       whose propagation row changed;
     - i changed at hop k-1, or is a neighbour in ``after`` of such a row;
 
-    with the changed feature rows as hop 0's set. ``after`` carries a copy of
-    ``before``'s inverse degrees with the degree-changed entries recomputed.
-    Once a hop's set covers more than half the graph, the hop is the full
-    product; either way a row is the same bit for bit.
+    with the changed feature rows as hop 0's set. Each hop reads the degrees
+    off ``after``'s CSR row lengths. Once a hop's set covers more than half
+    the graph, the hop is the full product; either way a row is the same bit
+    for bit.
 
     ``after``'s aggregation (for SGC, its last block when that hop is
     partial) is written into the spare buffer ``before`` carries: the
@@ -374,7 +388,7 @@ def reaggregate(
         object.__setattr__(before, "_hop_state", None)
     else:
         state = _full_hop_state(before, hops, scheme)
-    aggregated, blocks, inverse_degree, spare, stale, recycle = state[2:]
+    aggregated, blocks, spare, stale, recycle = state[2:]
     n = after.n_nodes
     adj = after.adjacency
     degree_changed = np.diff(adj.indptr) != np.diff(before.adjacency.indptr)
@@ -382,14 +396,6 @@ def reaggregate(
         changed = np.zeros(n, dtype=bool)
     else:
         changed = (after.features != before.features).any(axis=1)
-    if degree_changed.any():
-        rebuilt = np.flatnonzero(degree_changed)
-        # Each row summed in CSR order, as the full row sum does: the same bits.
-        entries, owner = _row_entries(adj.indptr, rebuilt)
-        row_sums = np.bincount(owner, weights=adj.data[entries], minlength=rebuilt.size)
-        inverse_degree = inverse_degree.copy()
-        inverse_degree[rebuilt] = _inverse_degree(row_sums)
-        _frozen(inverse_degree)
     blocks[0] = after.features
     # Per hop: the recomputed rows, or None once the hop is the full product.
     # Rows already in the set had their neighbours added, so only the rows
@@ -406,13 +412,13 @@ def reaggregate(
             if 2 * rows.size > n:
                 rows = None
         if rows is None:
-            blocks[k] = _hop(adj, inverse_degree, blocks[k - 1])
+            blocks[k] = _hop(adj, blocks[k - 1])
         else:
             if scheme == SGC and k == hops:
                 # The last SGC block is ``aggregated.values``: edit it in the spare.
                 blocks[k] = _refreshed_spare(blocks[k], spare, stale)
             if rows.size:
-                blocks[k][rows] = _hop(adj, inverse_degree, blocks[k - 1], rows)
+                blocks[k][rows] = _hop(adj, blocks[k - 1], rows)
         row_sets.append(rows)
     if scheme == SGC:
         values = blocks[hops]
@@ -428,7 +434,7 @@ def reaggregate(
     updated = AggregatedFeatures(values=values, scheme=scheme)
     spare = aggregated.values if recycle else None
     # With no hop, SGC's values are the graph's own feature array: never a spare.
-    state = (hops, scheme, updated, blocks, inverse_degree, spare, row_sets[-1], values is not blocks[0])
+    state = (hops, scheme, updated, blocks, spare, row_sets[-1], values is not blocks[0])
     object.__setattr__(after, "_hop_state", state)
     return aggregated, updated, row_sets[-1]
 
@@ -454,7 +460,8 @@ def remove_edges(dataset: GraphDataset, edges) -> GraphDataset:
     its two rows; the edit drops them and shifts ``indptr``. The input's edge
     keys and scores are carried over to the result, updated for the edit.
     """
-    pairs = np.asarray(edges, dtype=np.int64)
+    n = dataset.n_nodes
+    pairs = _indices(edges, n, "edge", IndexError)
     if pairs.size == 0:
         return dataset
     if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -462,9 +469,6 @@ def remove_edges(dataset: GraphDataset, edges) -> GraphDataset:
     lo, hi = pairs.min(axis=1), pairs.max(axis=1)
     if (lo == hi).any():
         raise ValueError("self-loops are not valid edges")
-    n = dataset.n_nodes
-    if lo.min() < 0 or hi.max() >= n:
-        raise IndexError(f"edge index out of range [0, {n})")
     keys = _sorted_unique(lo * n + hi)
     lo, hi = np.divmod(keys, n)
     adj = dataset.adjacency
@@ -512,12 +516,10 @@ def remove_nodes(dataset: GraphDataset, nodes) -> GraphDataset:
     Indices are kept stable (no compaction) so weight dimensionality and row
     alignment survive a sequence of removals.
     """
-    nodes = _sorted_unique(np.asarray(nodes, dtype=np.int64))
+    n = dataset.n_nodes
+    nodes = _sorted_unique(_indices(nodes, n, "node"))
     if nodes.size == 0:
         return dataset
-    n = dataset.n_nodes
-    if nodes.min() < 0 or nodes.max() >= n:
-        raise ValueError(f"node index out of range [0, {n})")
     keep = np.ones(n, dtype=bool)
     keep[nodes] = False
     adj = dataset.adjacency
@@ -537,12 +539,9 @@ def remove_nodes(dataset: GraphDataset, nodes) -> GraphDataset:
 
 def zero_feature_columns(dataset: GraphDataset, columns) -> GraphDataset:
     """Zero the listed feature columns for all nodes (graph structure unchanged, memo kept)."""
-    cols = _sorted_unique(np.asarray(columns, dtype=np.int64))
+    cols = _sorted_unique(_indices(columns, dataset.n_features, "feature"))
     if cols.size == 0:
         return dataset
-    f = dataset.n_features
-    if cols.min() < 0 or cols.max() >= f:
-        raise ValueError(f"feature index out of range [0, {f})")
     new_x = dataset.features.copy()
     new_x[:, cols] = 0.0
     return dataset._edited(features=new_x)

@@ -91,17 +91,12 @@ class TestPropagation:
             assert p.diagonal().min() > 0
             assert p.min() >= 0
 
-    def test_operator_is_the_adjacency_and_inverse_degrees(self):
-        """No matrix is built: the operator holds the graph's own adjacency and
-        a read-only 1 / (row sum + 1), weighted rows included."""
-        mat = np.zeros((4, 4))
-        for (i, j), w in {(0, 1): 0.5, (1, 2): 2.0, (0, 3): 1.5}.items():
-            mat[i, j] = mat[j, i] = w
-        ds = tiny_dataset(mat)
+    def test_operator_is_the_adjacency_and_hop_count(self):
+        """No matrix or degree vector is built: the operator holds the graph's own adjacency and the hop count."""
+        ds = tiny_dataset(adjacency_from_edges(4, [(0, 1), (1, 2), (0, 3)]))
         prop = build_propagation(ds, hops=3)
         assert prop.adjacency is ds.adjacency and prop.hops == 3
-        np.testing.assert_array_equal(prop.inverse_degree, 1.0 / (mat.sum(axis=1) + 1.0))
-        assert not prop.inverse_degree.flags.writeable
+        assert [f.name for f in fields(prop)] == ["adjacency", "hops"]
 
     def test_negative_hops_rejected(self):
         ds = tiny_dataset(sp.csr_matrix((2, 2)))
@@ -265,16 +260,6 @@ class TestRemoveEdges:
             remove_edges(ds, [(-1, 2)])
         assert ds.adjacency.nnz == 4
 
-    def test_weights_of_kept_edges_survive(self):
-        mat = np.zeros((4, 4))
-        for (i, j), w in {(0, 1): 0.5, (1, 2): 2.0, (2, 3): 3.0, (0, 3): 1.5}.items():
-            mat[i, j] = mat[j, i] = w
-        ds = tiny_dataset(mat)
-        out = remove_edges(ds, [(2, 1)])
-        expected = mat.copy()
-        expected[1, 2] = expected[2, 1] = 0.0
-        np.testing.assert_array_equal(out.adjacency.toarray(), expected)
-
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**6))
     def test_matches_dense_removal(self, seed):
@@ -362,9 +347,7 @@ class TestRemoveNodes:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(4, 25))
         ds = random_dataset(n=n, seed=seed)
-        weights = np.triu(rng.uniform(0.1, 3.0, size=(n, n)), 1)
-        dense = ds.adjacency.toarray() * (weights + weights.T)
-        adjacency = sp.csr_matrix(dense)
+        adjacency = ds.adjacency
         if layout != "canonical":
             adjacency = stored_differently(adjacency, layout, rng)
         if layout == "duplicates":
@@ -404,6 +387,35 @@ class TestZeroFeatureColumns:
         ds = random_dataset(n=5, f=3, seed=2)
         with pytest.raises(ValueError):
             zero_feature_columns(ds, [3])
+
+
+class TestEditIndices:
+    """Edits take integer indices; a mask or a float is rejected, not cast."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda ds: remove_nodes(ds, np.arange(ds.n_nodes) == 5),
+            lambda ds: remove_nodes(ds, [5.0]),
+            lambda ds: zero_feature_columns(ds, [True, False, True, False]),
+            lambda ds: zero_feature_columns(ds, [2.9]),
+            lambda ds: remove_edges(ds, ds.edge_pairs()[:2].astype(float)),
+            lambda ds: remove_edges(ds, [(True, False)]),
+        ],
+        ids=["node-mask", "node-float", "column-mask", "column-float", "edge-float", "edge-bool"],
+    )
+    def test_non_integer_indices_rejected(self, edit):
+        ds = random_dataset(n=12, f=4, seed=4, avg_degree=3.0)
+        with pytest.raises(ValueError, match="must be integers"):
+            edit(ds)
+
+    def test_unsigned_and_empty_indices(self):
+        ds = random_dataset(n=12, f=4, seed=4, avg_degree=3.0)
+        assert remove_nodes(ds, np.array([], dtype=bool)) is ds
+        assert zero_feature_columns(ds, np.array([], dtype=float)) is ds
+        np.testing.assert_array_equal(
+            remove_nodes(ds, np.array([7, 3, 7], dtype=np.uint8)).features, remove_nodes(ds, [3, 7]).features
+        )
 
 
 class TestDegreeStats:
@@ -453,6 +465,28 @@ class TestDatasetValidation:
     def test_non_binary_sensitive_rejected(self):
         with pytest.raises(ValueError, match="binary"):
             tiny_dataset(sp.csr_matrix((2, 2)), sensitive=[0, 2])
+
+    def test_coo_adjacency_becomes_canonical_csr(self):
+        ds = random_dataset(n=20, seed=5)
+        coo = replace(ds, adjacency=ds.adjacency.tocoo())
+        assert coo.adjacency.format == "csr" and coo.adjacency.has_canonical_format
+        assert (coo.adjacency != ds.adjacency).nnz == 0
+        np.testing.assert_array_equal(select_edges(coo, 5).chosen, select_edges(ds, 5).chosen)
+
+    def test_dense_adjacency_rejected(self):
+        ds = random_dataset(n=10, seed=5)
+        with pytest.raises(ValueError, match="sparse"):
+            replace(ds, adjacency=ds.adjacency.toarray())
+
+    def test_integer_masks_rejected(self):
+        ds = random_dataset(n=40, seed=5)
+        with pytest.raises(ValueError, match="train_mask must be boolean"):
+            replace(ds, train_mask=ds.train_mask.astype(np.int64))
+
+    def test_one_dimensional_features_rejected(self):
+        ds = random_dataset(n=10, f=1, seed=5)
+        with pytest.raises(ValueError, match="2-D"):
+            replace(ds, features=ds.features[:, 0])
 
     def test_immutability_contract(self):
         ds = random_dataset(n=8, seed=1)
@@ -505,11 +539,13 @@ class TestDatasetValidation:
             np.testing.assert_array_equal(array, copied)
 
 
-# Adjacencies the full check rejects: asymmetric, a stored self-loop, non-positive weights.
+# Adjacencies the full check rejects, each with its error message: asymmetric,
+# a stored self-loop, a negative entry and a weighted one.
 BAD_ADJACENCIES = {
-    "symmetric": sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])),
-    "diagonal": sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])),
-    "positive": sp.csr_matrix(np.array([[0.0, -1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])),
+    "symmetric": (sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])), "symmetric"),
+    "diagonal": (sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])), "diagonal"),
+    "positive": (sp.csr_matrix(np.array([[0.0, -1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])), "unweighted"),
+    "weighted": (sp.csr_matrix(np.array([[0.0, 2.0, 0.0], [2.0, 0.0, 1.0], [0.0, 1.0, 0.0]])), "unweighted"),
 }
 
 
@@ -577,16 +613,18 @@ class TestIncrementalValidation:
 
     @pytest.mark.parametrize("problem", sorted(BAD_ADJACENCIES))
     def test_constructor_rejects(self, problem):
-        with pytest.raises(ValueError, match=problem):
-            tiny_dataset(BAD_ADJACENCIES[problem])
+        adjacency, message = BAD_ADJACENCIES[problem]
+        with pytest.raises(ValueError, match=message):
+            tiny_dataset(adjacency)
 
     @pytest.mark.parametrize("problem", sorted(BAD_ADJACENCIES))
     def test_synthetic_generators_reject(self, problem):
-        with mock.patch.object(synthetic, "random_adjacency", return_value=BAD_ADJACENCIES[problem]):
-            with pytest.raises(ValueError, match=problem):
+        adjacency, message = BAD_ADJACENCIES[problem]
+        with mock.patch.object(synthetic, "random_adjacency", return_value=adjacency):
+            with pytest.raises(ValueError, match=message):
                 synthetic.feature_unlearning_instance(n=3, f=2, seed=0)
-        with mock.patch.object(synthetic, "sbm_adjacency", return_value=BAD_ADJACENCIES[problem]):
-            with pytest.raises(ValueError, match=problem):
+        with mock.patch.object(synthetic, "sbm_adjacency", return_value=adjacency):
+            with pytest.raises(ValueError, match=message):
                 synthetic.homophilous_dataset(n=3, f=2, seed=0, fractions=(0.4, 0.2, 0.4))
 
     @pytest.mark.parametrize("problem", sorted(BAD_ADJACENCIES))
@@ -599,8 +637,9 @@ class TestIncrementalValidation:
             sensitive_column="sens",
             label_column="label",
         )
-        with mock.patch.object(data, "_read_edge_list", return_value=BAD_ADJACENCIES[problem]):
-            with pytest.raises(ValueError, match=problem):
+        adjacency, message = BAD_ADJACENCIES[problem]
+        with mock.patch.object(data, "_read_edge_list", return_value=adjacency):
+            with pytest.raises(ValueError, match=message):
                 load_dataset(manifest)
 
     def test_rejected_edits_leave_the_input_unchanged(self):

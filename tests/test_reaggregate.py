@@ -13,7 +13,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -180,7 +179,7 @@ class TestReaggregate:
         carried_aggregation(ds, hops, GPR)
         with spying_on("_hop") as hop:
             reaggregate(ds, edited, hops, GPR)
-        seen = [call.args[3] if len(call.args) == 4 else None for call in hop.call_args_list]
+        seen = [call.args[2] if len(call.args) == 3 else None for call in hop.call_args_list]
         assert len(seen) == len(expected)
         for rows, want in zip(seen, expected):
             if want is None:
@@ -309,14 +308,13 @@ def assert_same_bytes(actual, expected):
 
 def assert_carries_its_own_hops(ds, hops, scheme):
     assert carries(ds, hops, scheme)
-    _, _, agg, blocks, inverse_degree, *_ = ds._hop_state
+    _, _, agg, blocks, *_ = ds._hop_state
+    assert len(ds._hop_state) == 7
     assert agg.scheme == scheme
     assert_close(agg.values, full_values(ds, hops, scheme))
     assert len(blocks) == hops + 1
     for block, expected in zip(blocks, dense_blocks(ds, hops)):
         assert_close(block, expected)
-    assert_same_bytes(inverse_degree, build_propagation(ds, hops).inverse_degree)
-    assert not inverse_degree.flags.writeable
 
 
 def one_call(model, ds, request, hops, scheme):
@@ -364,52 +362,41 @@ class TestCarriedAggregation:
         assert_carries_its_own_hops(edited, 2, SGC)
 
 
-def weighted(ds, rng):
-    """``ds`` with symmetric positive edge weights drawn from [0.1, 3)."""
-    upper = sp.triu(ds.adjacency, format="csr")
-    upper.data = rng.uniform(0.1, 3.0, size=upper.nnz)
-    return replace(ds, adjacency=(upper + upper.T).tocsr())
-
-
 def spying_on(name):
     return mock.patch.object(graph, name, wraps=getattr(graph, name))
 
 
-class TestCarriedOperator:
-    """Every hop reads the inverse degrees `before` carries, with only the degree-changed entries recomputed."""
+class TestOperatorFromTheSeed:
+    """Every hop reads its degrees off the edited graph's CSR: only the seed graph's operator is built."""
 
     @settings(max_examples=80, deadline=None)
     @given(
         seed=st.integers(0, 10**6),
         scheme=st.sampled_from([SGC, GPR]),
         hops=st.integers(0, 3),
-        is_weighted=st.booleans(),
         kinds=st.lists(st.sampled_from(EDITS + ("bulk",)), min_size=1, max_size=8),
     )
-    def test_carried_operator_is_the_rebuilt_one(self, seed, scheme, hops, is_weighted, kinds):
+    def test_edit_chain_matches_full_recompute(self, seed, scheme, hops, kinds):
         rng = np.random.default_rng(seed)
         current = random_dataset(n=int(rng.integers(10, 150)), f=3, seed=seed, avg_degree=float(rng.uniform(1, 6)))
-        if is_weighted:
-            current = weighted(current, rng)
         carried_aggregation(current, hops, scheme)
-        assert_same_bytes(current._hop_state[4], build_propagation(current, hops).inverse_degree)
         for kind in kinds:
             edited = random_edit(current, kind, rng)
             if edited is None:
                 continue
-            _, agg, _ = reaggregate(current, edited, hops, scheme)
-            assert_close(agg.values, full_values(edited, hops, scheme))
-            assert_same_bytes(edited._hop_state[4], build_propagation(edited, hops).inverse_degree)
+            with spying_on("build_propagation") as built:
+                _, agg, _ = reaggregate(current, edited, hops, scheme)
+            assert built.call_count == 0
+            assert_same_bytes(agg.values, full_values(edited, hops, scheme))
             current = edited
 
     def test_bulk_batches_build_the_operator_once(self):
         """Ten re-scored batches of about 2% of the edges: every batch has a full
-        hop, only the seed graph's operator is built, and each batch recomputes
-        the inverse degrees of its degree-changed rows alone."""
+        hop, and only the seed graph's operator is built."""
         ds = random_dataset(n=300, f=3, seed=9, avg_degree=6.0)
         batch = ds.n_edges // 50
         graphs, aggs = [ds], []
-        with spying_on("build_propagation") as built, spying_on("_inverse_degree") as recomputed:
+        with spying_on("build_propagation") as built:
             carried_aggregation(ds, 3, SGC)
             for _ in range(10):
                 current = graphs[-1]
@@ -419,44 +406,30 @@ class TestCarriedOperator:
                 graphs.append(edited)
                 aggs.append(agg)
         assert built.call_count == 1 and built.call_args.args[0] is ds
-        assert recomputed.call_count == 11
-        for before, after, agg, call in zip(graphs, graphs[1:], aggs, recomputed.call_args_list[1:]):
+        for after, agg in zip(graphs[1:], aggs):
             assert_close(agg.values, full_values(after, 3, SGC))
-            removed = np.setdiff1d(graph._edge_keys(before), graph._edge_keys(after))
-            assert call.args[0].shape[0] == np.unique(np.divmod(removed, ds.n_nodes)).size
         assert_carries_its_own_hops(graphs[-1], 3, SGC)
 
     @pytest.mark.parametrize("scheme", [SGC, GPR])
-    def test_feature_removal_reuses_the_operator(self, scheme):
+    def test_feature_removal_builds_no_operator(self, scheme):
         ds = random_dataset(n=60, f=3, seed=10)
         model = trained_model(ds, 2, scheme, 10)
         carried_aggregation(ds, 2, scheme)
-        inverse_degree = ds._hop_state[4]
-        with spying_on("build_propagation") as built, spying_on("_inverse_degree") as recomputed:
+        with spying_on("build_propagation") as built:
             (result,), _, edited = sequential_unlearn(model, ds, [FeatureRemoval((1,))], BUDGET, scheme, 2)
-        assert built.call_count == recomputed.call_count == 0
-        assert edited._hop_state[4] is inverse_degree
+        assert built.call_count == 0
         assert_carries_its_own_hops(edited, 2, scheme)
         assert_same_result(result, reference_step(model, ds, FeatureRemoval((1,)), 2, scheme))
 
     @pytest.mark.parametrize("scheme", [SGC, GPR])
-    def test_single_edge_request_rewrites_its_two_entries(self, scheme):
-        """A single-edge request builds no operator: it copies the inverse
-        degrees and rewrites only the entries of the edge's two ends."""
+    def test_single_edge_request_builds_no_operator(self, scheme):
         ds = random_dataset(n=400, f=3, seed=11, avg_degree=2.0)
         model = trained_model(ds, 2, scheme, 11)
         carried_aggregation(ds, 2, scheme)
-        before = ds._hop_state[4]
-        kept = before.copy()
         edge = tuple(int(v) for v in ds.edge_pairs()[0])
-        with spying_on("build_propagation") as built, spying_on("_inverse_degree") as recomputed:
+        with spying_on("build_propagation") as built:
             (result,), _, edited = sequential_unlearn(model, ds, [EdgeRemoval((edge,))], BUDGET, scheme, 2)
-        after = edited._hop_state[4]
-        assert built.call_count == 0 and recomputed.call_count == 1
-        assert recomputed.call_args.args[0].shape[0] == 2
-        assert after is not before
-        assert_same_bytes(before, kept)
-        np.testing.assert_array_equal(np.flatnonzero(after != before), sorted(edge))
+        assert built.call_count == 0
         assert_carries_its_own_hops(edited, 2, scheme)
         assert_same_result(result, reference_step(model, ds, EdgeRemoval((edge,)), 2, scheme))
 
@@ -558,9 +531,8 @@ class TestCarriedHops:
         ds = random_dataset(n=40, f=3, seed=3)
         model = trained_model(ds, 2, scheme, 3)
         _, _, current = sequential_unlearn(model, ds, [EdgeRemoval((tuple(ds.edge_pairs()[0]),))], BUDGET, scheme, 2)
-        _, _, agg, blocks, inverse_degree, *_ = current._hop_state
-        assert inverse_degree is not None
-        snapshot = [agg.values.copy(), inverse_degree.copy()] + [b.copy() for b in blocks]
+        _, _, agg, blocks, *_ = current._hop_state
+        snapshot = [agg.values.copy()] + [b.copy() for b in blocks]
         adjacency = [a.copy() for a in (current.adjacency.data, current.adjacency.indices, current.adjacency.indptr)]
         n = current.n_nodes
         missing = next((i, j) for i in range(n) for j in range(i + 1, n) if current.adjacency[i, j] == 0)
@@ -576,8 +548,8 @@ class TestCarriedHops:
             with pytest.raises(error):
                 request.apply(current)
             carried = current._hop_state
-            assert carried[2] is agg and carried[3] is blocks and carried[4] is inverse_degree
-            for array, before in zip([agg.values, inverse_degree, *blocks], snapshot):
+            assert carried[2] is agg and carried[3] is blocks
+            for array, before in zip([agg.values, *blocks], snapshot):
                 np.testing.assert_array_equal(array, before)
             for array, before in zip((current.adjacency.data, current.adjacency.indices, current.adjacency.indptr), adjacency):
                 np.testing.assert_array_equal(array, before)

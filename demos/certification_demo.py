@@ -16,7 +16,6 @@ from fairwipe import (
     EdgeRemoval,
     TrainConfig,
     aggregate,
-    build_propagation,
     calibrate_noise,
     select_edges,
     sequential_unlearn,
@@ -36,7 +35,7 @@ print("tighter epsilon or delta -> more noise hidden in the objective")
 print("\n=== sequential edge unlearning, ten 1% batches ===")
 dataset = homophilous_dataset(n=250, f=6, seed=5)
 
-agg = aggregate(dataset, build_propagation(dataset, HOPS), "sgc")
+agg = aggregate(dataset, HOPS, "sgc")
 model = train(dataset, agg, TrainConfig(lam=0.05, seed=5), noise_std=0.0)
 batch = max(1, dataset.n_edges // 50)
 

@@ -16,7 +16,6 @@ from fairwipe import (
     FeatureRemoval,
     TrainConfig,
     aggregate,
-    build_propagation,
     calibrate_noise,
     fairness_metrics,
     newton_unlearn,
@@ -36,8 +35,7 @@ K = 2
 
 print("=== setup ===")
 dataset = homophilous_dataset(n=400, f=8, seed=7, bias_strength=0.5, label_tilt=0.25)
-prop = build_propagation(dataset, HOPS)
-agg = aggregate(dataset, prop, "sgc")
+agg = aggregate(dataset, HOPS, "sgc")
 m = int(dataset.train_mask.sum())
 print(f"nodes={dataset.n_nodes}  features={dataset.n_features}  edges={dataset.n_edges}  train={m}")
 
@@ -63,7 +61,7 @@ print("\n=== unlearn the top correlated features ===")
 selection = select_features(dataset.features, dataset.sensitive, K)
 print(f"selected columns (by |correlation|): {[int(c) for c in selection.chosen]}")
 edited = FeatureRemoval(selection.chosen).apply(dataset)
-agg_new = aggregate(edited, build_propagation(edited, HOPS), "sgc")
+agg_new = aggregate(edited, HOPS, "sgc")
 result = newton_unlearn(model, agg, agg_new, dataset.labels, dataset.train_mask)
 print(f"gradient residual after the update: {result.residual_norm:.3e} (bound {bound:.3e})")
 print(f"certified: {result.residual_norm <= bound}")

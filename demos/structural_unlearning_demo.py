@@ -20,7 +20,6 @@ from fairwipe import (
     TrainConfig,
     aggregate,
     alpha_diagnostics,
-    build_propagation,
     degree_stats,
     fairness_metrics,
     newton_unlearn,
@@ -47,8 +46,7 @@ print(f"boundary nodes: |S0x|={stats.boundary_sizes[0]} of {stats.group_sizes[0]
       f"|S1x|={stats.boundary_sizes[1]} of {stats.group_sizes[1]}")
 print(f"alpha1={alpha1:.3f}  alpha2={alpha2:.3f}  (both bound the correlation norm)")
 
-prop = build_propagation(dataset, HOPS)
-agg = aggregate(dataset, prop, "sgc")
+agg = aggregate(dataset, HOPS, "sgc")
 model = train(dataset, agg, TrainConfig(lam=LAM, seed=SEED), noise_std=0.0)
 preds, _ = predict(model, agg)
 base_dsp, _ = fairness_metrics(preds, dataset.labels, dataset.sensitive, dataset.test_mask)
@@ -59,7 +57,7 @@ print(f"\npre-trained: accuracy={base_acc:.3f}  delta_sp={base_dsp:.3f}")
 def unlearn_edges(kind):
     k = max(1, int(round(0.10 * dataset.n_edges)))
     edited = EdgeRemoval(select_edges(dataset, k, kind=kind, seed=SEED).chosen).apply(dataset)
-    agg_new = aggregate(edited, build_propagation(edited, HOPS), "sgc")
+    agg_new = aggregate(edited, HOPS, "sgc")
     result = newton_unlearn(model, agg, agg_new, dataset.labels, dataset.train_mask)
     p, _ = predict(replace(model, weights=result.updated_weights), agg_new)
     dsp, _ = fairness_metrics(p, edited.labels, edited.sensitive, edited.test_mask)
@@ -78,7 +76,7 @@ print("\n=== node unlearning (top-scored training nodes) ===")
 selection = select_nodes(dataset, k=10, scope="train")
 print(f"top node scores: {np.round(selection.scores[np.argsort(-selection.scores)[:5]], 3)}")
 edited = NodeRemoval(selection.chosen).apply(dataset)
-agg_new = aggregate(edited, build_propagation(edited, HOPS), "sgc")
+agg_new = aggregate(edited, HOPS, "sgc")
 result = newton_unlearn(
     model, agg, agg_new, edited.labels, dataset.train_mask, edited.train_mask
 )

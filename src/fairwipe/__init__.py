@@ -25,9 +25,7 @@ from .graph import (
     AggregatedFeatures,
     DegreeStats,
     GraphDataset,
-    PropagationOperator,
     aggregate,
-    build_propagation,
     carried_aggregation,
     degree_stats,
     reaggregate,

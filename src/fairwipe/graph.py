@@ -10,8 +10,8 @@ aggregation :func:`reaggregate` returns therefore stays valid only until its
 :func:`carried_aggregation` returns is never written.
 Graphs are unweighted, so a hop applies ``P = D⁻¹(A + I)`` as
 ``D⁻¹(A @ B + B)`` with ``D`` read off the CSR row lengths: no matrix or degree
-vector is built. :func:`aggregate` and :func:`build_propagation` never read
-what a graph carries.
+vector is built. :func:`aggregate` reads the graph's own adjacency and
+features, never what it carries.
 Edge keys, degree statistics and edge scores are memoised on the graph.
 :func:`remove_edges` carries the keys and scores over to its result, updated
 for the edit, and the result counts its degrees once, on first use;
@@ -20,6 +20,7 @@ for the edit, and the result counts its degrees once, on first use;
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -164,18 +165,6 @@ class GraphDataset:
 
 
 @dataclass(frozen=True)
-class PropagationOperator:
-    """``P = D⁻¹(A + I)`` as the graph's own adjacency, whose row lengths are the degrees; the hop count."""
-
-    adjacency: sp.csr_matrix
-    hops: int
-
-    def __post_init__(self):
-        if self.hops < 0:
-            raise ValueError("hops must be >= 0")
-
-
-@dataclass(frozen=True)
 class AggregatedFeatures:
     """Multi-hop aggregated node representations.
 
@@ -268,9 +257,9 @@ def _symmetric_adjacency(lo: np.ndarray, hi: np.ndarray, n: int) -> sp.csr_matri
     return sp.csr_matrix((np.ones(2 * len(lo)), (np.r_[lo, hi], np.r_[hi, lo])), shape=(n, n))
 
 
-def build_propagation(dataset: GraphDataset, hops: int) -> PropagationOperator:
-    """The row-stochastic operator ``D⁻¹(A + I)`` of the graph, held as its adjacency."""
-    return PropagationOperator(dataset.adjacency, hops)
+def build_propagation(dataset: GraphDataset, hops: int) -> int:
+    """``hops`` as given: the hop count :func:`aggregate` takes, for callers of the old two-step form."""
+    return hops
 
 
 def _hop(adjacency: sp.csr_matrix, block: np.ndarray, rows=None) -> np.ndarray:
@@ -283,40 +272,39 @@ def _hop(adjacency: sp.csr_matrix, block: np.ndarray, rows=None) -> np.ndarray:
     return out
 
 
-def _aggregate(
-    dataset: GraphDataset, prop: PropagationOperator, scheme: str
-) -> tuple[AggregatedFeatures, list[np.ndarray]]:
+def _aggregate(dataset: GraphDataset, hops: int, scheme: str) -> tuple[AggregatedFeatures, list[np.ndarray]]:
     """The aggregation and the hop blocks ``X, PX, ..., P^L X`` it combines.
 
     SGC keeps the last hop block; GPR concatenates all of them scaled by 1/(L+1).
     """
-    if prop.adjacency.shape[1] != dataset.n_nodes:
-        raise ValueError(f"propagation covers {prop.adjacency.shape[1]} nodes but features have {dataset.n_nodes} rows")
+    hops = operator.index(hops)
+    if hops < 0:
+        raise ValueError("hops must be >= 0")
     if scheme not in (SGC, GPR):
         raise ValueError(f"unknown aggregation scheme: {scheme!r}")
     blocks = [dataset.features]
-    for _ in range(prop.hops):
-        blocks.append(_hop(prop.adjacency, blocks[-1]))
+    for _ in range(hops):
+        blocks.append(_hop(dataset.adjacency, blocks[-1]))
     if scheme == SGC:
         values = blocks[-1]
     else:
         values = np.hstack(blocks, dtype=np.float64)
-        values /= prop.hops + 1
+        values /= hops + 1
     return AggregatedFeatures(values=values, scheme=scheme), blocks
 
 
-def aggregate(dataset: GraphDataset, prop: PropagationOperator, scheme: str = SGC) -> AggregatedFeatures:
-    """Propagate features over ``prop.hops`` hops.
+def aggregate(dataset: GraphDataset, hops: int, scheme: str = SGC) -> AggregatedFeatures:
+    """Propagate the graph's features over ``hops`` hops of its own ``D⁻¹(A + I)``.
 
     ``sgc`` returns the L-fold propagated features; ``gpr`` returns the
     1/(L+1)-scaled horizontal concatenation of all hop powers from 0 to L.
     """
-    return _aggregate(dataset, prop, scheme)[0]
+    return _aggregate(dataset, hops, scheme)[0]
 
 
 def _full_hop_state(dataset: GraphDataset, hops: int, scheme: str) -> tuple:
     """The hop state of ``dataset`` aggregated in full, with no spare and nothing to recycle."""
-    return (hops, scheme, *_aggregate(dataset, build_propagation(dataset, hops), scheme), None, None, False)
+    return (hops, scheme, *_aggregate(dataset, hops, scheme), None, None, False)
 
 
 def carried_aggregation(dataset: GraphDataset, hops: int, scheme: str) -> AggregatedFeatures:
@@ -363,9 +351,9 @@ def reaggregate(
     - i changed at hop k-1, or is a neighbour in ``after`` of such a row;
 
     with the changed feature rows as hop 0's set. Each hop reads the degrees
-    off ``after``'s CSR row lengths. Once a hop's set covers more than half
-    the graph, the hop is the full product; either way a row is the same bit
-    for bit.
+    off ``after``'s CSR row lengths. Once a hop's set, hop 0's included,
+    covers more than half the graph, the hop is the full product; either way
+    a row is the same bit for bit.
 
     ``after``'s aggregation (for SGC, its last block when that hop is
     partial) is written into the spare buffer ``before`` carries: the
@@ -378,7 +366,7 @@ def reaggregate(
     valid until ``after`` is passed to this function again.
 
     Returns ``before``'s aggregation, ``after``'s, which equals
-    ``aggregate(after, build_propagation(after, hops), scheme)``, and the rows
+    ``aggregate(after, hops, scheme)``, and the rows
     recomputed at any hop. The row sets grow from hop to hop, so these are the
     last hop's rows; every other row of ``after``'s aggregation equals
     ``before``'s bit for bit. None means some hop was the full product.
@@ -401,6 +389,8 @@ def reaggregate(
     # Rows already in the set had their neighbours added, so only the rows
     # that joined it last are expanded.
     rows = joined = np.flatnonzero(changed)
+    if 2 * rows.size > n:
+        rows = None
     row_sets = [rows]
     for k in range(1, hops + 1):
         if rows is not None:
@@ -441,12 +431,10 @@ def reaggregate(
 
 def _delete_entries(adj: sp.csr_matrix, doomed: np.ndarray) -> sp.csr_matrix:
     """Canonical ``adj`` without the stored entries at the sorted, unique positions ``doomed``."""
-    rows = np.searchsorted(adj.indptr, doomed, side="right") - 1
-    indptr = adj.indptr.copy()
-    indptr[1:] -= np.cumsum(np.bincount(rows, minlength=adj.shape[0])).astype(indptr.dtype)
-    out = sp.csr_matrix(
-        (np.delete(adj.data, doomed), np.delete(adj.indices, doomed), indptr), shape=adj.shape
-    )
+    indptr = adj.indptr - np.searchsorted(doomed, adj.indptr).astype(adj.indptr.dtype)
+    indices = np.delete(adj.indices, doomed)
+    # Every stored value is 1, so the kept values are ones.
+    out = sp.csr_matrix((np.ones(indices.size, dtype=adj.data.dtype), indices, indptr), shape=adj.shape)
     out.has_canonical_format = True
     return out
 

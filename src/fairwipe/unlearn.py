@@ -140,10 +140,11 @@ def newton_unlearn(
     the rows where ``aggregated_new`` may differ from ``aggregated``, every
     other row being equal bit for bit, as ``graph.reaggregate`` recomputes
     them; the correction is then summed over those rows and the rows whose
-    mask changed. Without ``changed_rows``, or once those rows cover more
-    than half the graph, both gradients are full passes. The post-edit
-    training rows are copied out once; the sigmoid at the current weights on
-    them serves the Hessian and, on the full path, the gradient.
+    mask changed. Without ``changed_rows`` (``graph.reaggregate`` returns
+    None once its rows cover more than half the graph), both gradients are
+    full passes. The post-edit training rows are copied out once; the sigmoid
+    at the current weights on them serves the Hessian and, on the full path,
+    the gradient.
     """
     if aggregated.width != aggregated_new.width:
         raise ValueError("pre/post aggregation widths differ")
@@ -161,16 +162,12 @@ def newton_unlearn(
         raise ValueError("post-removal training set is empty")
 
     sig_new = expit(z_new @ w)
-    rows = None
-    if changed_rows is not None:
-        rows = graph._sorted_unique(np.concatenate([changed_rows, np.flatnonzero(train_mask != mask_new)]))
-        if 2 * rows.size > y.size:
-            rows = None
-    if rows is None:
+    if changed_rows is None:
         z_old = aggregated.values
         delta = z_old.T @ np.where(train_mask, expit(z_old @ w) - y, 0.0)
         delta -= z_new.T @ (sig_new - y_new)
     else:
+        rows = graph._sorted_unique(np.concatenate([changed_rows, np.flatnonzero(train_mask != mask_new)]))
 
         def row_terms(values, mask):
             z = values[rows]
@@ -287,6 +284,5 @@ def retrain_oracle(
     Reusing the exact perturbation vector makes the weight difference between
     the Newton update and this oracle measure only the update approximation.
     """
-    prop = graph.build_propagation(dataset, hops)
-    agg = graph.aggregate(dataset, prop, scheme)
+    agg = graph.aggregate(dataset, hops, scheme)
     return train(dataset, agg, config, perturbation=fixed_perturbation)

@@ -28,7 +28,6 @@ from fairwipe.graph import (
     DegreeStats,
     GraphDataset,
     aggregate,
-    build_propagation,
 )
 from fairwipe.model import (
     LOGISTIC,
@@ -64,12 +63,12 @@ HOPS = 2
 def _unlearn_and_retrain(ds, scheme, k, seed):
     """Train without noise, zero the top-k correlated features, Newton-update,
     and retrain with the same (zero) perturbation."""
-    agg = aggregate(ds, build_propagation(ds, HOPS), scheme)
+    agg = aggregate(ds, HOPS, scheme)
     cfg = TrainConfig(lam=LAM, seed=seed)
     model = train(ds, agg, cfg, noise_std=0.0)
     chosen = select_features(ds.features, ds.sensitive, k).chosen
     edited = FeatureRemoval(tuple(int(c) for c in chosen)).apply(ds)
-    agg_new = aggregate(edited, build_propagation(edited, HOPS), scheme)
+    agg_new = aggregate(edited, HOPS, scheme)
     result = newton_unlearn(model, agg, agg_new, ds.labels, ds.train_mask)
     oracle = retrain_oracle(edited, cfg, model.perturbation, scheme, HOPS)
     return result, oracle, int(ds.train_mask.sum())
@@ -107,12 +106,12 @@ def test_c2_worstcase_bound_satisfaction():
         for trial in range(500):
             ds = feature_unlearning_instance(n=200, f=10, seed=trial)
             k = (1, 2, 5)[trial % 3]
-            agg = aggregate(ds, build_propagation(ds, HOPS), scheme)
+            agg = aggregate(ds, HOPS, scheme)
             cfg = TrainConfig(lam=LAM, seed=trial)
             model = train(ds, agg, cfg, noise_std=0.0)
             chosen = select_features(ds.features, ds.sensitive, k).chosen
             edited = FeatureRemoval(tuple(int(c) for c in chosen)).apply(ds)
-            agg_new = aggregate(edited, build_propagation(edited, HOPS), scheme)
+            agg_new = aggregate(edited, HOPS, scheme)
             result = newton_unlearn(model, agg, agg_new, ds.labels, ds.train_mask)
             m = int(ds.train_mask.sum())
             if result.residual_norm > worstcase_bound_feature(10, k, m, lam=LAM):
@@ -176,7 +175,7 @@ def test_c4_raw_sp_bound():
     worst = 0.0
     for seed in range(1000):
         ds = _tabular_instance(seed)
-        agg = aggregate(ds, build_propagation(ds, 0), "sgc")
+        agg = aggregate(ds, 0, "sgc")
         model = train(ds, agg, TrainConfig(lam=LAM, seed=seed), noise_std=0.0)
         raw, bound = raw_sp_and_bound(ds.features, model.weights, ds.sensitive, LAM)
         assert raw <= bound, (seed, raw, bound)
@@ -232,7 +231,7 @@ def _edge_ablation_delta_sp(ds, model, agg, kind, seed):
     k = max(1, int(round(0.10 * ds.n_edges)))
     sel = select_edges(ds, k, kind=kind, seed=seed)
     edited = EdgeRemoval(tuple((int(i), int(j)) for i, j in sel.chosen)).apply(ds)
-    agg_new = aggregate(edited, build_propagation(edited, HOPS), "sgc")
+    agg_new = aggregate(edited, HOPS, "sgc")
     result = newton_unlearn(model, agg, agg_new, ds.labels, ds.train_mask)
     preds, _ = predict(replace(model, weights=result.updated_weights), agg_new)
     return fairness_metrics(preds, edited.labels, edited.sensitive, edited.test_mask)[0]
@@ -281,7 +280,7 @@ def test_c6_structural_scores_and_ablation_order():
         ds = homophilous_dataset(
             n=100, f=8, seed=seed, p_in=0.2, p_out=0.05, bias_strength=0.5, label_tilt=0.3
         )
-        agg = aggregate(ds, build_propagation(ds, HOPS), "sgc")
+        agg = aggregate(ds, HOPS, "sgc")
         model = train(ds, agg, TrainConfig(lam=LAM, seed=seed), noise_std=0.0)
         rows.append(
             {
@@ -351,14 +350,13 @@ def test_c8_runtime_advantage():
     """
     lam = 1e-4
     ds = feature_unlearning_instance(n=30_000, f=13, seed=0, avg_degree=10.0)
-    prop = build_propagation(ds, 3)
-    agg = aggregate(ds, prop, "gpr")
+    agg = aggregate(ds, 3, "gpr")
     cfg = TrainConfig(lam=lam, seed=0, max_iterations=2000)
     model = train(ds, agg, cfg, noise_std=0.0)
     edited = FeatureRemoval(
         tuple(int(c) for c in select_features(ds.features, ds.sensitive, 2).chosen)
     ).apply(ds)
-    agg_new = aggregate(edited, build_propagation(edited, 3), "gpr")
+    agg_new = aggregate(edited, 3, "gpr")
 
     def measure_round():
         # Minimum over repeats per side: scheduler noise only ever inflates.
@@ -391,7 +389,7 @@ def test_c9_certification_accounting():
     residuals and the certified flag flips exactly when the sum crosses the
     budget."""
     ds = feature_unlearning_instance(n=150, f=6, seed=3, avg_degree=8.0)
-    agg = aggregate(ds, build_propagation(ds, HOPS), "sgc")
+    agg = aggregate(ds, HOPS, "sgc")
     model = train(ds, agg, TrainConfig(lam=LAM, seed=3), noise_std=0.0)
     batch = max(1, ds.n_edges // 100)
 

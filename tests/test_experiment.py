@@ -15,7 +15,7 @@ from fairwipe.experiment import (
     parse_config,
     run_experiment,
 )
-from fairwipe.graph import aggregate, build_propagation
+from fairwipe.graph import aggregate
 from fairwipe.synthetic import homophilous_dataset
 from fairwipe.unlearn import newton_unlearn, sequential_unlearn
 
@@ -239,13 +239,13 @@ class TestRunExperiment:
 def long_hand_unlearn(model, dataset, requests, budget, scheme, hops):
     """Each request applied, its graph aggregated in full and one Newton step
     taken, with no hop blocks carried between requests."""
-    agg = aggregate(dataset, build_propagation(dataset, hops), scheme)
+    agg = aggregate(dataset, hops, scheme)
     results, current = [], dataset
     for request in requests:
         if callable(request):
             request = request(current)
         edited = request.apply(current)
-        agg_new = aggregate(edited, build_propagation(edited, hops), scheme)
+        agg_new = aggregate(edited, hops, scheme)
         result = newton_unlearn(
             model, agg, agg_new, edited.labels, current.train_mask, edited.train_mask
         )

@@ -25,7 +25,6 @@ from fairwipe.fairness import (
 from fairwipe.graph import (
     DegreeStats,
     aggregate,
-    build_propagation,
     degree_stats,
     remove_edges,
     remove_nodes,
@@ -109,8 +108,7 @@ class TestPearson:
         rng = np.random.default_rng(3)
         for seed in range(10):
             ds = random_dataset(n=25, f=4, seed=seed)
-            prop = build_propagation(ds, 2)
-            z = aggregate(ds, prop, "sgc").values
+            z = aggregate(ds, 2, "sgc").values
             a = rng.normal(size=4)
             mixed = z @ a
             ours = pearson_correlations(mixed.reshape(-1, 1), ds.sensitive)[0]

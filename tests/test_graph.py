@@ -1,4 +1,6 @@
+import re
 from dataclasses import fields, replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,7 +16,6 @@ from fairwipe.graph import (
     DegreeStats,
     GraphDataset,
     aggregate,
-    build_propagation,
     degree_stats,
     remove_edges,
     remove_nodes,
@@ -59,7 +60,7 @@ def dense_propagation(adjacency):
 def applied_propagation(ds):
     """The propagation matrix as `aggregate` applies it: one SGC hop of identity features."""
     eye = replace(ds, features=np.eye(ds.n_nodes))
-    return aggregate(eye, build_propagation(eye, 1), "sgc").values
+    return aggregate(eye, 1, "sgc").values
 
 
 class TestPropagation:
@@ -74,7 +75,7 @@ class TestPropagation:
             ds = tiny_dataset(sp.csr_matrix((n, n)))
             np.testing.assert_array_equal(applied_propagation(ds), np.eye(n))
             eye = replace(ds, features=np.eye(n))
-            np.testing.assert_array_equal(aggregate(eye, build_propagation(eye, 2), "sgc").values, np.eye(n))
+            np.testing.assert_array_equal(aggregate(eye, 2, "sgc").values, np.eye(n))
 
     def test_triangle_rows_are_thirds(self):
         ds = tiny_dataset(adjacency_from_edges(3, [(0, 1), (1, 2), (0, 2)]))
@@ -91,31 +92,19 @@ class TestPropagation:
             assert p.diagonal().min() > 0
             assert p.min() >= 0
 
-    def test_operator_is_the_adjacency_and_hop_count(self):
-        """No matrix or degree vector is built: the operator holds the graph's own adjacency and the hop count."""
-        ds = tiny_dataset(adjacency_from_edges(4, [(0, 1), (1, 2), (0, 3)]))
-        prop = build_propagation(ds, hops=3)
-        assert prop.adjacency is ds.adjacency and prop.hops == 3
-        assert [f.name for f in fields(prop)] == ["adjacency", "hops"]
-
-    def test_negative_hops_rejected(self):
-        ds = tiny_dataset(sp.csr_matrix((2, 2)))
-        with pytest.raises(ValueError):
-            build_propagation(ds, hops=-1)
-
 
 class TestAggregate:
     def test_edgeless_sgc_returns_features(self):
         x = np.random.default_rng(0).normal(size=(5, 3))
         ds = tiny_dataset(sp.csr_matrix((5, 5)), features=x)
         for hops in (0, 1, 4):
-            agg = aggregate(ds, build_propagation(ds, hops), "sgc")
+            agg = aggregate(ds, hops, "sgc")
             np.testing.assert_allclose(agg.values, x)
 
     def test_gpr_zero_hops_returns_features(self):
         x = np.random.default_rng(1).normal(size=(4, 2))
         ds = tiny_dataset(adjacency_from_edges(4, [(0, 1), (2, 3)]), features=x)
-        agg = aggregate(ds, build_propagation(ds, 0), "gpr")
+        agg = aggregate(ds, 0, "gpr")
         np.testing.assert_allclose(agg.values, x)
         assert agg.width == 2
 
@@ -123,7 +112,7 @@ class TestAggregate:
         # 3-node path with identity features: row i of Z is row i of the
         # normalized adjacency, i.e. the average over the closed neighborhood.
         ds = tiny_dataset(adjacency_from_edges(3, [(0, 1), (1, 2)]), features=np.eye(3))
-        agg = aggregate(ds, build_propagation(ds, 1), "sgc")
+        agg = aggregate(ds, 1, "sgc")
         expected = np.array([
             [1 / 2, 1 / 2, 0.0],
             [1 / 3, 1 / 3, 1 / 3],
@@ -133,7 +122,7 @@ class TestAggregate:
 
     def test_gpr_width_and_norm(self):
         ds = random_dataset(n=20, f=3, seed=5)
-        agg = aggregate(ds, build_propagation(ds, 2), "gpr")
+        agg = aggregate(ds, 2, "gpr")
         assert agg.width == 9
         assert agg.scheme == "gpr"
 
@@ -148,10 +137,10 @@ class TestAggregate:
                 random_adjacency(n, float(rng.uniform(0, 5)), rng),
                 features=rng.normal(size=(n, f)),
             )
-            prop = build_propagation(ds, int(rng.integers(0, 4)))
+            hops = int(rng.integers(0, 4))
             x_max = np.linalg.norm(ds.features, axis=1).max()
             for scheme in ("sgc", "gpr"):
-                z = aggregate(ds, prop, scheme).values
+                z = aggregate(ds, hops, scheme).values
                 worst = max(worst, np.linalg.norm(z, axis=1).max() - x_max)
         assert worst <= 1e-12
 
@@ -170,24 +159,55 @@ class TestAggregate:
         d1 = tiny_dataset(adj, features=x1)
         d2 = tiny_dataset(adj, features=x2)
         mixed = tiny_dataset(adj, features=a * x1 + b * x2)
-        prop = build_propagation(d1, 2)
         for scheme in ("sgc", "gpr"):
-            za = aggregate(d1, prop, scheme).values
-            zb = aggregate(d2, prop, scheme).values
-            zm = aggregate(mixed, prop, scheme).values
+            za = aggregate(d1, 2, scheme).values
+            zb = aggregate(d2, 2, scheme).values
+            zm = aggregate(mixed, 2, scheme).values
             np.testing.assert_allclose(zm, a * za + b * zb, atol=1e-10)
 
-    def test_dimension_mismatch_rejected(self):
-        ds = tiny_dataset(sp.csr_matrix((4, 4)))
-        other = tiny_dataset(sp.csr_matrix((5, 5)))
-        prop = build_propagation(other, 1)
-        with pytest.raises(ValueError):
-            aggregate(ds, prop, "sgc")
+    def test_negative_hops_rejected(self):
+        ds = tiny_dataset(sp.csr_matrix((2, 2)))
+        with pytest.raises(ValueError, match="hops must be >= 0"):
+            aggregate(ds, -1)
+
+    @pytest.mark.parametrize("hops", [2.0, "2", (sp.csr_matrix((2, 2)), 2)])
+    def test_non_integer_hops_rejected(self, hops):
+        """A float, a string or an (adjacency, hops) pair is not a hop count."""
+        ds = tiny_dataset(sp.csr_matrix((2, 2)))
+        with pytest.raises(TypeError):
+            aggregate(ds, hops)
+
+    @pytest.mark.parametrize("scheme", ["sgc", "gpr"])
+    def test_build_propagation_passes_hops_through(self, scheme):
+        """The two-step form, ``build_propagation`` then ``aggregate``, is the one-step form byte
+        for byte, whichever graph the hop count was taken from: a hop always reads the
+        aggregated graph's own adjacency."""
+        ds = synthetic.feature_unlearning_instance(n=200, f=5, seed=1)
+        edited = remove_edges(ds, ds.edge_pairs()[::10][:10])
+        for hops in (0, 2):
+            for target in (ds, edited):
+                one_step = aggregate(target, hops, scheme).values
+                assert aggregate(target, graph.build_propagation(ds, hops), scheme).values.tobytes() == one_step.tobytes()
+        assert not np.array_equal(aggregate(edited, 2, scheme).values, aggregate(ds, 2, scheme).values)
+
+    def test_only_the_pass_through_test_calls_build_propagation(self):
+        """``build_propagation`` survives only for two-step callers outside the package, demos
+        and tests: in them, the pass-through test above is the one call left."""
+        root = Path(__file__).resolve().parents[1]
+        call = re.compile(r"(?<!def )\bbuild_propagation\(")
+        found = [
+            str(path.relative_to(root))
+            for folder in ("src", "demos", "tests")
+            for path in sorted((root / folder).rglob("*.py"))
+            for line in path.read_text().splitlines()
+            if call.search(line)
+        ]
+        assert found == ["tests/test_graph.py"]
 
     def test_unknown_scheme_rejected(self):
         ds = tiny_dataset(sp.csr_matrix((2, 2)))
         with pytest.raises(ValueError):
-            aggregate(ds, build_propagation(ds, 1), "gcn")
+            aggregate(ds, 1, "gcn")
 
 
 class TestRemoveEdges:

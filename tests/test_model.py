@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from fairwipe import model as model_module
-from fairwipe.graph import GraphDataset, aggregate, build_propagation
+from fairwipe.graph import GraphDataset, aggregate
 from fairwipe.model import (
     LOGISTIC,
     ConvergenceError,
@@ -121,14 +121,14 @@ class TestHessian:
 class TestTrain:
     def test_huge_regularization_shrinks_weights(self):
         ds = random_dataset(n=40, f=3, seed=7)
-        agg = aggregate(ds, build_propagation(ds, 1), "sgc")
+        agg = aggregate(ds, 1, "sgc")
         model = train(ds, agg, TrainConfig(lam=1e6, seed=0), noise_std=0.0)
         assert np.linalg.norm(model.weights) <= LOGISTIC.c / 1e6
 
     def test_weight_norm_bound_without_noise(self):
         for seed in range(10):
             ds = random_dataset(n=35, f=4, seed=seed)
-            agg = aggregate(ds, build_propagation(ds, 2), "sgc")
+            agg = aggregate(ds, 2, "sgc")
             lam = 0.5 + seed
             model = train(ds, agg, TrainConfig(lam=lam, seed=seed), noise_std=0.0)
             assert np.linalg.norm(model.weights) <= LOGISTIC.c / lam + 1e-9
@@ -150,14 +150,14 @@ class TestTrain:
             val_mask=masks[1],
             test_mask=masks[2],
         )
-        agg = aggregate(ds, build_propagation(ds, 0), "sgc")
+        agg = aggregate(ds, 0, "sgc")
         model = train(ds, agg, TrainConfig(lam=0.01, seed=0), noise_std=0.0)
         preds, _ = predict(model, agg)
         assert (preds[ds.train_mask] == ds.labels[ds.train_mask]).all()
 
     def test_same_seed_is_bitwise_identical(self):
         ds = feature_unlearning_instance(n=80, f=5, seed=11)
-        agg = aggregate(ds, build_propagation(ds, 2), "sgc")
+        agg = aggregate(ds, 2, "sgc")
         cfg = TrainConfig(lam=10.0, seed=42)
         m1 = train(ds, agg, cfg, noise_std=0.02)
         m2 = train(ds, agg, cfg, noise_std=0.02)
@@ -166,14 +166,14 @@ class TestTrain:
 
     def test_different_seed_changes_perturbation(self):
         ds = feature_unlearning_instance(n=80, f=5, seed=11)
-        agg = aggregate(ds, build_propagation(ds, 2), "sgc")
+        agg = aggregate(ds, 2, "sgc")
         m1 = train(ds, agg, TrainConfig(lam=10.0, seed=1), noise_std=0.02)
         m2 = train(ds, agg, TrainConfig(lam=10.0, seed=2), noise_std=0.02)
         assert not (m1.perturbation == m2.perturbation).all()
 
     def test_optimality_residual_below_tolerance(self):
         ds = feature_unlearning_instance(n=120, f=8, seed=5)
-        agg = aggregate(ds, build_propagation(ds, 2), "sgc")
+        agg = aggregate(ds, 2, "sgc")
         cfg = TrainConfig(lam=10.0, tolerance=1e-8, seed=9)
         model = train(ds, agg, cfg, noise_std=0.01)
         z_tr = agg.values[ds.train_mask]
@@ -184,7 +184,7 @@ class TestTrain:
 
     def test_unreachable_tolerance_stops_at_the_first_exhausted_search(self, monkeypatch):
         ds = random_dataset(n=200, f=5, seed=1)
-        agg = aggregate(ds, build_propagation(ds, 2), "sgc")
+        agg = aggregate(ds, 2, "sgc")
         calls = []
         kernel, minimize = model_module._objective, model_module.minimize
 
@@ -225,7 +225,7 @@ class TestTrain:
         for name in ("_check_inputs", "loss_and_gradient", "hessian"):
             monkeypatch.setattr(model_module, name, checked)
         ds = feature_unlearning_instance(n=120, f=6, seed=2)
-        agg = aggregate(ds, build_propagation(ds, 2), "gpr")
+        agg = aggregate(ds, 2, "gpr")
         config = TrainConfig(lam=1.0, seed=3)
         trained = train(ds, agg, config, noise_std=0.05)
         budget = CertificationBudget(epsilon=1.0, delta=1e-4)
@@ -243,7 +243,7 @@ class TestTrain:
             val_mask=ds.val_mask,
             test_mask=ds.test_mask,
         )
-        agg = aggregate(empty, build_propagation(empty, 1), "sgc")
+        agg = aggregate(empty, 1, "sgc")
         with pytest.raises(ValueError, match="empty"):
             train(empty, agg, TrainConfig(lam=1.0), noise_std=0.0)
 
@@ -257,7 +257,7 @@ class TestTrain:
 class TestPredict:
     def test_zero_weights_all_label_zero(self):
         ds = random_dataset(n=10, f=3, seed=4)
-        agg = aggregate(ds, build_propagation(ds, 1), "sgc")
+        agg = aggregate(ds, 1, "sgc")
         model = train(ds, agg, TrainConfig(lam=1e9, seed=0), noise_std=0.0)
         fake = type(model)(
             weights=np.zeros(3), lam=1.0, perturbation=np.zeros(3), optimizer_residual=0.0
@@ -285,7 +285,7 @@ class TestPredict:
             val_mask=masks[1],
             test_mask=masks[2],
         )
-        agg = aggregate(ds, build_propagation(ds, 0), "sgc")
+        agg = aggregate(ds, 0, "sgc")
         model = train(ds, agg, TrainConfig(lam=0.05, seed=0), noise_std=0.0)
         preds, _ = predict(model, agg)
         acc = (preds[ds.test_mask] == ds.labels[ds.test_mask]).mean()
@@ -293,7 +293,7 @@ class TestPredict:
 
     def test_isolated_nodes_do_not_shift_scores(self):
         ds = random_dataset(n=12, f=3, seed=6)
-        agg = aggregate(ds, build_propagation(ds, 2), "sgc")
+        agg = aggregate(ds, 2, "sgc")
         model = train(ds, agg, TrainConfig(lam=5.0, seed=1), noise_std=0.0)
         _, scores = predict(model, agg)
 
@@ -307,13 +307,13 @@ class TestPredict:
             val_mask=np.r_[ds.val_mask, False, False],
             test_mask=np.r_[ds.test_mask, False, False],
         )
-        grown_agg = aggregate(grown, build_propagation(grown, 2), "sgc")
+        grown_agg = aggregate(grown, 2, "sgc")
         _, grown_scores = predict(model, grown_agg)
         np.testing.assert_allclose(grown_scores[: ds.n_nodes], scores)
 
     def test_width_mismatch_rejected(self):
         ds = random_dataset(n=10, f=3, seed=4)
-        agg = aggregate(ds, build_propagation(ds, 1), "gpr")
-        model = train(ds, aggregate(ds, build_propagation(ds, 1), "sgc"), TrainConfig(lam=1.0), 0.0)
+        agg = aggregate(ds, 1, "gpr")
+        model = train(ds, aggregate(ds, 1, "sgc"), TrainConfig(lam=1.0), 0.0)
         with pytest.raises(ValueError, match="width"):
             predict(model, agg)

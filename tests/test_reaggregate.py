@@ -2,7 +2,7 @@
 
 `reaggregate` moves the hop blocks a graph carries over to an edited copy
 and recomputes only the rows the edit can reach; every result here is checked
-against `aggregate(edited, build_propagation(edited, L), scheme)`.
+against `aggregate(edited, L, scheme)`.
 """
 
 import copy
@@ -22,7 +22,6 @@ from fairwipe.graph import (
     GPR,
     SGC,
     aggregate,
-    build_propagation,
     carried_aggregation,
     reaggregate,
     remove_edges,
@@ -46,7 +45,7 @@ EDITS = ("edge", "edges", "node", "feature", "rows")
 
 
 def full_values(ds, hops, scheme):
-    return aggregate(ds, build_propagation(ds, hops), scheme).values
+    return aggregate(ds, hops, scheme).values
 
 
 def dense_blocks(ds, hops):
@@ -198,15 +197,19 @@ class TestSequentialUnlearnChain:
     def test_matches_full_recompute_per_request(self, seed, scheme, hops):
         rng = np.random.default_rng(seed)
         ds = random_dataset(n=80, f=4, seed=seed, avg_degree=3.0)
-        agg = aggregate(ds, build_propagation(ds, hops), scheme)
+        agg = aggregate(ds, hops, scheme)
         model = train(ds, agg, TrainConfig(lam=1.0, seed=seed), noise_std=0.05)
 
         def top_pair(current):
             return EdgeRemoval((tuple(int(v) for v in current.edge_pairs()[0]),))
 
-        pairs = ds.edge_pairs()
-        take = rng.choice(len(pairs), size=6, replace=False)
         train_nodes = np.flatnonzero(ds.train_mask)
+        # The fixed edges avoid the removed node's edges and the two lowest-keyed
+        # edges away from it, which are all `top_pair` can pick: every request
+        # then names edges that are still present.
+        pairs = ds.edge_pairs()
+        pairs = pairs[(pairs != train_nodes[0]).all(axis=1)][2:]
+        take = rng.choice(len(pairs), size=6, replace=False)
         requests = [
             EdgeRemoval((tuple(int(v) for v in pairs[take[0]]),)),
             top_pair,
@@ -220,12 +223,12 @@ class TestSequentialUnlearnChain:
         results, final_budget, edited = sequential_unlearn(model, ds, requests, budget, scheme, hops)
 
         current, step_model = ds, model
-        agg = aggregate(current, build_propagation(current, hops), scheme)
+        agg = aggregate(current, hops, scheme)
         for request, result in zip(requests, results):
             if callable(request):
                 request = request(current)
             nxt = request.apply(current)
-            agg_new = aggregate(nxt, build_propagation(nxt, hops), scheme)
+            agg_new = aggregate(nxt, hops, scheme)
             expected = newton_unlearn(step_model, agg, agg_new, nxt.labels, current.train_mask, nxt.train_mask)
             assert_close(result.updated_weights, expected.updated_weights)
             assert_close(result.delta_vector, expected.delta_vector)
@@ -278,7 +281,7 @@ def random_request(ds, kind, rng):
 
 
 def trained_model(ds, hops, scheme, seed):
-    return train(ds, aggregate(ds, build_propagation(ds, hops), scheme), TrainConfig(lam=1.0, seed=seed), noise_std=0.05)
+    return train(ds, aggregate(ds, hops, scheme), TrainConfig(lam=1.0, seed=seed), noise_std=0.05)
 
 
 def reference_step(model, current, request, hops, scheme):
@@ -287,8 +290,8 @@ def reference_step(model, current, request, hops, scheme):
     if callable(request):
         request = request(current)
     nxt = request.apply(current)
-    agg = aggregate(current, build_propagation(current, hops), scheme)
-    agg_new = aggregate(nxt, build_propagation(nxt, hops), scheme)
+    agg = aggregate(current, hops, scheme)
+    agg_new = aggregate(nxt, hops, scheme)
     return newton_unlearn(model, agg, agg_new, nxt.labels, current.train_mask, nxt.train_mask)
 
 
@@ -367,7 +370,7 @@ def spying_on(name):
 
 
 class TestOperatorFromTheSeed:
-    """Every hop reads its degrees off the edited graph's CSR: only the seed graph's operator is built."""
+    """Every hop reads its degrees off the edited graph's CSR: only the seed graph is aggregated in full."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -384,19 +387,19 @@ class TestOperatorFromTheSeed:
             edited = random_edit(current, kind, rng)
             if edited is None:
                 continue
-            with spying_on("build_propagation") as built:
+            with counting_full_passes() as full:
                 _, agg, _ = reaggregate(current, edited, hops, scheme)
-            assert built.call_count == 0
+            assert full.call_count == 0
             assert_same_bytes(agg.values, full_values(edited, hops, scheme))
             current = edited
 
     def test_bulk_batches_build_the_operator_once(self):
         """Ten re-scored batches of about 2% of the edges: every batch has a full
-        hop, and only the seed graph's operator is built."""
+        hop, and only the seed graph is aggregated in full."""
         ds = random_dataset(n=300, f=3, seed=9, avg_degree=6.0)
         batch = ds.n_edges // 50
         graphs, aggs = [ds], []
-        with spying_on("build_propagation") as built:
+        with counting_full_passes() as full:
             carried_aggregation(ds, 3, SGC)
             for _ in range(10):
                 current = graphs[-1]
@@ -405,7 +408,7 @@ class TestOperatorFromTheSeed:
                 assert rows is None
                 graphs.append(edited)
                 aggs.append(agg)
-        assert built.call_count == 1 and built.call_args.args[0] is ds
+        assert full.call_count == 1 and full.call_args.args[0] is ds
         for after, agg in zip(graphs[1:], aggs):
             assert_close(agg.values, full_values(after, 3, SGC))
         assert_carries_its_own_hops(graphs[-1], 3, SGC)
@@ -415,9 +418,9 @@ class TestOperatorFromTheSeed:
         ds = random_dataset(n=60, f=3, seed=10)
         model = trained_model(ds, 2, scheme, 10)
         carried_aggregation(ds, 2, scheme)
-        with spying_on("build_propagation") as built:
+        with counting_full_passes() as full:
             (result,), _, edited = sequential_unlearn(model, ds, [FeatureRemoval((1,))], BUDGET, scheme, 2)
-        assert built.call_count == 0
+        assert full.call_count == 0
         assert_carries_its_own_hops(edited, 2, scheme)
         assert_same_result(result, reference_step(model, ds, FeatureRemoval((1,)), 2, scheme))
 
@@ -427,9 +430,9 @@ class TestOperatorFromTheSeed:
         model = trained_model(ds, 2, scheme, 11)
         carried_aggregation(ds, 2, scheme)
         edge = tuple(int(v) for v in ds.edge_pairs()[0])
-        with spying_on("build_propagation") as built:
+        with counting_full_passes() as full:
             (result,), _, edited = sequential_unlearn(model, ds, [EdgeRemoval((edge,))], BUDGET, scheme, 2)
-        assert built.call_count == 0
+        assert full.call_count == 0
         assert_carries_its_own_hops(edited, 2, scheme)
         assert_same_result(result, reference_step(model, ds, EdgeRemoval((edge,)), 2, scheme))
 
@@ -562,15 +565,14 @@ class TestCarriedHops:
 def reachable_rows(before, after, hops):
     """The rows ``reaggregate`` recomputes, from the dense adjacency: the changed
     feature rows, grown per hop by the rows whose degree changed and the
-    neighbours in ``after``; None once a hop's set covers more than half the graph."""
+    neighbours in ``after``; None once a hop's set, hop 0's included, covers more
+    than half the graph. The sets only grow, so that is the last one."""
     a_new = after.adjacency.toarray() != 0
     degree_changed = (before.adjacency.toarray() != 0).sum(axis=1) != a_new.sum(axis=1)
     changed = (after.features != before.features).any(axis=1)
     for _ in range(hops):
         changed = changed | degree_changed | a_new[changed].any(axis=0)
-        if 2 * changed.sum() > before.n_nodes:
-            return None
-    return np.flatnonzero(changed)
+    return None if 2 * changed.sum() > before.n_nodes else np.flatnonzero(changed)
 
 
 class TestEditSizedNewton:
@@ -598,9 +600,7 @@ class TestEditSizedNewton:
             # The two aggregations stay apart: each is its own graph's.
             assert_close(agg.values, full_values(current, hops, scheme))
             assert_close(agg_new.values, full_values(edited, hops, scheme))
-            want = reachable_rows(current, edited, hops) if hops else np.flatnonzero(
-                (edited.features != current.features).any(axis=1)
-            )
+            want = reachable_rows(current, edited, hops)
             if want is None:
                 assert rows is None
             else:
@@ -609,6 +609,23 @@ class TestEditSizedNewton:
                 assert not differs[np.setdiff1d(np.arange(current.n_nodes), rows)].any()
             model = replace(model, weights=result.updated_weights)
             current = edited
+
+    @pytest.mark.parametrize("scheme", [SGC, GPR])
+    def test_feature_removal_without_hops_takes_the_full_path(self, scheme):
+        """With no hop, a zeroed column changes most rows of the aggregation itself:
+        past half the graph, the Newton step gets no rows and sums in full."""
+        ds = random_dataset(n=60, f=3, seed=4)
+        model = trained_model(ds, 0, scheme, 4)
+        with mock.patch.object(unlearn, "newton_unlearn", wraps=unlearn.newton_unlearn) as spy:
+            (result,), _, edited = sequential_unlearn(model, ds, [FeatureRemoval((0,))], BUDGET, scheme, 0)
+        assert 2 * (edited.features != ds.features).any(axis=1).sum() > ds.n_nodes
+        assert spy.call_args.kwargs["changed_rows"] is None
+        full = reference_step(model, ds, FeatureRemoval((0,)), 0, scheme)
+        for got, want in zip(
+            (result.updated_weights, result.delta_vector, result.residual_norm),
+            (full.updated_weights, full.delta_vector, full.residual_norm),
+        ):
+            assert_same_bytes(np.asarray(got), np.asarray(want))
 
 
 class TestRecycledValues:
@@ -683,11 +700,9 @@ def test_retrain_oracle_builds_its_own_aggregation(scheme):
     model = trained_model(ds, 2, scheme, 5)
     _, _, edited = sequential_unlearn(model, ds, [EdgeRemoval((tuple(ds.edge_pairs()[0]),))], BUDGET, scheme, 2)
     assert carries(edited, 2, scheme)
-    with mock.patch.object(graph, "aggregate", wraps=graph.aggregate) as agg, mock.patch.object(
-        graph, "build_propagation", wraps=graph.build_propagation
-    ) as prop:
+    with mock.patch.object(graph, "aggregate", wraps=graph.aggregate) as agg, counting_full_passes() as full:
         oracle = retrain_oracle(edited, config, model.perturbation, scheme, 2)
-    assert agg.call_count == prop.call_count == 1
-    assert agg.call_args.args[0] is edited and prop.call_args.args[0] is edited
+    assert agg.call_count == full.call_count == 1
+    assert agg.call_args.args[0] is edited and full.call_args.args[0] is edited
     fresh = retrain_oracle(replace(edited), config, model.perturbation, scheme, 2)
     np.testing.assert_array_equal(oracle.weights, fresh.weights)

@@ -83,13 +83,18 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"cannot sweep over {args.param!r}")
     parse_value = _CONFIG_PARSERS[args.param]
     field = "lam" if args.param == "lambda" else args.param
+    # The manifest cannot be swept: its files are parsed and validated once.
+    dataset = name = None
+    if config.manifest is not None:
+        manifest = DatasetManifest.from_json(config.manifest)
+        dataset, name = load_dataset(manifest), manifest.name
     for raw in args.values.split(","):
         raw = raw.strip()
         try:
             variant = replace(config, **{field: parse_value(raw)})
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad sweep value {raw!r} for {args.param}: {exc}")
-        rows = run_experiment(variant)
+        rows = run_experiment(variant, dataset, name)
         out = None
         if args.out:
             base = Path(args.out)

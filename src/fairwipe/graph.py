@@ -1,17 +1,23 @@
 """Graph data model, normalized propagation, multi-hop aggregation, and structural edits.
 
 All values are immutable after construction: structural edits (edge/node removal,
-feature zeroing) return new :class:`GraphDataset` instances. :func:`aggregate`
-propagates from scratch; :func:`reaggregate` moves the hop blocks a graph
-carries over to an edited copy and recomputes only the rows the edit can reach,
-writing the edited aggregation into a spare buffer the graph carries. An
-aggregation :func:`reaggregate` returns therefore stays valid only until its
-``after`` graph is passed to :func:`reaggregate` again; the one
-:func:`carried_aggregation` returns is never written.
+feature zeroing) return new :class:`GraphDataset` instances. A graph carries
+the aggregation it was last given for one ``(hops, scheme)``.
+:func:`aggregate` returns it, or propagates from scratch and, on a graph that
+carries nothing, keeps the result without its hop blocks;
+:func:`carried_aggregation` also keeps the hop blocks. :func:`reaggregate`
+moves the hop blocks a graph carries over to an edited copy and recomputes
+only the rows the edit can reach, writing the edited aggregation into a spare
+buffer the graph carries. An aggregation :func:`reaggregate` returns therefore
+stays valid only until its ``after`` graph is passed to :func:`reaggregate`
+again; one that :func:`aggregate` or :func:`carried_aggregation` hands out is
+never written.
 Graphs are unweighted, so a hop applies ``P = D⁻¹(A + I)`` as
 ``D⁻¹(A @ B + B)`` with ``D`` read off the CSR row lengths: no matrix or degree
-vector is built. :func:`aggregate` reads the graph's own adjacency and
-features, never what it carries.
+vector is built. A hop acts on each feature column on its own, so zeroing raw
+column j to +0.0 zeroes column j of every hop block and leaves every other
+entry as it was, bit for bit: :func:`zero_feature_columns` zeroes the columns
+of the aggregation the graph carries instead of propagating again.
 Edge keys, degree statistics and edge scores are memoised on the graph.
 :func:`remove_edges` carries the keys and scores over to its result, updated
 for the edit, and the result counts its degrees once, on first use;
@@ -42,10 +48,11 @@ class GraphDataset:
     Features are 2-D; masks are boolean and select disjoint
     train/validation/test node sets.
 
-    ``_hop_state`` is private: the aggregation and hop blocks this graph
-    carries for one ``(hops, scheme)``, a spare buffer of the aggregation's
-    shape with the rows where it is stale, and whether the aggregation may
-    become the next spare; only this module sets, moves and reads it. ``_memo`` is private too: the read-only edge
+    ``_hop_state`` is private: the aggregation this graph carries for one
+    ``(hops, scheme)`` and its hop blocks (None when only the aggregation is
+    kept), a spare buffer of the aggregation's shape with the rows where it
+    is stale, and whether the aggregation may become the next spare; only
+    this module sets, moves and reads it. ``_memo`` is private too: the read-only edge
     keys and pairs, degree statistics and edge scores computed for this graph
     so far. Neither is an ``__init__`` argument; both are excluded from
     ``repr`` and ``==``, and are dropped by ``dataclasses.replace``, copies
@@ -298,8 +305,20 @@ def aggregate(dataset: GraphDataset, hops: int, scheme: str = SGC) -> Aggregated
 
     ``sgc`` returns the L-fold propagated features; ``gpr`` returns the
     1/(L+1)-scaled horizontal concatenation of all hop powers from 0 to L.
+    The aggregation the graph carries for ``(hops, scheme)`` is returned as
+    it is: it equals the one computed here bit for bit. Otherwise the graph's
+    own adjacency and features are propagated, and a graph that carries
+    nothing then keeps the result, without its hop blocks. An aggregation the
+    graph carries is read-only, unless it is the graph's own feature array
+    (SGC with no hop), and is never written.
     """
-    return _aggregate(dataset, hops, scheme)[0]
+    state = dataset._hop_state
+    if state is not None and state[:2] == (operator.index(hops), scheme):
+        return _lent(dataset, state)
+    aggregated = _aggregate(dataset, hops, scheme)[0]
+    if state is None:
+        return _lent(dataset, (hops, scheme, aggregated, None, None, None, False))
+    return aggregated
 
 
 def _full_hop_state(dataset: GraphDataset, hops: int, scheme: str) -> tuple:
@@ -307,20 +326,37 @@ def _full_hop_state(dataset: GraphDataset, hops: int, scheme: str) -> tuple:
     return (hops, scheme, *_aggregate(dataset, hops, scheme), None, None, False)
 
 
-def carried_aggregation(dataset: GraphDataset, hops: int, scheme: str) -> AggregatedFeatures:
-    """The aggregation ``dataset`` carries for ``(hops, scheme)``.
+def _lent(dataset: GraphDataset, state: tuple) -> AggregatedFeatures:
+    """``state``'s aggregation, made read-only, which ``dataset`` keeps carrying but will never recycle as a spare.
 
-    On first use the graph is aggregated in full and carries the result, with
-    its hop blocks, for :func:`reaggregate`. The result is never written:
-    :func:`reaggregate` does not recycle a buffer handed out here.
+    SGC with no hop lends the graph's own feature array, which is left as it is.
     """
-    state = dataset._hop_state
-    if state is None or state[:2] != (hops, scheme):
-        state = _full_hop_state(dataset, hops, scheme)
-    elif state[6]:
+    if state[2].values is not dataset.features:
+        state[2].values.setflags(write=False)
+    if state[6]:
         state = (*state[:6], False)
     object.__setattr__(dataset, "_hop_state", state)
     return state[2]
+
+
+def carried_aggregation(dataset: GraphDataset, hops: int, scheme: str) -> AggregatedFeatures:
+    """The aggregation ``dataset`` carries for ``(hops, scheme)``, with its hop blocks.
+
+    On first use, or when the graph carries the aggregation without its hop
+    blocks, the graph is aggregated in full and carries the result, with its
+    hop blocks, for :func:`reaggregate`. The result is read-only, as
+    :func:`aggregate`'s, and never written: :func:`reaggregate` does not
+    recycle a buffer handed out here.
+    """
+    state = dataset._hop_state
+    if state is None or state[:2] != (hops, scheme) or state[3] is None:
+        state = _full_hop_state(dataset, hops, scheme)
+    return _lent(dataset, state)
+
+
+def _zero_columns(values: np.ndarray, columns: np.ndarray, n_features: int) -> None:
+    """Zero raw feature ``columns`` in every ``n_features``-wide block of ``values``, in place."""
+    values[:, (np.arange(0, values.shape[1], n_features)[:, None] + columns).ravel()] = 0.0
 
 
 def _refreshed_spare(values: np.ndarray, spare: np.ndarray | None, stale: np.ndarray | None) -> np.ndarray:
@@ -339,12 +375,13 @@ def reaggregate(
 ) -> tuple[AggregatedFeatures, AggregatedFeatures, np.ndarray | None]:
     """Aggregate ``after`` from ``before``'s hop blocks, recomputing only the rows that can change.
 
-    The blocks are the ones ``before`` carries for ``(hops, scheme)``, taken
-    off it; a graph that carries none for them is aggregated in full, and
-    whatever it carries for other settings stays. The blocks are edited in
-    place into ``after``'s, and ``after`` carries them. ``after`` must differ
-    from ``before`` only by removed edges and changed feature rows, as the
-    removal requests produce. Row i of hop k can then change only if
+    Whatever ``before`` carries for ``(hops, scheme)`` is taken off it; when
+    that is not the aggregation with its hop blocks, ``before`` is aggregated
+    in full, and whatever it carries for other settings stays. The blocks are
+    edited in place into ``after``'s, and ``after`` carries them, replacing
+    whatever it carried. ``after`` must differ from ``before`` only by
+    removed edges and changed feature rows, as the removal requests produce.
+    Row i of hop k can then change only if
 
     - i's degree changed: with edges only removed, these are exactly the rows
       whose propagation row changed;
@@ -361,7 +398,7 @@ def reaggregate(
     previous call recomputed (all after a full hop) are refreshed, then this
     edit's rows are written, so an edge request allocates nothing the size of
     the aggregation. ``after`` keeps ``before``'s aggregation as its spare,
-    unless it was computed in full or handed out by
+    unless it was computed in full or handed out by :func:`aggregate` or
     :func:`carried_aggregation`. An aggregation returned here thus stays
     valid until ``after`` is passed to this function again.
 
@@ -374,7 +411,7 @@ def reaggregate(
     state = before._hop_state
     if state is not None and state[:2] == (hops, scheme):
         object.__setattr__(before, "_hop_state", None)
-    else:
+    if state is None or state[:2] != (hops, scheme) or state[3] is None:
         state = _full_hop_state(before, hops, scheme)
     aggregated, blocks, spare, stale, recycle = state[2:]
     n = after.n_nodes
@@ -526,13 +563,27 @@ def remove_nodes(dataset: GraphDataset, nodes) -> GraphDataset:
 
 
 def zero_feature_columns(dataset: GraphDataset, columns) -> GraphDataset:
-    """Zero the listed feature columns for all nodes (graph structure unchanged, memo kept)."""
+    """Zero the listed feature columns for all nodes (graph structure unchanged, memo kept).
+
+    A hop acts on each column on its own, so when ``dataset`` carries an
+    aggregation, the result carries a copy of it with the columns zeroed in
+    every hop block: its aggregation bit for bit, without a propagation. It
+    carries no hop blocks.
+    """
     cols = _sorted_unique(_indices(columns, dataset.n_features, "feature"))
     if cols.size == 0:
         return dataset
     new_x = dataset.features.copy()
     new_x[:, cols] = 0.0
-    return dataset._edited(features=new_x)
+    edited = dataset._edited(features=new_x)
+    state = dataset._hop_state
+    if state is not None:
+        hops, scheme, aggregated = state[:3]
+        values = aggregated.values.copy()
+        _zero_columns(values, cols, dataset.n_features)
+        carried = AggregatedFeatures(values=values, scheme=scheme)
+        object.__setattr__(edited, "_hop_state", (hops, scheme, carried, None, None, None, False))
+    return edited
 
 
 def degree_stats(dataset: GraphDataset) -> DegreeStats:

@@ -234,16 +234,18 @@ def sequential_unlearn(
 
     Every edited aggregation is :func:`graph.reaggregate`, which recomputes
     only the rows the request can change; those rows are passed on to
-    :func:`newton_unlearn` as ``changed_rows``. The hop blocks ride on the
-    graphs and :mod:`graph` alone carries, moves and drops them: feeding each
-    call the graph the previous one returned keeps every request about the
-    size of its edit, and any other input is aggregated in full once. Each
-    edited aggregation is written into a buffer the graph carries, which held
-    the aggregation of the graph it was edited from: an aggregation read off
-    a graph through :func:`graph.carried_aggregation` is never written, but
-    one handed to :func:`newton_unlearn` stays valid only until the graph
-    after its request is passed to a call again. One graph must not be fed
-    to two calls running at the same time in different threads.
+    :func:`newton_unlearn` as ``changed_rows``. The hop blocks ride on
+    the graphs and :mod:`graph` alone carries, moves and drops them: feeding
+    each call the graph the previous one returned keeps every request about
+    the size of its edit, and any other input, or one that carries its
+    aggregation without the blocks (as :func:`graph.aggregate` leaves a
+    graph), is aggregated in full once. Each edited aggregation is written
+    into a buffer the graph carries, which held the aggregation of the graph
+    it was edited from: an aggregation read off a graph through
+    :func:`graph.aggregate` or :func:`graph.carried_aggregation` is never
+    written, but one handed to :func:`newton_unlearn` stays valid only until
+    the graph after its request is passed to a call again. One graph must
+    not be fed to two calls running at the same time in different threads.
 
     Returns ``(results, final_budget, edited_dataset)``; the edited dataset is
     included because lazily built requests cannot be replayed by the caller.
@@ -283,6 +285,8 @@ def retrain_oracle(
 
     Reusing the exact perturbation vector makes the weight difference between
     the Newton update and this oracle measure only the update approximation.
+    The aggregation is propagated from scratch on a state-free copy of
+    ``dataset``, so nothing the graph carries enters the retrained model.
     """
-    agg = graph.aggregate(dataset, hops, scheme)
+    agg = graph.aggregate(dataset._edited(), hops, scheme)
     return train(dataset, agg, config, perturbation=fixed_perturbation)

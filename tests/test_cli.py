@@ -1,10 +1,13 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
-from fairwipe import experiment
+from fairwipe import cli, data, experiment
 from fairwipe.cli import main
 from fairwipe.synthetic import homophilous_dataset
 
@@ -163,6 +166,24 @@ class TestSweep:
         assert (toy_workspace / "sweep.hops-2.csv").exists()
         stdout = capsys.readouterr().out
         assert "hops=1" in stdout and "hops=2" in stdout
+
+    def test_parses_the_dataset_once(self, toy_workspace, monkeypatch):
+        """A three-value sweep loads its files once, and writes for each value
+        the bytes a run of that value alone writes (its clock stopped at 0)."""
+        monkeypatch.setattr(experiment, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+        loads = mock.Mock(wraps=data.load_dataset)
+        monkeypatch.setattr(cli, "load_dataset", loads)
+        monkeypatch.setattr(experiment, "load_dataset", loads)
+        config = toy_workspace / "exp.cfg"
+        out = toy_workspace / "sweep.json"
+        args = ["sweep", "--config", str(config), "--param", "hops", "--values", "1,2,3", "--out", str(out)]
+        assert main([*args, "--format", "json"]) == 0
+        assert loads.call_count == 1
+        for hops in (1, 2, 3):
+            alone = experiment.run_experiment(replace(experiment.parse_config(config), hops=hops))
+            written = (toy_workspace / f"sweep.hops-{hops}.json").read_text()
+            assert written == experiment.emit_results(alone, format="json")
+        assert loads.call_count == 4
 
     def test_unsweepable_param_exits_2(self, toy_workspace):
         code = main(

@@ -186,8 +186,10 @@ class TestAggregate:
         edited = remove_edges(ds, ds.edge_pairs()[::10][:10])
         for hops in (0, 2):
             for target in (ds, edited):
-                one_step = aggregate(target, hops, scheme).values
-                assert aggregate(target, graph.build_propagation(ds, hops), scheme).values.tobytes() == one_step.tobytes()
+                # Each side aggregates a state-free copy, so neither reads what the other left on ``target``.
+                one_step = aggregate(replace(target), hops, scheme).values
+                two_step = aggregate(replace(target), graph.build_propagation(ds, hops), scheme).values
+                assert two_step.tobytes() == one_step.tobytes()
         assert not np.array_equal(aggregate(edited, 2, scheme).values, aggregate(ds, 2, scheme).values)
 
     def test_only_the_pass_through_test_calls_build_propagation(self):

@@ -2,7 +2,8 @@
 
 `reaggregate` moves the hop blocks a graph carries over to an edited copy
 and recomputes only the rows the edit can reach; every result here is checked
-against `aggregate(edited, L, scheme)`.
+against `aggregate(replace(edited), L, scheme)`, propagated from scratch on a
+copy that carries nothing.
 """
 
 import copy
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairwipe import graph, unlearn
+from fairwipe.data import make_splits
 from fairwipe.fairness import select_edges
 from fairwipe.graph import (
     GPR,
@@ -45,7 +47,8 @@ EDITS = ("edge", "edges", "node", "feature", "rows")
 
 
 def full_values(ds, hops, scheme):
-    return aggregate(ds, hops, scheme).values
+    """The aggregation propagated from scratch, on a copy of ``ds`` that carries nothing."""
+    return aggregate(replace(ds), hops, scheme).values
 
 
 def dense_blocks(ds, hops):
@@ -228,7 +231,7 @@ class TestSequentialUnlearnChain:
             if callable(request):
                 request = request(current)
             nxt = request.apply(current)
-            agg_new = aggregate(nxt, hops, scheme)
+            agg_new = aggregate(replace(nxt), hops, scheme)
             expected = newton_unlearn(step_model, agg, agg_new, nxt.labels, current.train_mask, nxt.train_mask)
             assert_close(result.updated_weights, expected.updated_weights)
             assert_close(result.delta_vector, expected.delta_vector)
@@ -302,7 +305,8 @@ def assert_same_result(actual, expected):
 
 
 def carries(ds, hops, scheme):
-    return ds._hop_state is not None and ds._hop_state[:2] == (hops, scheme)
+    """Whether ``ds`` carries hop blocks for these settings."""
+    return ds._hop_state is not None and ds._hop_state[:2] == (hops, scheme) and ds._hop_state[3] is not None
 
 
 def assert_same_bytes(actual, expected):
@@ -350,6 +354,43 @@ class TestCarriedAggregation:
             assert carried_aggregation(edited, 2, scheme) is new
         assert full.call_count == 0
         assert_carries_its_own_hops(edited, 2, scheme)
+
+    @pytest.mark.parametrize("scheme", [SGC, GPR])
+    def test_aggregate_keeps_the_aggregation_without_blocks(self, scheme):
+        """`aggregate` returns what the graph carries, keeps what it computes
+        only on a graph that carries nothing, and never keeps hop blocks."""
+        ds = random_dataset(n=40, f=3, seed=14)
+        with counting_full_passes() as full:
+            agg = aggregate(ds, 2, scheme)
+            assert aggregate(ds, 2, scheme) is agg
+            assert ds._hop_state[2] is agg and not carries(ds, 2, scheme)
+            aggregate(ds, 1, scheme)
+            assert ds._hop_state[2] is agg
+            carried = carried_aggregation(ds, 2, scheme)
+            assert aggregate(ds, 2, scheme) is carried is not agg
+        assert full.call_count == 3
+        assert_same_bytes(carried.values, agg.values)
+        assert_carries_its_own_hops(ds, 2, scheme)
+
+    @pytest.mark.parametrize("scheme", [SGC, GPR])
+    @pytest.mark.parametrize("hops", [0, 2])
+    def test_carried_aggregation_is_read_only(self, scheme, hops):
+        """Writing into an aggregation the graph carries raises, so no caller can
+        change what later `aggregate` calls and feature removals read off it."""
+        ds = random_dataset(n=40, f=3, seed=15)
+        edited = remove_edges(ds, [tuple(ds.edge_pairs()[0])])
+        carried_aggregation(ds, hops, scheme)
+        reaggregate(ds, edited, hops, scheme)
+        for lent in (aggregate(replace(ds), hops, scheme), carried_aggregation(replace(ds), hops, scheme), aggregate(edited, hops, scheme)):
+            if scheme == SGC and hops == 0:
+                # The aggregation is the graph's own feature array, which stays as it was.
+                assert lent.values.flags.writeable
+                continue
+            kept = lent.values.copy()
+            with pytest.raises(ValueError, match="read-only"):
+                lent.values -= lent.values.mean(axis=0)
+            assert_same_bytes(lent.values, kept)
+        assert_same_bytes(aggregate(edited, hops, scheme).values, full_values(edited, hops, scheme))
 
     def test_state_for_other_settings_survives(self):
         ds = random_dataset(n=40, f=3, seed=8)
@@ -478,6 +519,9 @@ class TestCarriedHops:
             expected = reference_step(model, current, request, hops, scheme)
             had_state = carries(current, hops, scheme)
             other_state = current._hop_state
+            if other_state is not None and other_state[:2] == (hops, scheme):
+                # An aggregation kept without its blocks is taken off with the rest.
+                other_state = None
             result, edited, full = one_call(model, current, request, hops, scheme)
             assert full == (not had_state)
             assert_same_result(result, expected)
@@ -575,6 +619,75 @@ def reachable_rows(before, after, hops):
     return None if 2 * changed.sum() > before.n_nodes else np.flatnonzero(changed)
 
 
+class TestZeroedColumns:
+    """After a feature-column removal, the aggregation is the from-scratch one
+    byte for byte: `zero_feature_columns` zeroes the columns of the carried
+    aggregation without a propagation, and `sequential_unlearn` re-runs the
+    hops from the carried blocks."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        scheme=st.sampled_from([SGC, GPR]),
+        hops=st.integers(0, 3),
+        source=st.sampled_from(("aggregate", "carried_aggregation", "stream")),
+        columns=st.lists(st.integers(0, 4), min_size=1, max_size=4),
+        already_zero=st.lists(st.integers(0, 4), max_size=2),
+        through_stream=st.booleans(),
+    )
+    def test_matches_scratch_byte_for_byte(self, seed, scheme, hops, source, columns, already_zero, through_stream):
+        rng = np.random.default_rng(seed)
+        ds = random_dataset(n=int(rng.integers(10, 100)), f=5, seed=seed, avg_degree=float(rng.uniform(0.5, 5)))
+        if already_zero:
+            x = ds.features.copy()
+            x[:, already_zero] = 0.0
+            ds = replace(ds, features=x)
+            columns = columns + already_zero
+        model = trained_model(replace(ds), hops, scheme, seed)
+        if source == "aggregate":
+            aggregate(ds, hops, scheme)
+        elif source == "carried_aggregation":
+            carried_aggregation(ds, hops, scheme)
+        else:
+            requests = [random_request(ds, kind, rng) for kind in ("edge", "edges")]
+            results, _, ds = sequential_unlearn(model, ds, requests, BUDGET, scheme, hops)
+            model = replace(model, weights=results[-1].updated_weights)
+        request = FeatureRemoval(tuple(columns))
+        if through_stream:
+            with counting_full_passes() as full:
+                _, _, edited = sequential_unlearn(model, ds, [request], BUDGET, scheme, hops)
+            assert full.call_count == (source == "aggregate")
+            scratch = graph._aggregate(replace(edited), hops, scheme)[1]
+            for block, want in zip(edited._hop_state[3], scratch):
+                assert_same_bytes(block, want)
+        else:
+            with counting_full_passes() as full:
+                edited = zero_feature_columns(ds, columns)
+            assert full.call_count == 0
+            assert edited._hop_state[:2] == (hops, scheme) and edited._hop_state[3] is None
+        with counting_full_passes() as full:
+            values = aggregate(edited, hops, scheme).values
+        assert full.call_count == 0
+        assert_same_bytes(values, full_values(edited, hops, scheme))
+
+    @pytest.mark.parametrize("source", [aggregate, carried_aggregation])
+    def test_edits_and_copies_drop_the_carried_aggregation(self, source):
+        ds = random_dataset(n=40, f=3, seed=13)
+        source(ds, 2, GPR)
+        others = [
+            make_splits(ds, (0.6, 0.2, 0.2), 1),
+            remove_edges(ds, [tuple(ds.edge_pairs()[0])]),
+            remove_nodes(ds, [0]),
+            replace(ds),
+            copy.copy(ds),
+            copy.deepcopy(ds),
+            pickle.loads(pickle.dumps(ds)),
+        ]
+        for other in others:
+            assert other._hop_state is None
+        assert ds._hop_state[:2] == (2, GPR)
+
+
 class TestEditSizedNewton:
     """`sequential_unlearn` hands `newton_unlearn` the rows `reaggregate` recomputed."""
 
@@ -638,12 +751,14 @@ class TestRecycledValues:
         hops=st.integers(1, 3),
         kinds=st.lists(st.sampled_from(("edge", "bulk", "node", "feature", "rows")), min_size=3, max_size=7),
         lend=st.integers(0, 10),
+        peeks=st.lists(st.booleans(), min_size=7, max_size=7),
     )
-    def test_every_held_aggregation_keeps_its_bytes(self, seed, scheme, hops, kinds, lend):
+    def test_every_held_aggregation_keeps_its_bytes(self, seed, scheme, hops, kinds, lend, peeks):
         """Each ``newton_unlearn`` call sees the full recomputes of the graphs
         before and after its edit, and a stream of one-request calls never
         writes into the aggregation `carried_aggregation` handed out on one of
-        its graphs, nor into the first call's pre-edit aggregation."""
+        its graphs, into any `aggregate` hands out between the calls, nor into
+        the first call's pre-edit aggregation."""
         rng = np.random.default_rng(seed)
         current = random_dataset(n=int(rng.integers(20, 100)), f=3, seed=seed, avg_degree=float(rng.uniform(1, 5)))
         model = trained_model(current, hops, scheme, seed)
@@ -661,6 +776,8 @@ class TestRecycledValues:
             if i == lend:
                 lent = carried_aggregation(current, hops, scheme).values
                 held.append((lent, full_values(current, hops, scheme)))
+            if peeks[i]:
+                held.append((aggregate(current, hops, scheme).values, full_values(current, hops, scheme)))
             request = random_request(current, kind, rng)
             expected = full_values(current, hops, scheme), full_values(request.apply(current), hops, scheme)
             with mock.patch.object(unlearn, "newton_unlearn", side_effect=checked):
@@ -694,15 +811,19 @@ class TestRecycledValues:
 
 @pytest.mark.parametrize("scheme", [SGC, GPR])
 def test_retrain_oracle_builds_its_own_aggregation(scheme):
-    """Retraining stays from scratch on a graph that carries hop blocks."""
+    """Retraining stays from scratch on a graph that carries hop blocks, or a wrong aggregation."""
     ds = random_dataset(n=60, f=3, seed=5)
     config = TrainConfig(lam=1.0, seed=5)
     model = trained_model(ds, 2, scheme, 5)
     _, _, edited = sequential_unlearn(model, ds, [EdgeRemoval((tuple(ds.edge_pairs()[0]),))], BUDGET, scheme, 2)
     assert carries(edited, 2, scheme)
-    with mock.patch.object(graph, "aggregate", wraps=graph.aggregate) as agg, counting_full_passes() as full:
+    with counting_full_passes() as full:
         oracle = retrain_oracle(edited, config, model.perturbation, scheme, 2)
-    assert agg.call_count == full.call_count == 1
-    assert agg.call_args.args[0] is edited and full.call_args.args[0] is edited
+    assert full.call_count == 1
     fresh = retrain_oracle(replace(edited), config, model.perturbation, scheme, 2)
-    np.testing.assert_array_equal(oracle.weights, fresh.weights)
+    assert_same_bytes(oracle.weights, fresh.weights)
+    # A wrong aggregation planted on the graph is what `aggregate` reads, but not the oracle.
+    wrong = graph.AggregatedFeatures(values=np.ones_like(full_values(edited, 2, scheme)), scheme=scheme)
+    object.__setattr__(edited, "_hop_state", (2, scheme, wrong, None, None, None, False))
+    assert aggregate(edited, 2, scheme) is wrong
+    assert_same_bytes(retrain_oracle(edited, config, model.perturbation, scheme, 2).weights, fresh.weights)

@@ -2,16 +2,16 @@
 
 All values are immutable after construction: structural edits (edge/node removal,
 feature zeroing) return new :class:`GraphDataset` instances. A graph carries
-the aggregation it was last given for one ``(hops, scheme)``.
-:func:`aggregate` returns it, or propagates from scratch and, on a graph that
-carries nothing, keeps the result without its hop blocks;
-:func:`carried_aggregation` also keeps the hop blocks. :func:`reaggregate`
-moves the hop blocks a graph carries over to an edited copy and recomputes
-only the rows the edit can reach, writing the edited aggregation into a spare
-buffer the graph carries. An aggregation :func:`reaggregate` returns therefore
-stays valid only until its ``after`` graph is passed to :func:`reaggregate`
-again; one that :func:`aggregate` or :func:`carried_aggregation` hands out is
-never written.
+one aggregation, for one ``(hops, scheme)``: :func:`aggregate` returns it, or
+propagates from scratch and keeps the result, without hop blocks, in place of
+what the graph carried; :func:`carried_aggregation` also keeps the hop
+blocks. :func:`reaggregate` moves the hop blocks a graph carries over to an
+edited copy and recomputes only the rows the edit can reach, writing the
+edited aggregation into a spare buffer the graph carries. An aggregation
+:func:`reaggregate` returns therefore stays valid only until its ``after``
+graph is passed to :func:`reaggregate` again; one that :func:`aggregate` or
+:func:`carried_aggregation` hands out is read-only, and a read-only array is
+never recycled as a spare or written.
 Graphs are unweighted, so a hop applies ``P = D⁻¹(A + I)`` as
 ``D⁻¹(A @ B + B)`` with ``D`` read off the CSR row lengths: no matrix or degree
 vector is built. A hop acts on each feature column on its own, so zeroing raw
@@ -50,16 +50,15 @@ class GraphDataset:
 
     ``_hop_state`` is private: the aggregation this graph carries for one
     ``(hops, scheme)`` and its hop blocks (None when only the aggregation is
-    kept), a spare buffer of the aggregation's shape with the rows where it
-    is stale, and whether the aggregation may become the next spare; only
-    this module sets, moves and reads it. ``_memo`` is private too: the read-only edge
-    keys and pairs, degree statistics and edge scores computed for this graph
-    so far. Neither is an ``__init__`` argument; both are excluded from
-    ``repr`` and ``==``, and are dropped by ``dataclasses.replace``, copies
-    and pickles, so no two graphs share them. The memo depends only on the
-    adjacency and the sensitive column: edits and splits that keep both copy
-    it to their result, and :func:`remove_edges` carries its edge keys and
-    scores.
+    kept), and a spare buffer of the aggregation's shape with the rows where
+    it is stale; only this module sets, moves and reads it. ``_memo`` is
+    private too: the read-only edge keys and pairs, degree statistics and
+    edge scores computed for this graph so far. Neither is an ``__init__``
+    argument; both are excluded from ``repr`` and ``==``, and are dropped by
+    ``dataclasses.replace``, copies and pickles, so no two graphs share them.
+    The memo depends only on the adjacency and the sensitive column: edits
+    and splits that keep both copy it to their result, and
+    :func:`remove_edges` carries its edge keys and scores.
     """
 
     adjacency: sp.csr_matrix
@@ -180,7 +179,6 @@ class AggregatedFeatures:
     """
 
     values: np.ndarray
-    scheme: str
 
     @property
     def width(self) -> int:
@@ -279,16 +277,24 @@ def _hop(adjacency: sp.csr_matrix, block: np.ndarray, rows=None) -> np.ndarray:
     return out
 
 
-def _aggregate(dataset: GraphDataset, hops: int, scheme: str) -> tuple[AggregatedFeatures, list[np.ndarray]]:
-    """The aggregation and the hop blocks ``X, PX, ..., P^L X`` it combines.
-
-    SGC keeps the last hop block; GPR concatenates all of them scaled by 1/(L+1).
-    """
+def _carried_state(dataset: GraphDataset, hops, scheme: str, with_blocks: bool) -> tuple[int, tuple | None]:
+    """Checked ``hops`` as an int, and ``dataset``'s state if it is for ``(hops, scheme)`` (with blocks if asked)."""
     hops = operator.index(hops)
     if hops < 0:
         raise ValueError("hops must be >= 0")
     if scheme not in (SGC, GPR):
         raise ValueError(f"unknown aggregation scheme: {scheme!r}")
+    state = dataset._hop_state
+    if state is None or state[:2] != (hops, scheme) or (with_blocks and state[3] is None):
+        return hops, None
+    return hops, state
+
+
+def _aggregate(dataset: GraphDataset, hops: int, scheme: str) -> tuple[AggregatedFeatures, list[np.ndarray]]:
+    """The aggregation and the hop blocks ``X, PX, ..., P^L X`` it combines, for checked settings.
+
+    SGC keeps the last hop block; GPR concatenates all of them scaled by 1/(L+1).
+    """
     blocks = [dataset.features]
     for _ in range(hops):
         blocks.append(_hop(dataset.adjacency, blocks[-1]))
@@ -297,7 +303,7 @@ def _aggregate(dataset: GraphDataset, hops: int, scheme: str) -> tuple[Aggregate
     else:
         values = np.hstack(blocks, dtype=np.float64)
         values /= hops + 1
-    return AggregatedFeatures(values=values, scheme=scheme), blocks
+    return AggregatedFeatures(values=values), blocks
 
 
 def aggregate(dataset: GraphDataset, hops: int, scheme: str = SGC) -> AggregatedFeatures:
@@ -307,34 +313,24 @@ def aggregate(dataset: GraphDataset, hops: int, scheme: str = SGC) -> Aggregated
     1/(L+1)-scaled horizontal concatenation of all hop powers from 0 to L.
     The aggregation the graph carries for ``(hops, scheme)`` is returned as
     it is: it equals the one computed here bit for bit. Otherwise the graph's
-    own adjacency and features are propagated, and a graph that carries
-    nothing then keeps the result, without its hop blocks. An aggregation the
-    graph carries is read-only, unless it is the graph's own feature array
-    (SGC with no hop), and is never written.
+    own adjacency and features are propagated, and the graph keeps the
+    result, without its hop blocks, in place of whatever it carried. An
+    aggregation the graph carries is read-only, unless it is the graph's own
+    feature array (SGC with no hop), and is never written.
     """
-    state = dataset._hop_state
-    if state is not None and state[:2] == (operator.index(hops), scheme):
-        return _lent(dataset, state)
-    aggregated = _aggregate(dataset, hops, scheme)[0]
+    hops, state = _carried_state(dataset, hops, scheme, with_blocks=False)
     if state is None:
-        return _lent(dataset, (hops, scheme, aggregated, None, None, None, False))
-    return aggregated
-
-
-def _full_hop_state(dataset: GraphDataset, hops: int, scheme: str) -> tuple:
-    """The hop state of ``dataset`` aggregated in full, with no spare and nothing to recycle."""
-    return (hops, scheme, *_aggregate(dataset, hops, scheme), None, None, False)
+        state = (hops, scheme, _aggregate(dataset, hops, scheme)[0], None, None, None)
+    return _lent(dataset, state)
 
 
 def _lent(dataset: GraphDataset, state: tuple) -> AggregatedFeatures:
-    """``state``'s aggregation, made read-only, which ``dataset`` keeps carrying but will never recycle as a spare.
+    """``state``'s aggregation, which ``dataset`` carries from now on, made read-only: never a spare.
 
     SGC with no hop lends the graph's own feature array, which is left as it is.
     """
     if state[2].values is not dataset.features:
         state[2].values.setflags(write=False)
-    if state[6]:
-        state = (*state[:6], False)
     object.__setattr__(dataset, "_hop_state", state)
     return state[2]
 
@@ -342,21 +338,16 @@ def _lent(dataset: GraphDataset, state: tuple) -> AggregatedFeatures:
 def carried_aggregation(dataset: GraphDataset, hops: int, scheme: str) -> AggregatedFeatures:
     """The aggregation ``dataset`` carries for ``(hops, scheme)``, with its hop blocks.
 
-    On first use, or when the graph carries the aggregation without its hop
-    blocks, the graph is aggregated in full and carries the result, with its
-    hop blocks, for :func:`reaggregate`. The result is read-only, as
+    Unless the graph carries them, it is aggregated in full and carries the
+    result, with its hop blocks, for :func:`reaggregate`, in place of
+    whatever it carried. The result is read-only, as
     :func:`aggregate`'s, and never written: :func:`reaggregate` does not
     recycle a buffer handed out here.
     """
-    state = dataset._hop_state
-    if state is None or state[:2] != (hops, scheme) or state[3] is None:
-        state = _full_hop_state(dataset, hops, scheme)
+    hops, state = _carried_state(dataset, hops, scheme, with_blocks=True)
+    if state is None:
+        state = (hops, scheme, *_aggregate(dataset, hops, scheme), None, None)
     return _lent(dataset, state)
-
-
-def _zero_columns(values: np.ndarray, columns: np.ndarray, n_features: int) -> None:
-    """Zero raw feature ``columns`` in every ``n_features``-wide block of ``values``, in place."""
-    values[:, (np.arange(0, values.shape[1], n_features)[:, None] + columns).ravel()] = 0.0
 
 
 def _refreshed_spare(values: np.ndarray, spare: np.ndarray | None, stale: np.ndarray | None) -> np.ndarray:
@@ -375,11 +366,11 @@ def reaggregate(
 ) -> tuple[AggregatedFeatures, AggregatedFeatures, np.ndarray | None]:
     """Aggregate ``after`` from ``before``'s hop blocks, recomputing only the rows that can change.
 
-    Whatever ``before`` carries for ``(hops, scheme)`` is taken off it; when
-    that is not the aggregation with its hop blocks, ``before`` is aggregated
-    in full, and whatever it carries for other settings stays. The blocks are
-    edited in place into ``after``'s, and ``after`` carries them, replacing
-    whatever it carried. ``after`` must differ from ``before`` only by
+    Unless ``before`` carries the aggregation with its hop blocks for
+    ``(hops, scheme)``, :func:`carried_aggregation` aggregates it in full;
+    the state is then taken off ``before``. The blocks are edited in place
+    into ``after``'s, and ``after`` carries them, replacing whatever it
+    carried. ``after`` must differ from ``before`` only by
     removed edges and changed feature rows, as the removal requests produce.
     Row i of hop k can then change only if
 
@@ -397,10 +388,11 @@ def reaggregate(
     aggregation of the graph ``before`` was edited from. Only the rows the
     previous call recomputed (all after a full hop) are refreshed, then this
     edit's rows are written, so an edge request allocates nothing the size of
-    the aggregation. ``after`` keeps ``before``'s aggregation as its spare,
-    unless it was computed in full or handed out by :func:`aggregate` or
-    :func:`carried_aggregation`. An aggregation returned here thus stays
-    valid until ``after`` is passed to this function again.
+    the aggregation. ``after`` keeps ``before``'s aggregation as its spare if
+    it is writable and not ``before``'s feature array: one computed in full or
+    handed out by :func:`aggregate` or :func:`carried_aggregation` is not. An
+    aggregation returned here thus stays valid until ``after`` is passed to
+    this function again.
 
     Returns ``before``'s aggregation, ``after``'s, which equals
     ``aggregate(after, hops, scheme)``, and the rows
@@ -408,62 +400,55 @@ def reaggregate(
     last hop's rows; every other row of ``after``'s aggregation equals
     ``before``'s bit for bit. None means some hop was the full product.
     """
-    state = before._hop_state
-    if state is not None and state[:2] == (hops, scheme):
-        object.__setattr__(before, "_hop_state", None)
-    if state is None or state[:2] != (hops, scheme) or state[3] is None:
-        state = _full_hop_state(before, hops, scheme)
-    aggregated, blocks, spare, stale, recycle = state[2:]
+    hops, state = _carried_state(before, hops, scheme, with_blocks=True)
+    if state is None:
+        # ``state`` is None here, so no local holds the replaced state through the request.
+        carried_aggregation(before, hops, scheme)
+        state = before._hop_state
+    object.__setattr__(before, "_hop_state", None)
+    aggregated, blocks, spare, stale = state[2:]
     n = after.n_nodes
     adj = after.adjacency
     degree_changed = np.diff(adj.indptr) != np.diff(before.adjacency.indptr)
-    if after.features is before.features:
-        changed = np.zeros(n, dtype=bool)
-    else:
-        changed = (after.features != before.features).any(axis=1)
+    same_rows = after.features is before.features
+    changed = np.zeros(n, dtype=bool) if same_rows else (after.features != before.features).any(axis=1)
     blocks[0] = after.features
+    # GPR writes each hop's scaled copy into its columns as the hop is done.
+    values = _refreshed_spare(aggregated.values, spare, stale) if scheme == GPR else None
+    f = after.n_features
     # Per hop: the recomputed rows, or None once the hop is the full product.
     # Rows already in the set had their neighbours added, so only the rows
     # that joined it last are expanded.
     rows = joined = np.flatnonzero(changed)
-    if 2 * rows.size > n:
-        rows = None
-    row_sets = [rows]
-    for k in range(1, hops + 1):
-        if rows is not None:
+    for k in range(hops + 1):
+        if k and rows is not None:
             reached = changed | degree_changed
             reached[adj.indices[_row_entries(adj.indptr, joined)[0]]] = True
             joined = np.flatnonzero(reached & ~changed)
             changed = reached
             rows = np.flatnonzero(changed)
-            if 2 * rows.size > n:
-                rows = None
-        if rows is None:
+        if rows is not None and 2 * rows.size > n:
+            rows = None
+        if k and rows is None:
             blocks[k] = _hop(adj, blocks[k - 1])
-        else:
+        elif k:
             if scheme == SGC and k == hops:
                 # The last SGC block is ``aggregated.values``: edit it in the spare.
                 blocks[k] = _refreshed_spare(blocks[k], spare, stale)
             if rows.size:
                 blocks[k][rows] = _hop(adj, blocks[k - 1], rows)
-        row_sets.append(rows)
-    if scheme == SGC:
-        values = blocks[hops]
-    else:
-        values = _refreshed_spare(aggregated.values, spare, stale)
-        f = after.n_features
-        for k, rows in enumerate(row_sets):
+        if values is not None:
             cols = slice(k * f, (k + 1) * f)
             if rows is None:
                 np.divide(blocks[k], hops + 1, out=values[:, cols])
             elif rows.size:
                 values[rows, cols] = blocks[k][rows] / (hops + 1)
-    updated = AggregatedFeatures(values=values, scheme=scheme)
-    spare = aggregated.values if recycle else None
-    # With no hop, SGC's values are the graph's own feature array: never a spare.
-    state = (hops, scheme, updated, blocks, spare, row_sets[-1], values is not blocks[0])
-    object.__setattr__(after, "_hop_state", state)
-    return aggregated, updated, row_sets[-1]
+    updated = AggregatedFeatures(values=blocks[hops] if values is None else values)
+    # The write flag is the recycle rule; with no hop, SGC's is the graph's own feature array.
+    old = aggregated.values
+    spare = old if old.flags.writeable and old is not before.features else None
+    object.__setattr__(after, "_hop_state", (hops, scheme, updated, blocks, spare, rows))
+    return aggregated, updated, rows
 
 
 def _delete_entries(adj: sp.csr_matrix, doomed: np.ndarray) -> sp.csr_matrix:
@@ -573,16 +558,15 @@ def zero_feature_columns(dataset: GraphDataset, columns) -> GraphDataset:
     cols = _sorted_unique(_indices(columns, dataset.n_features, "feature"))
     if cols.size == 0:
         return dataset
-    new_x = dataset.features.copy()
-    new_x[:, cols] = 0.0
-    edited = dataset._edited(features=new_x)
+    keep = np.ones(dataset.n_features, dtype=bool)
+    keep[cols] = False
+    # One pass each copies and zeroes; a zero of the array's own dtype keeps its dtype.
+    edited = dataset._edited(features=np.where(keep, dataset.features, dataset.features.dtype.type(0)))
     state = dataset._hop_state
     if state is not None:
-        hops, scheme, aggregated = state[:3]
-        values = aggregated.values.copy()
-        _zero_columns(values, cols, dataset.n_features)
-        carried = AggregatedFeatures(values=values, scheme=scheme)
-        object.__setattr__(edited, "_hop_state", (hops, scheme, carried, None, None, None, False))
+        values = state[2].values
+        zeroed = np.where(np.tile(keep, values.shape[1] // keep.size), values, values.dtype.type(0))
+        object.__setattr__(edited, "_hop_state", (*state[:2], AggregatedFeatures(values=zeroed), None, None, None))
     return edited
 
 
@@ -599,11 +583,9 @@ def degree_stats(dataset: GraphDataset) -> DegreeStats:
 def _count_degrees(dataset: GraphDataset) -> DegreeStats:
     """:func:`degree_stats` from scratch."""
     s = np.asarray(dataset.sensitive, dtype=np.int64)
-    adj = dataset.adjacency
-    degree = np.diff(adj.indptr).astype(np.int64)
-    # Neighbours in group 1, counted by one product over the stored pattern.
-    pattern = sp.csr_matrix((np.ones(adj.nnz, dtype=np.int64), adj.indices, adj.indptr), shape=adj.shape)
-    in_group1 = pattern @ s
+    degree = np.diff(dataset.adjacency.indptr).astype(np.int64)
+    # Neighbours in group 1, counted by one product: every stored entry is 1.
+    in_group1 = (dataset.adjacency @ s).astype(np.int64)
     inter_degree = np.where(s == 1, degree - in_group1, in_group1)
     intra_degree = degree - inter_degree
     n_inter = int(inter_degree.sum()) // 2

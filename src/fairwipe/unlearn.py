@@ -237,15 +237,16 @@ def sequential_unlearn(
     :func:`newton_unlearn` as ``changed_rows``. The hop blocks ride on
     the graphs and :mod:`graph` alone carries, moves and drops them: feeding
     each call the graph the previous one returned keeps every request about
-    the size of its edit, and any other input, or one that carries its
-    aggregation without the blocks (as :func:`graph.aggregate` leaves a
-    graph), is aggregated in full once. Each edited aggregation is written
-    into a buffer the graph carries, which held the aggregation of the graph
-    it was edited from: an aggregation read off a graph through
-    :func:`graph.aggregate` or :func:`graph.carried_aggregation` is never
-    written, but one handed to :func:`newton_unlearn` stays valid only until
-    the graph after its request is passed to a call again. One graph must
-    not be fed to two calls running at the same time in different threads.
+    the size of its edit. A graph carries one aggregation, so any other
+    input, or one that carries no blocks for ``(hops, scheme)`` (as
+    :func:`graph.aggregate` leaves it), is aggregated in full once. Each
+    edited aggregation is written into a buffer the graph carries, which
+    held the aggregation of the graph it was edited from: an aggregation read
+    off a graph through :func:`graph.aggregate` or
+    :func:`graph.carried_aggregation` is read-only and never written, but one
+    handed to :func:`newton_unlearn` stays valid only until the graph after
+    its request is passed to a call again. One graph must not be fed to two
+    calls running at the same time in different threads.
 
     Returns ``(results, final_budget, edited_dataset)``; the edited dataset is
     included because lazily built requests cannot be replayed by the caller.

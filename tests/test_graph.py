@@ -124,7 +124,6 @@ class TestAggregate:
         ds = random_dataset(n=20, f=3, seed=5)
         agg = aggregate(ds, 2, "gpr")
         assert agg.width == 9
-        assert agg.scheme == "gpr"
 
     def test_norm_non_expansion_both_schemes(self):
         # Aggregation never increases the largest feature-row norm.

@@ -114,7 +114,6 @@ class TestReaggregate:
         before = agg.values.copy()
         old, new, _ = reaggregate(ds, edited, hops, scheme)
         assert old is agg
-        assert new.scheme == scheme
         assert_close(new.values, full_values(edited, hops, scheme))
         for block, expected in zip(edited._hop_state[3], dense_blocks(edited, hops)):
             assert_close(block, expected)
@@ -316,8 +315,7 @@ def assert_same_bytes(actual, expected):
 def assert_carries_its_own_hops(ds, hops, scheme):
     assert carries(ds, hops, scheme)
     _, _, agg, blocks, *_ = ds._hop_state
-    assert len(ds._hop_state) == 7
-    assert agg.scheme == scheme
+    assert len(ds._hop_state) == 6
     assert_close(agg.values, full_values(ds, hops, scheme))
     assert len(blocks) == hops + 1
     for block, expected in zip(blocks, dense_blocks(ds, hops)):
@@ -357,15 +355,15 @@ class TestCarriedAggregation:
 
     @pytest.mark.parametrize("scheme", [SGC, GPR])
     def test_aggregate_keeps_the_aggregation_without_blocks(self, scheme):
-        """`aggregate` returns what the graph carries, keeps what it computes
-        only on a graph that carries nothing, and never keeps hop blocks."""
+        """`aggregate` returns what the graph carries, keeps what it computes in
+        place of what the graph carried, and never keeps hop blocks."""
         ds = random_dataset(n=40, f=3, seed=14)
         with counting_full_passes() as full:
             agg = aggregate(ds, 2, scheme)
             assert aggregate(ds, 2, scheme) is agg
             assert ds._hop_state[2] is agg and not carries(ds, 2, scheme)
-            aggregate(ds, 1, scheme)
-            assert ds._hop_state[2] is agg
+            one_hop = aggregate(ds, 1, scheme)
+            assert ds._hop_state[2] is one_hop and not carries(ds, 1, scheme)
             carried = carried_aggregation(ds, 2, scheme)
             assert aggregate(ds, 2, scheme) is carried is not agg
         assert full.call_count == 3
@@ -392,25 +390,61 @@ class TestCarriedAggregation:
             assert_same_bytes(lent.values, kept)
         assert_same_bytes(aggregate(edited, hops, scheme).values, full_values(edited, hops, scheme))
 
-    def test_state_for_other_settings_survives(self):
+    def test_other_settings_replace_the_state(self):
+        """A graph carries one aggregation: a call for other settings aggregates
+        in full once, gives the state-free copy's bytes, and leaves only the new
+        settings carried."""
         ds = random_dataset(n=40, f=3, seed=8)
-        other = carried_aggregation(ds, 1, GPR)
-        state = ds._hop_state
+        carried_aggregation(ds, 1, GPR)
+        with counting_full_passes() as full:
+            agg = aggregate(ds, 2, GPR)
+        assert full.call_count == 1
+        assert ds._hop_state[:2] == (2, GPR) and not carries(ds, 2, GPR)
+        assert_same_bytes(agg.values, full_values(ds, 2, GPR))
+        with counting_full_passes() as full:
+            carried = carried_aggregation(ds, 1, SGC)
+        assert full.call_count == 1
+        assert_same_bytes(carried.values, full_values(ds, 1, SGC))
+        assert_carries_its_own_hops(ds, 1, SGC)
         edited = remove_edges(ds, [tuple(ds.edge_pairs()[0])])
         with counting_full_passes() as full:
             old, new, _ = reaggregate(ds, edited, 2, SGC)
         assert full.call_count == 1
-        assert ds._hop_state is state and carried_aggregation(ds, 1, GPR) is other
-        assert_close(old.values, full_values(ds, 2, SGC))
-        assert_close(new.values, full_values(edited, 2, SGC))
+        assert ds._hop_state is None
+        assert_same_bytes(old.values, full_values(ds, 2, SGC))
+        assert_same_bytes(new.values, full_values(edited, 2, SGC))
         assert_carries_its_own_hops(edited, 2, SGC)
+
+    @pytest.mark.parametrize(
+        "hops, scheme, error",
+        [(2.0, SGC, TypeError), ("2", GPR, TypeError), (-1, SGC, ValueError), (2, "gcn", ValueError)],
+    )
+    @pytest.mark.parametrize("carried", [False, True])
+    def test_bad_settings_raise_before_the_carry_is_read(self, hops, scheme, error, carried):
+        """Every entry rejects bad settings the same way on a fresh graph and on
+        one that carries 2 hops of the scheme (SGC for an unknown one), and
+        leaves what either graph carries as it was."""
+        ds = random_dataset(n=40, f=3, seed=16)
+        edited = remove_edges(ds, [tuple(ds.edge_pairs()[0])])
+        if carried:
+            carried_aggregation(ds, 2, SGC if scheme == "gcn" else scheme)
+            aggregate(edited, 1, GPR)
+        states = ds._hop_state, edited._hop_state
+        for call in (
+            lambda: aggregate(ds, hops, scheme),
+            lambda: carried_aggregation(ds, hops, scheme),
+            lambda: reaggregate(ds, edited, hops, scheme),
+        ):
+            with pytest.raises(error):
+                call()
+            assert ds._hop_state is states[0] and edited._hop_state is states[1]
 
 
 def spying_on(name):
     return mock.patch.object(graph, name, wraps=getattr(graph, name))
 
 
-class TestOperatorFromTheSeed:
+class TestFullPassOnlyOnTheSeed:
     """Every hop reads its degrees off the edited graph's CSR: only the seed graph is aggregated in full."""
 
     @settings(max_examples=80, deadline=None)
@@ -434,7 +468,7 @@ class TestOperatorFromTheSeed:
             assert_same_bytes(agg.values, full_values(edited, hops, scheme))
             current = edited
 
-    def test_bulk_batches_build_the_operator_once(self):
+    def test_bulk_batches_aggregate_in_full_once(self):
         """Ten re-scored batches of about 2% of the edges: every batch has a full
         hop, and only the seed graph is aggregated in full."""
         ds = random_dataset(n=300, f=3, seed=9, avg_degree=6.0)
@@ -455,7 +489,7 @@ class TestOperatorFromTheSeed:
         assert_carries_its_own_hops(graphs[-1], 3, SGC)
 
     @pytest.mark.parametrize("scheme", [SGC, GPR])
-    def test_feature_removal_builds_no_operator(self, scheme):
+    def test_feature_removal_makes_no_full_pass(self, scheme):
         ds = random_dataset(n=60, f=3, seed=10)
         model = trained_model(ds, 2, scheme, 10)
         carried_aggregation(ds, 2, scheme)
@@ -466,7 +500,7 @@ class TestOperatorFromTheSeed:
         assert_same_result(result, reference_step(model, ds, FeatureRemoval((1,)), 2, scheme))
 
     @pytest.mark.parametrize("scheme", [SGC, GPR])
-    def test_single_edge_request_builds_no_operator(self, scheme):
+    def test_single_edge_request_makes_no_full_pass(self, scheme):
         ds = random_dataset(n=400, f=3, seed=11, avg_degree=2.0)
         model = trained_model(ds, 2, scheme, 11)
         carried_aggregation(ds, 2, scheme)
@@ -510,7 +544,7 @@ class TestCarriedHops:
         calls=st.lists(st.tuples(st.sampled_from(SAME_WIDTH), st.sampled_from(REQUESTS)), min_size=2, max_size=7),
     )
     def test_changing_hops_or_scheme_mid_stream(self, seed, calls):
-        """A call with other settings than the carried ones aggregates in full and leaves them alone."""
+        """A call with other settings than the carried ones aggregates in full and replaces them."""
         rng = np.random.default_rng(seed)
         current = random_dataset(n=50, f=3, seed=seed, avg_degree=3.0)
         model = trained_model(current, *calls[0][0], seed)
@@ -518,15 +552,10 @@ class TestCarriedHops:
             request = random_request(current, kind, rng)
             expected = reference_step(model, current, request, hops, scheme)
             had_state = carries(current, hops, scheme)
-            other_state = current._hop_state
-            if other_state is not None and other_state[:2] == (hops, scheme):
-                # An aggregation kept without its blocks is taken off with the rest.
-                other_state = None
             result, edited, full = one_call(model, current, request, hops, scheme)
             assert full == (not had_state)
             assert_same_result(result, expected)
-            if not had_state:
-                assert current._hop_state is other_state
+            assert current._hop_state is None
             assert_carries_its_own_hops(edited, hops, scheme)
             model = replace(model, weights=result.updated_weights)
             current = edited
@@ -823,7 +852,7 @@ def test_retrain_oracle_builds_its_own_aggregation(scheme):
     fresh = retrain_oracle(replace(edited), config, model.perturbation, scheme, 2)
     assert_same_bytes(oracle.weights, fresh.weights)
     # A wrong aggregation planted on the graph is what `aggregate` reads, but not the oracle.
-    wrong = graph.AggregatedFeatures(values=np.ones_like(full_values(edited, 2, scheme)), scheme=scheme)
-    object.__setattr__(edited, "_hop_state", (2, scheme, wrong, None, None, None, False))
+    wrong = graph.AggregatedFeatures(values=np.ones_like(full_values(edited, 2, scheme)))
+    object.__setattr__(edited, "_hop_state", (2, scheme, wrong, None, None, None))
     assert aggregate(edited, 2, scheme) is wrong
     assert_same_bytes(retrain_oracle(edited, config, model.perturbation, scheme, 2).weights, fresh.weights)

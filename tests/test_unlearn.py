@@ -224,7 +224,7 @@ class TestChangedRows:
         mask_new = ds.train_mask.copy()
         flipped = rng.choice(np.setdiff1d(np.arange(ds.n_nodes), rows), size=n_flipped, replace=False)
         mask_new[flipped] = ~mask_new[flipped]
-        return rng, ds, model, agg, AggregatedFeatures(values, scheme), rows, mask_new
+        return rng, ds, model, agg, AggregatedFeatures(values), rows, mask_new
 
     @settings(max_examples=80, deadline=None)
     @given(

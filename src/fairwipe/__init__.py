@@ -28,7 +28,6 @@ from .graph import (
     aggregate,
     carried_aggregation,
     degree_stats,
-    reaggregate,
     remove_edges,
     remove_nodes,
     zero_feature_columns,

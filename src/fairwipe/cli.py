@@ -15,6 +15,7 @@ from .data import DatasetManifest, DataValidationError, load_dataset
 from .experiment import (
     _CONFIG_PARSERS,
     ConfigError,
+    _config_field,
     emit_results,
     parse_config,
     run_experiment,
@@ -82,7 +83,7 @@ def _cmd_sweep(args) -> int:
     if args.param not in _CONFIG_PARSERS or args.param in ("manifest", "seeds"):
         raise ConfigError(f"cannot sweep over {args.param!r}")
     parse_value = _CONFIG_PARSERS[args.param]
-    field = "lam" if args.param == "lambda" else args.param
+    field = _config_field(args.param)
     # The manifest cannot be swept: its files are parsed and validated once.
     dataset = name = None
     if config.manifest is not None:

@@ -129,6 +129,11 @@ _CONFIG_PARSERS = {
 }
 
 
+def _config_field(key: str) -> str:
+    """The :class:`ExperimentConfig` field a config key sets: its own name, but ``lambda`` sets ``lam``."""
+    return "lam" if key == "lambda" else key
+
+
 def parse_config(path) -> ExperimentConfig:
     """Read a `key = value` config file (one setting per line, '#' comments)."""
     path = Path(path)
@@ -146,15 +151,13 @@ def parse_config(path) -> ExperimentConfig:
         if key not in _CONFIG_PARSERS:
             raise ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
         try:
-            values[key] = _CONFIG_PARSERS[key](raw)
+            values[_config_field(key)] = _CONFIG_PARSERS[key](raw)
         except (ValueError, TypeError):
             raise ConfigError(f"{path}:{lineno}: cannot parse value for {key!r}: {raw!r}")
     if "task" not in values:
         raise ConfigError(f"{path}: 'task' is required")
     if "manifest" in values:
         values["manifest"] = (path.parent / values["manifest"]).resolve()
-    if "lambda" in values:
-        values["lam"] = values.pop("lambda")
     try:
         return ExperimentConfig(manifest=values.pop("manifest", None), **values)
     except TypeError as exc:

@@ -92,15 +92,20 @@ def edge_bias_scores(pairs: np.ndarray, s: np.ndarray, stats: DegreeStats) -> np
     return graph._edge_scores(pairs[:, 0], pairs[:, 1], np.asarray(s), stats.degree)
 
 
+def _node_factors(nodes: np.ndarray, stats: DegreeStats) -> tuple[np.ndarray, np.ndarray]:
+    """The bias term d_w/(1+d_x) and the degree d of each node, as float64.
+
+    An isolated node has no intra-edges, so its bias term is 0 / 1 = 0.
+    """
+    nodes = np.asarray(nodes, dtype=np.int64)
+    return stats.intra_degree[nodes] / (1.0 + stats.inter_degree[nodes]), stats.degree[nodes].astype(np.float64)
+
+
 def node_bias_scores(nodes: np.ndarray, stats: DegreeStats) -> np.ndarray:
     """Intra-to-inter imbalance damped by degree: d_w/(1+d_x) * 1/d; isolated nodes score 0."""
-    nodes = np.asarray(nodes, dtype=np.int64)
-    d = stats.degree[nodes].astype(np.float64)
-    d_inter = stats.inter_degree[nodes].astype(np.float64)
-    d_intra = stats.intra_degree[nodes].astype(np.float64)
+    bias, d = _node_factors(nodes, stats)
     with np.errstate(divide="ignore", invalid="ignore"):
-        score = d_intra / (1.0 + d_inter) / d
-    return np.where(d > 0, score, 0.0)
+        return np.where(d > 0, bias / d, 0.0)
 
 
 def _check_kind(kind: str, kinds: tuple[str, ...], what: str) -> None:
@@ -158,14 +163,10 @@ def select_nodes(
         scores = np.random.default_rng(seed).random(len(nodes))
     elif kind == "proposed":
         scores = node_bias_scores(nodes, degree_stats(dataset))
-    elif kind == "bias-term-only":
-        # An isolated node has no intra-edges, so it scores 0 / 1 = 0.
-        stats = degree_stats(dataset)
-        scores = stats.intra_degree[nodes] / (1.0 + stats.inter_degree[nodes])
     else:
-        d = degree_stats(dataset).degree[nodes].astype(np.float64)
+        bias, d = _node_factors(nodes, degree_stats(dataset))
         with np.errstate(divide="ignore"):
-            scores = np.where(d > 0, 1.0 / d, 0.0)
+            scores = bias if kind == "bias-term-only" else np.where(d > 0, 1.0 / d, 0.0)
     return SelectionResult(chosen=_top_k(scores, nodes, k), scores=scores)
 
 

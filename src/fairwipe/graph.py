@@ -5,13 +5,9 @@ feature zeroing) return new :class:`GraphDataset` instances. A graph carries
 one aggregation, for one ``(hops, scheme)``: :func:`aggregate` returns it, or
 propagates from scratch and keeps the result, without hop blocks, in place of
 what the graph carried; :func:`carried_aggregation` also keeps the hop
-blocks. :func:`reaggregate` moves the hop blocks a graph carries over to an
-edited copy and recomputes only the rows the edit can reach, writing the
-edited aggregation into a spare buffer the graph carries. An aggregation
-:func:`reaggregate` returns therefore stays valid only until its ``after``
-graph is passed to :func:`reaggregate` again; one that :func:`aggregate` or
-:func:`carried_aggregation` hands out is read-only, and a read-only array is
-never recycled as a spare or written.
+blocks. What either hands out is never written. The private step of
+``unlearn.sequential_unlearn`` moves the hop blocks a graph carries over to
+an edited copy and recomputes only the rows the edit can reach.
 Graphs are unweighted, so a hop applies ``P = D⁻¹(A + I)`` as
 ``D⁻¹(A @ B + B)`` with ``D`` read off the CSR row lengths: no matrix or degree
 vector is built. A hop acts on each feature column on its own, so zeroing raw
@@ -306,7 +302,7 @@ def _aggregate(dataset: GraphDataset, hops: int, scheme: str) -> tuple[Aggregate
     return AggregatedFeatures(values=values), blocks
 
 
-def aggregate(dataset: GraphDataset, hops: int, scheme: str = SGC) -> AggregatedFeatures:
+def aggregate(dataset: GraphDataset, hops: int, scheme: str) -> AggregatedFeatures:
     """Propagate the graph's features over ``hops`` hops of its own ``D⁻¹(A + I)``.
 
     ``sgc`` returns the L-fold propagated features; ``gpr`` returns the
@@ -339,10 +335,9 @@ def carried_aggregation(dataset: GraphDataset, hops: int, scheme: str) -> Aggreg
     """The aggregation ``dataset`` carries for ``(hops, scheme)``, with its hop blocks.
 
     Unless the graph carries them, it is aggregated in full and carries the
-    result, with its hop blocks, for :func:`reaggregate`, in place of
-    whatever it carried. The result is read-only, as
-    :func:`aggregate`'s, and never written: :func:`reaggregate` does not
-    recycle a buffer handed out here.
+    result, with its hop blocks, in place of whatever it carried, so that
+    ``unlearn.sequential_unlearn`` starts from them. The result is read-only,
+    as :func:`aggregate`'s, and never written.
     """
     hops, state = _carried_state(dataset, hops, scheme, with_blocks=True)
     if state is None:
@@ -361,7 +356,7 @@ def _refreshed_spare(values: np.ndarray, spare: np.ndarray | None, stale: np.nda
     return spare
 
 
-def reaggregate(
+def _reaggregate(
     before: GraphDataset, after: GraphDataset, hops: int, scheme: str
 ) -> tuple[AggregatedFeatures, AggregatedFeatures, np.ndarray | None]:
     """Aggregate ``after`` from ``before``'s hop blocks, recomputing only the rows that can change.
@@ -391,8 +386,9 @@ def reaggregate(
     the aggregation. ``after`` keeps ``before``'s aggregation as its spare if
     it is writable and not ``before``'s feature array: one computed in full or
     handed out by :func:`aggregate` or :func:`carried_aggregation` is not. An
-    aggregation returned here thus stays valid until ``after`` is passed to
-    this function again.
+    aggregation returned here thus stays valid only until ``after`` is passed
+    to this function again, so the step is ``unlearn.sequential_unlearn``'s
+    alone, and the aggregations it returns never leave that function.
 
     Returns ``before``'s aggregation, ``after``'s, which equals
     ``aggregate(after, hops, scheme)``, and the rows

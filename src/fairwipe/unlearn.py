@@ -138,13 +138,13 @@ def newton_unlearn(
     A row whose aggregation and training-mask membership are both unchanged
     adds the same term to both gradients and cancels. ``changed_rows`` lists
     the rows where ``aggregated_new`` may differ from ``aggregated``, every
-    other row being equal bit for bit, as ``graph.reaggregate`` recomputes
-    them; the correction is then summed over those rows and the rows whose
-    mask changed. Without ``changed_rows`` (``graph.reaggregate`` returns
-    None once its rows cover more than half the graph), both gradients are
-    full passes. The post-edit training rows are copied out once; the sigmoid
-    at the current weights on them serves the Hessian and, on the full path,
-    the gradient.
+    other row being equal bit for bit, as the private re-aggregation step of
+    :func:`sequential_unlearn` recomputes them; the correction is then summed
+    over those rows and the rows whose mask changed. Without ``changed_rows``
+    (that step passes None once its rows cover more than half the graph),
+    both gradients are full passes. The post-edit training rows are copied
+    out once; the sigmoid at the current weights on them serves the Hessian
+    and, on the full path, the gradient.
     """
     if aggregated.width != aggregated_new.width:
         raise ValueError("pre/post aggregation widths differ")
@@ -187,12 +187,13 @@ def newton_unlearn(
     )
 
 
-def worstcase_bound_feature(n_features: int, k: int, m: int, lam: float = 10.0) -> float:
+def worstcase_bound_feature(n_features: int, k: int, m: int, lam: float) -> float:
     """A-priori gradient-residual bound for zeroing k of F features on all nodes.
 
     ``gamma2/m * [(2c sqrt(F) + c1 sqrt((F-k) m)) / (lam sqrt(F))]^2`` with the
     logistic loss constants. The same expression covers both aggregation
-    schemes; F and k count raw features.
+    schemes; F and k count raw features. ``lam`` is the ridge the model is
+    trained with: the bound, and the noise calibrated to it, scale as 1/lam².
     """
     if not 0 <= k <= n_features:
         raise ValueError(f"k must lie in [0, {n_features}]")
@@ -221,8 +222,8 @@ def sequential_unlearn(
     dataset: GraphDataset,
     requests,
     budget: CertificationBudget,
-    scheme: str = graph.SGC,
-    hops: int = 2,
+    scheme: str,
+    hops: int,
 ):
     """Apply removal requests in order, threading weights and residual budget.
 
@@ -232,21 +233,18 @@ def sequential_unlearn(
     reports whether the accumulated residual still fits within
     ``budget.epsilon_prime``.
 
-    Every edited aggregation is :func:`graph.reaggregate`, which recomputes
-    only the rows the request can change; those rows are passed on to
-    :func:`newton_unlearn` as ``changed_rows``. The hop blocks ride on
+    ``scheme`` and ``hops`` must be the aggregation ``model`` was trained on:
+    for SGC the width does not show the hop count, so nothing else checks it.
+    Every edited aggregation comes from a private step of :mod:`graph`, which
+    recomputes only the rows the request can change; those rows are passed
+    on to :func:`newton_unlearn` as ``changed_rows``. The hop blocks ride on
     the graphs and :mod:`graph` alone carries, moves and drops them: feeding
     each call the graph the previous one returned keeps every request about
     the size of its edit. A graph carries one aggregation, so any other
     input, or one that carries no blocks for ``(hops, scheme)`` (as
-    :func:`graph.aggregate` leaves it), is aggregated in full once. Each
-    edited aggregation is written into a buffer the graph carries, which
-    held the aggregation of the graph it was edited from: an aggregation read
-    off a graph through :func:`graph.aggregate` or
-    :func:`graph.carried_aggregation` is read-only and never written, but one
-    handed to :func:`newton_unlearn` stays valid only until the graph after
-    its request is passed to a call again. One graph must not be fed to two
-    calls running at the same time in different threads.
+    :func:`graph.aggregate` leaves it), is aggregated in full once. One graph
+    must not be fed to two calls running at the same time in different
+    threads.
 
     Returns ``(results, final_budget, edited_dataset)``; the edited dataset is
     included because lazily built requests cannot be replayed by the caller.
@@ -258,7 +256,7 @@ def sequential_unlearn(
         if callable(request):
             request = request(current)
         edited = request.apply(current)
-        agg, agg_new, rows = graph.reaggregate(current, edited, hops, scheme)
+        agg, agg_new, rows = graph._reaggregate(current, edited, hops, scheme)
         result = newton_unlearn(
             step_model,
             agg,
@@ -279,8 +277,8 @@ def retrain_oracle(
     dataset: GraphDataset,
     config: TrainConfig,
     fixed_perturbation: np.ndarray,
-    scheme: str = graph.SGC,
-    hops: int = 2,
+    scheme: str,
+    hops: int,
 ) -> TrainedModel:
     """Train from scratch on the edited dataset with the original perturbation.
 

@@ -167,6 +167,16 @@ class TestSweep:
         stdout = capsys.readouterr().out
         assert "hops=1" in stdout and "hops=2" in stdout
 
+    def test_lambda_sweeps_lam(self, toy_workspace, capsys):
+        """The config key ``lambda`` sweeps the ``lam`` field, which names the files and the lines."""
+        out = toy_workspace / "sweep.csv"
+        args = ["sweep", "--config", str(toy_workspace / "exp.cfg"), "--param", "lambda", "--values", "1.0,5.0"]
+        assert main([*args, "--out", str(out)]) == 0
+        assert (toy_workspace / "sweep.lam-1.0.csv").exists()
+        assert (toy_workspace / "sweep.lam-5.0.csv").exists()
+        stdout = capsys.readouterr().out
+        assert "lam=1.0" in stdout and "lam=5.0" in stdout
+
     def test_parses_the_dataset_once(self, toy_workspace, monkeypatch):
         """A three-value sweep loads its files once, and writes for each value
         the bytes a run of that value alone writes (its clock stopped at 0)."""

@@ -621,6 +621,7 @@ class TestSelectionMatchesReference:
         k = 1 + int(k_share * (ds.n_nodes - 1))
         scores = reference_node_scores(ds, nodes, kind, seed)
         result = select_nodes(ds, k, scope="all", kind=kind, seed=seed)
+        assert result.scores.tobytes() == scores.tobytes()
         np.testing.assert_array_equal(result.chosen, reference_top_k(scores, nodes, k))
         # Feature columns drawn from a few values tie on |rho|.
         columns = rng.integers(0, distinct + 1, size=(ds.n_nodes, 8)).astype(float)

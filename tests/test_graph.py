@@ -167,14 +167,14 @@ class TestAggregate:
     def test_negative_hops_rejected(self):
         ds = tiny_dataset(sp.csr_matrix((2, 2)))
         with pytest.raises(ValueError, match="hops must be >= 0"):
-            aggregate(ds, -1)
+            aggregate(ds, -1, "sgc")
 
     @pytest.mark.parametrize("hops", [2.0, "2", (sp.csr_matrix((2, 2)), 2)])
     def test_non_integer_hops_rejected(self, hops):
         """A float, a string or an (adjacency, hops) pair is not a hop count."""
         ds = tiny_dataset(sp.csr_matrix((2, 2)))
         with pytest.raises(TypeError):
-            aggregate(ds, hops)
+            aggregate(ds, hops, "sgc")
 
     @pytest.mark.parametrize("scheme", ["sgc", "gpr"])
     def test_build_propagation_passes_hops_through(self, scheme):

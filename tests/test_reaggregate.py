@@ -1,9 +1,10 @@
 """Edit-local re-aggregation against the full recompute.
 
-`reaggregate` moves the hop blocks a graph carries over to an edited copy
-and recomputes only the rows the edit can reach; every result here is checked
-against `aggregate(replace(edited), L, scheme)`, propagated from scratch on a
-copy that carries nothing.
+`_reaggregate`, the private step of `sequential_unlearn`, moves the hop
+blocks a graph carries over to an edited copy and recomputes only the rows the
+edit can reach; every result here is checked against
+`aggregate(replace(edited), L, scheme)`, propagated from scratch on a copy
+that carries nothing.
 """
 
 import copy
@@ -23,9 +24,9 @@ from fairwipe.fairness import select_edges
 from fairwipe.graph import (
     GPR,
     SGC,
+    _reaggregate,
     aggregate,
     carried_aggregation,
-    reaggregate,
     remove_edges,
     remove_nodes,
     zero_feature_columns,
@@ -112,7 +113,7 @@ class TestReaggregate:
         agg = carried_aggregation(ds, hops, scheme)
         assert_close(agg.values, full_values(ds, hops, scheme))
         before = agg.values.copy()
-        old, new, _ = reaggregate(ds, edited, hops, scheme)
+        old, new, _ = _reaggregate(ds, edited, hops, scheme)
         assert old is agg
         assert_close(new.values, full_values(edited, hops, scheme))
         for block, expected in zip(edited._hop_state[3], dense_blocks(edited, hops)):
@@ -135,7 +136,7 @@ class TestReaggregate:
             if edited is None:
                 continue
             with counting_full_passes() as full:
-                _, agg, _ = reaggregate(current, edited, hops, scheme)
+                _, agg, _ = _reaggregate(current, edited, hops, scheme)
             assert full.call_count == 0
             assert_close(agg.values, full_values(edited, hops, scheme))
             current = edited
@@ -144,7 +145,7 @@ class TestReaggregate:
         ds = random_dataset(n=40, f=3, seed=4)
         for scheme in (SGC, GPR):
             agg = carried_aggregation(ds, 2, scheme)
-            _, new, _ = reaggregate(ds, ds, 2, scheme)
+            _, new, _ = _reaggregate(ds, ds, 2, scheme)
             np.testing.assert_array_equal(new.values, agg.values)
 
     @settings(max_examples=80, deadline=None)
@@ -179,7 +180,7 @@ class TestReaggregate:
         # Every hop, partial or full, goes through the one hop helper.
         carried_aggregation(ds, hops, GPR)
         with spying_on("_hop") as hop:
-            reaggregate(ds, edited, hops, GPR)
+            _reaggregate(ds, edited, hops, GPR)
         seen = [call.args[2] if len(call.args) == 3 else None for call in hop.call_args_list]
         assert len(seen) == len(expected)
         for rows, want in zip(seen, expected):
@@ -330,7 +331,7 @@ def one_call(model, ds, request, hops, scheme):
 
 
 class TestCarriedAggregation:
-    """`carried_aggregation` and `reaggregate` are the only readers and writers of the carried blocks."""
+    """`carried_aggregation` and `_reaggregate` are the only readers and writers of the carried blocks."""
 
     @pytest.mark.parametrize("scheme", [SGC, GPR])
     def test_fresh_graph_aggregates_once(self, scheme):
@@ -347,7 +348,7 @@ class TestCarriedAggregation:
         carried_aggregation(ds, 2, scheme)
         edited = remove_edges(ds, [tuple(ds.edge_pairs()[0])])
         with counting_full_passes() as full:
-            _, new, _ = reaggregate(ds, edited, 2, scheme)
+            _, new, _ = _reaggregate(ds, edited, 2, scheme)
             assert not carries(ds, 2, scheme)
             assert carried_aggregation(edited, 2, scheme) is new
         assert full.call_count == 0
@@ -378,7 +379,7 @@ class TestCarriedAggregation:
         ds = random_dataset(n=40, f=3, seed=15)
         edited = remove_edges(ds, [tuple(ds.edge_pairs()[0])])
         carried_aggregation(ds, hops, scheme)
-        reaggregate(ds, edited, hops, scheme)
+        _reaggregate(ds, edited, hops, scheme)
         for lent in (aggregate(replace(ds), hops, scheme), carried_aggregation(replace(ds), hops, scheme), aggregate(edited, hops, scheme)):
             if scheme == SGC and hops == 0:
                 # The aggregation is the graph's own feature array, which stays as it was.
@@ -408,7 +409,7 @@ class TestCarriedAggregation:
         assert_carries_its_own_hops(ds, 1, SGC)
         edited = remove_edges(ds, [tuple(ds.edge_pairs()[0])])
         with counting_full_passes() as full:
-            old, new, _ = reaggregate(ds, edited, 2, SGC)
+            old, new, _ = _reaggregate(ds, edited, 2, SGC)
         assert full.call_count == 1
         assert ds._hop_state is None
         assert_same_bytes(old.values, full_values(ds, 2, SGC))
@@ -433,7 +434,7 @@ class TestCarriedAggregation:
         for call in (
             lambda: aggregate(ds, hops, scheme),
             lambda: carried_aggregation(ds, hops, scheme),
-            lambda: reaggregate(ds, edited, hops, scheme),
+            lambda: _reaggregate(ds, edited, hops, scheme),
         ):
             with pytest.raises(error):
                 call()
@@ -463,7 +464,7 @@ class TestFullPassOnlyOnTheSeed:
             if edited is None:
                 continue
             with counting_full_passes() as full:
-                _, agg, _ = reaggregate(current, edited, hops, scheme)
+                _, agg, _ = _reaggregate(current, edited, hops, scheme)
             assert full.call_count == 0
             assert_same_bytes(agg.values, full_values(edited, hops, scheme))
             current = edited
@@ -479,7 +480,7 @@ class TestFullPassOnlyOnTheSeed:
             for _ in range(10):
                 current = graphs[-1]
                 edited = remove_edges(current, select_edges(current, batch).chosen)
-                _, agg, rows = reaggregate(current, edited, 3, SGC)
+                _, agg, rows = _reaggregate(current, edited, 3, SGC)
                 assert rows is None
                 graphs.append(edited)
                 aggs.append(agg)
@@ -636,7 +637,7 @@ class TestCarriedHops:
 
 
 def reachable_rows(before, after, hops):
-    """The rows ``reaggregate`` recomputes, from the dense adjacency: the changed
+    """The rows ``_reaggregate`` recomputes, from the dense adjacency: the changed
     feature rows, grown per hop by the rows whose degree changed and the
     neighbours in ``after``; None once a hop's set, hop 0's included, covers more
     than half the graph. The sets only grow, so that is the last one."""
@@ -718,7 +719,7 @@ class TestZeroedColumns:
 
 
 class TestEditSizedNewton:
-    """`sequential_unlearn` hands `newton_unlearn` the rows `reaggregate` recomputed."""
+    """`sequential_unlearn` hands `newton_unlearn` the rows `_reaggregate` recomputed."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -771,7 +772,7 @@ class TestEditSizedNewton:
 
 
 class TestRecycledValues:
-    """`reaggregate` writes an edited aggregation into the spare buffer the graph carries."""
+    """`_reaggregate` writes an edited aggregation into the spare buffer the graph carries."""
 
     @settings(max_examples=60, deadline=None)
     @given(

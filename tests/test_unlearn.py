@@ -268,9 +268,9 @@ class TestWorstCaseBound:
 
     def test_invalid_budget_rejected(self):
         with pytest.raises(ValueError):
-            worstcase_bound_feature(5, 6, 10)
+            worstcase_bound_feature(5, 6, 10, lam=10.0)
         with pytest.raises(ValueError):
-            worstcase_bound_feature(5, 2, 0)
+            worstcase_bound_feature(5, 2, 0, lam=10.0)
 
 
 class TestNoiseCalibration:

@@ -26,7 +26,6 @@ from .graph import (
     DegreeStats,
     GraphDataset,
     aggregate,
-    carried_aggregation,
     degree_stats,
     remove_edges,
     remove_nodes,

@@ -48,6 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     config = parse_config(args.config)
     rows = run_experiment(config)
+    if not rows:
+        raise ConfigError("every seed failed; no result rows to emit")
     text = emit_results(rows, format=args.format, path=args.out)
     if args.out:
         print(f"wrote {len(rows)} rows to {args.out}")
@@ -96,6 +98,8 @@ def _cmd_sweep(args) -> int:
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad sweep value {raw!r} for {args.param}: {exc}")
         rows = run_experiment(variant, dataset, name)
+        if not rows:
+            raise ConfigError(f"every seed failed for {field}={raw}; no result rows to emit")
         out = None
         if args.out:
             base = Path(args.out)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import time
 import warnings
 from dataclasses import dataclass, fields, replace
@@ -22,7 +23,7 @@ import numpy as np
 from . import fairness, graph
 from .data import DatasetManifest, load_dataset, make_splits
 from .fairness import select_edges, select_features, select_nodes
-from .graph import GraphDataset, carried_aggregation
+from .graph import GraphDataset, aggregate
 from .model import TrainConfig, TrainedModel, predict, train
 from .unlearn import (
     CertificationBudget,
@@ -79,6 +80,11 @@ class ExperimentConfig:
             raise ConfigError(f"scheme must be 'sgc' or 'gpr', got {self.scheme!r}")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        for name in ("k", "hops", "edge_batches", "max_iterations"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.k < 1 or self.hops < 0:
             raise ConfigError(f"k must be >= 1 and hops >= 0, got k = {self.k}, hops = {self.hops}")
         if self.node_scope not in ("train", "all"):
@@ -237,7 +243,7 @@ def _select_removal(config: ExperimentConfig, dataset: GraphDataset, seed: int) 
 
 def _run_seed(config: ExperimentConfig, base: GraphDataset, name: str, seed: int) -> list[ResultRow]:
     dataset = make_splits(base, config.fractions, seed)
-    agg = carried_aggregation(dataset, config.hops, config.scheme)
+    agg = aggregate(dataset, config.hops, config.scheme)
     train_cfg = TrainConfig(config.lam, config.tolerance, config.max_iterations, seed=seed)
     select_start = time.perf_counter()
     requests = _select_removal(config, dataset, seed)
@@ -282,7 +288,7 @@ def _run_seed(config: ExperimentConfig, base: GraphDataset, name: str, seed: int
         model, dataset, requests, budget, scheme=config.scheme, hops=config.hops
     )
     unlearn_wall = time.perf_counter() - unlearn_start
-    agg_edited = carried_aggregation(edited, config.hops, config.scheme)
+    agg_edited = aggregate(edited, config.hops, config.scheme)
     removed = config.k if config.task != "edge" else dataset.n_edges - edited.n_edges
 
     if "unlearn" in config.arms:

@@ -4,10 +4,10 @@ All values are immutable after construction: structural edits (edge/node removal
 feature zeroing) return new :class:`GraphDataset` instances. A graph carries
 one aggregation, for one ``(hops, scheme)``: :func:`aggregate` returns it, or
 propagates from scratch and keeps the result, without hop blocks, in place of
-what the graph carried; :func:`carried_aggregation` also keeps the hop
-blocks. What either hands out is never written. The private step of
-``unlearn.sequential_unlearn`` moves the hop blocks a graph carries over to
-an edited copy and recomputes only the rows the edit can reach.
+what the graph carried. What it hands out is never written. Hop blocks are
+built only by the private step of ``unlearn.sequential_unlearn``, on the
+graph it returns; the next call moves them over to the edited copy and
+recomputes only the rows the edit can reach.
 Graphs are unweighted, so a hop applies ``P = D⁻¹(A + I)`` as
 ``D⁻¹(A @ B + B)`` with ``D`` read off the CSR row lengths: no matrix or degree
 vector is built. A hop acts on each feature column on its own, so zeroing raw
@@ -45,15 +45,15 @@ class GraphDataset:
     train/validation/test node sets.
 
     ``_hop_state`` is private: the aggregation this graph carries for one
-    ``(hops, scheme)`` and its hop blocks (None when only the aggregation is
-    kept), and a spare buffer of the aggregation's shape with the rows where
-    it is stale; only this module sets, moves and reads it. ``_memo`` is
-    private too: the read-only edge keys and pairs, degree statistics and
-    edge scores computed for this graph so far. Neither is an ``__init__``
-    argument; both are excluded from ``repr`` and ``==``, and are dropped by
-    ``dataclasses.replace``, copies and pickles, so no two graphs share them.
-    The memo depends only on the adjacency and the sensitive column: edits
-    and splits that keep both copy it to their result, and
+    ``(hops, scheme)`` and its hop blocks (None unless the graph was returned
+    by ``unlearn.sequential_unlearn``), and a spare buffer of the aggregation's
+    shape with the rows where it is stale; only this module sets, moves and
+    reads it. ``_memo`` is private too: the read-only edge keys and pairs,
+    degree statistics and edge scores computed for this graph so far. Neither
+    is an ``__init__`` argument; both are excluded from ``repr`` and ``==``,
+    and are dropped by ``dataclasses.replace``, copies and pickles, so no two
+    graphs share them. The memo depends only on the adjacency and the sensitive
+    column: edits and splits that keep both copy it to their result, and
     :func:`remove_edges` carries its edge keys and scores.
     """
 
@@ -273,15 +273,15 @@ def _hop(adjacency: sp.csr_matrix, block: np.ndarray, rows=None) -> np.ndarray:
     return out
 
 
-def _carried_state(dataset: GraphDataset, hops, scheme: str, with_blocks: bool) -> tuple[int, tuple | None]:
-    """Checked ``hops`` as an int, and ``dataset``'s state if it is for ``(hops, scheme)`` (with blocks if asked)."""
+def _carried_state(dataset: GraphDataset, hops, scheme: str) -> tuple[int, tuple | None]:
+    """Checked ``hops`` as an int, and ``dataset``'s state if it is for ``(hops, scheme)``."""
     hops = operator.index(hops)
     if hops < 0:
         raise ValueError("hops must be >= 0")
     if scheme not in (SGC, GPR):
         raise ValueError(f"unknown aggregation scheme: {scheme!r}")
     state = dataset._hop_state
-    if state is None or state[:2] != (hops, scheme) or (with_blocks and state[3] is None):
+    if state is None or state[:2] != (hops, scheme):
         return hops, None
     return hops, state
 
@@ -310,39 +310,17 @@ def aggregate(dataset: GraphDataset, hops: int, scheme: str) -> AggregatedFeatur
     The aggregation the graph carries for ``(hops, scheme)`` is returned as
     it is: it equals the one computed here bit for bit. Otherwise the graph's
     own adjacency and features are propagated, and the graph keeps the
-    result, without its hop blocks, in place of whatever it carried. An
-    aggregation the graph carries is read-only, unless it is the graph's own
-    feature array (SGC with no hop), and is never written.
+    result, without its hop blocks, in place of whatever it carried. What
+    this returns is read-only, unless it is the graph's own feature array
+    (SGC with no hop, left as it is), and is never written.
     """
-    hops, state = _carried_state(dataset, hops, scheme, with_blocks=False)
+    hops, state = _carried_state(dataset, hops, scheme)
     if state is None:
         state = (hops, scheme, _aggregate(dataset, hops, scheme)[0], None, None, None)
-    return _lent(dataset, state)
-
-
-def _lent(dataset: GraphDataset, state: tuple) -> AggregatedFeatures:
-    """``state``'s aggregation, which ``dataset`` carries from now on, made read-only: never a spare.
-
-    SGC with no hop lends the graph's own feature array, which is left as it is.
-    """
+        object.__setattr__(dataset, "_hop_state", state)
     if state[2].values is not dataset.features:
         state[2].values.setflags(write=False)
-    object.__setattr__(dataset, "_hop_state", state)
     return state[2]
-
-
-def carried_aggregation(dataset: GraphDataset, hops: int, scheme: str) -> AggregatedFeatures:
-    """The aggregation ``dataset`` carries for ``(hops, scheme)``, with its hop blocks.
-
-    Unless the graph carries them, it is aggregated in full and carries the
-    result, with its hop blocks, in place of whatever it carried, so that
-    ``unlearn.sequential_unlearn`` starts from them. The result is read-only,
-    as :func:`aggregate`'s, and never written.
-    """
-    hops, state = _carried_state(dataset, hops, scheme, with_blocks=True)
-    if state is None:
-        state = (hops, scheme, *_aggregate(dataset, hops, scheme), None, None)
-    return _lent(dataset, state)
 
 
 def _refreshed_spare(values: np.ndarray, spare: np.ndarray | None, stale: np.ndarray | None) -> np.ndarray:
@@ -361,13 +339,16 @@ def _reaggregate(
 ) -> tuple[AggregatedFeatures, AggregatedFeatures, np.ndarray | None]:
     """Aggregate ``after`` from ``before``'s hop blocks, recomputing only the rows that can change.
 
-    Unless ``before`` carries the aggregation with its hop blocks for
-    ``(hops, scheme)``, :func:`carried_aggregation` aggregates it in full;
-    the state is then taken off ``before``. The blocks are edited in place
-    into ``after``'s, and ``after`` carries them, replacing whatever it
-    carried. ``after`` must differ from ``before`` only by
-    removed edges and changed feature rows, as the removal requests produce.
-    Row i of hop k can then change only if
+    Unless ``before`` carries hop blocks for ``(hops, scheme)``, there is
+    nothing to edit: ``before``'s aggregation is taken off it as the pre-edit
+    side (aggregated in full only if it carries none for these settings), and
+    ``after`` keeps the aggregation it carries for them (the zeroed copy a
+    feature removal leaves) or is aggregated in full and carries the result
+    with its hop blocks; the rows returned are None. Otherwise the state is
+    taken off ``before``, its blocks are edited in place into ``after``'s, and
+    ``after`` carries them, replacing whatever it carried. ``after`` must
+    differ from ``before`` only by removed edges and changed feature rows, as
+    the removal requests produce. Row i of hop k can then change only if
 
     - i's degree changed: with edges only removed, these are exactly the rows
       whose propagation row changed;
@@ -378,30 +359,33 @@ def _reaggregate(
     covers more than half the graph, the hop is the full product; either way
     a row is the same bit for bit.
 
-    ``after``'s aggregation (for SGC, its last block when that hop is
-    partial) is written into the spare buffer ``before`` carries: the
-    aggregation of the graph ``before`` was edited from. Only the rows the
-    previous call recomputed (all after a full hop) are refreshed, then this
-    edit's rows are written, so an edge request allocates nothing the size of
-    the aggregation. ``after`` keeps ``before``'s aggregation as its spare if
-    it is writable and not ``before``'s feature array: one computed in full or
-    handed out by :func:`aggregate` or :func:`carried_aggregation` is not. An
-    aggregation returned here thus stays valid only until ``after`` is passed
-    to this function again, so the step is ``unlearn.sequential_unlearn``'s
-    alone, and the aggregations it returns never leave that function.
+    ``after``'s aggregation (for SGC, its last block when that hop is partial)
+    is written into the spare buffer ``before`` carries: the aggregation of the
+    graph ``before`` was edited from. Only the rows the previous call
+    recomputed (all after a full hop) are refreshed, then this edit's rows are
+    written, so an edge request allocates nothing the size of the aggregation.
+    ``after`` keeps ``before``'s aggregation as its spare if it is writable and
+    not ``before``'s feature array: one handed out by :func:`aggregate` is not.
+    An aggregation returned here thus stays valid only until ``after`` is
+    passed to this function again, so the step is
+    ``unlearn.sequential_unlearn``'s alone, and the aggregations it returns
+    never leave that function.
 
     Returns ``before``'s aggregation, ``after``'s, which equals
-    ``aggregate(after, hops, scheme)``, and the rows
-    recomputed at any hop. The row sets grow from hop to hop, so these are the
-    last hop's rows; every other row of ``after``'s aggregation equals
-    ``before``'s bit for bit. None means some hop was the full product.
+    ``aggregate(after, hops, scheme)``, and the rows recomputed at any hop. The
+    row sets grow from hop to hop, so these are the last hop's rows; every
+    other row of ``after``'s aggregation equals ``before``'s bit for bit. None
+    means some hop was the full product, or no blocks were edited.
     """
-    hops, state = _carried_state(before, hops, scheme, with_blocks=True)
-    if state is None:
-        # ``state`` is None here, so no local holds the replaced state through the request.
-        carried_aggregation(before, hops, scheme)
-        state = before._hop_state
+    hops, state = _carried_state(before, hops, scheme)
     object.__setattr__(before, "_hop_state", None)
+    if state is None or state[3] is None:
+        aggregated = _aggregate(before, hops, scheme)[0] if state is None else state[2]
+        _, state = _carried_state(after, hops, scheme)
+        if state is None:
+            state = (hops, scheme, *_aggregate(after, hops, scheme), None, None)
+            object.__setattr__(after, "_hop_state", state)
+        return aggregated, state[2], None
     aggregated, blocks, spare, stale = state[2:]
     n = after.n_nodes
     adj = after.adjacency

@@ -13,6 +13,7 @@ without checks; only the public ``loss_and_gradient`` and ``hessian`` check inpu
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,8 @@ class TrainConfig:
             raise ValueError("lam must be positive and finite")
         if not 0 < self.tolerance < np.inf:
             raise ValueError("tolerance must be positive and finite")
+        if operator.index(self.max_iterations) < 0:
+            raise ValueError("max_iterations must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -141,10 +141,10 @@ def newton_unlearn(
     other row being equal bit for bit, as the private re-aggregation step of
     :func:`sequential_unlearn` recomputes them; the correction is then summed
     over those rows and the rows whose mask changed. Without ``changed_rows``
-    (that step passes None once its rows cover more than half the graph),
-    both gradients are full passes. The post-edit training rows are copied
-    out once; the sigmoid at the current weights on them serves the Hessian
-    and, on the full path, the gradient.
+    (that step passes None once its rows cover more than half the graph, and
+    when its input carried no hop blocks), both gradients are full passes. The
+    post-edit training rows are copied out once; the sigmoid at the current
+    weights on them serves the Hessian and, on the full path, the gradient.
     """
     if aggregated.width != aggregated_new.width:
         raise ValueError("pre/post aggregation widths differ")
@@ -236,15 +236,16 @@ def sequential_unlearn(
     ``scheme`` and ``hops`` must be the aggregation ``model`` was trained on:
     for SGC the width does not show the hop count, so nothing else checks it.
     Every edited aggregation comes from a private step of :mod:`graph`, which
-    recomputes only the rows the request can change; those rows are passed
-    on to :func:`newton_unlearn` as ``changed_rows``. The hop blocks ride on
-    the graphs and :mod:`graph` alone carries, moves and drops them: feeding
-    each call the graph the previous one returned keeps every request about
-    the size of its edit. A graph carries one aggregation, so any other
-    input, or one that carries no blocks for ``(hops, scheme)`` (as
-    :func:`graph.aggregate` leaves it), is aggregated in full once. One graph
-    must not be fed to two calls running at the same time in different
-    threads.
+    alone builds, moves and drops the hop blocks ``X, PX, ..., PᴸX`` that ride
+    on the graphs. On a graph that carries them for ``(hops, scheme)``, a
+    request recomputes only the rows it can change and passes them to
+    :func:`newton_unlearn` as ``changed_rows``: feeding each call the graph the
+    previous one returned keeps every request about the size of its edit. On
+    any other graph, its aggregation (computed in full if it carries none for
+    these settings) is the pre-edit side, the edited graph keeps the zeroed
+    aggregation a feature removal leaves or is aggregated in full once, with
+    its blocks, and both gradients are full passes. One graph must not be fed
+    to two calls running at the same time in different threads.
 
     Returns ``(results, final_budget, edited_dataset)``; the edited dataset is
     included because lazily built requests cannot be replayed by the caller.

@@ -1,10 +1,13 @@
+import contextlib
 import os
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from fairwipe import graph
 from fairwipe.graph import GraphDataset
 from fairwipe.synthetic import gaussian_features, random_adjacency, split_masks
 
@@ -57,6 +60,37 @@ def random_dataset(n=30, f=4, seed=0, avg_degree=4.0, fractions=(0.6, 0.2, 0.2))
         val_mask=val,
         test_mask=test,
     )
+
+
+@contextlib.contextmanager
+def counting_full_passes():
+    """A spy on full passes over the graph, yielding the list of them as they happen.
+
+    Each `graph._aggregate` call is listed as ``("_aggregate", dataset)``, and
+    each full `graph._hop` product (no ``rows``) made outside one as
+    ``("_hop", None)``: a full hop inside the re-aggregation step is as much
+    a full pass as an aggregation from scratch.
+    """
+    passes = []
+    aggregate, hop = graph._aggregate, graph._hop
+
+    def spy_aggregate(dataset, hops, scheme):
+        passes.append(("_aggregate", dataset))
+        with mock.patch.object(graph, "_hop", hop):
+            return aggregate(dataset, hops, scheme)
+
+    def spy_hop(adjacency, block, rows=None):
+        if rows is None:
+            passes.append(("_hop", None))
+        return hop(adjacency, block, rows)
+
+    with mock.patch.object(graph, "_aggregate", spy_aggregate), mock.patch.object(graph, "_hop", spy_hop):
+        yield passes
+
+
+def aggregations(passes):
+    """The graphs aggregated from scratch among ``passes``."""
+    return [dataset for name, dataset in passes if name == "_aggregate"]
 
 
 @pytest.fixture

@@ -43,7 +43,6 @@ FAIRWIPE_NAMES = [
     "aggregate",
     "alpha_diagnostics",
     "calibrate_noise",
-    "carried_aggregation",
     "degree_stats",
     "edge_bias_scores",
     "emit_results",
@@ -80,7 +79,6 @@ GRAPH_NAMES = [
     "SGC",
     "aggregate",
     "build_propagation",
-    "carried_aggregation",
     "degree_stats",
     "remove_edges",
     "remove_nodes",

@@ -144,6 +144,17 @@ class TestRun:
         assert code == 2
         assert "cannot write" in capsys.readouterr().err
 
+    def test_every_seed_failing_exits_2(self, toy_workspace, capsys):
+        """Removing more features than the 5 the dataset has fails each seed:
+        the run warns once per seed and exits 2, with nothing on stdout."""
+        config = toy_workspace / "exp.cfg"
+        config.write_text(config.read_text() + "k = 9\n")
+        with pytest.warns(UserWarning, match="seed .* failed") as caught:
+            code = main(["run", "--config", str(config)])
+        assert code == 2 and len(caught) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "config error: every seed failed" in err
+
 
 class TestSweep:
     def test_one_file_per_value(self, toy_workspace, capsys):
@@ -194,6 +205,16 @@ class TestSweep:
             written = (toy_workspace / f"sweep.hops-{hops}.json").read_text()
             assert written == experiment.emit_results(alone, format="json")
         assert loads.call_count == 4
+
+    def test_every_seed_failing_exits_2(self, toy_workspace, capsys):
+        """A value whose every seed fails ends the sweep with exit 2 after the values before it."""
+        args = ["sweep", "--config", str(toy_workspace / "exp.cfg"), "--param", "k", "--values", "2,9"]
+        with pytest.warns(UserWarning, match="seed .* failed"):
+            code = main(args)
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert "k=2 arm=pretrained" in out and "k=9" not in out
+        assert "config error: every seed failed for k=9" in err
 
     def test_unsweepable_param_exits_2(self, toy_workspace):
         code = main(

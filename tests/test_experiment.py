@@ -19,6 +19,8 @@ from fairwipe.graph import aggregate
 from fairwipe.synthetic import homophilous_dataset
 from fairwipe.unlearn import newton_unlearn, sequential_unlearn
 
+from conftest import counting_full_passes
+
 
 def make_config(**overrides):
     base = dict(
@@ -115,6 +117,15 @@ class TestParseConfig:
     def test_unknown_arm_rejected(self):
         with pytest.raises(ConfigError, match="arms"):
             make_config(arms=("pretrained", "deploy"))
+
+    @pytest.mark.parametrize("field, value", [("k", 2.5), ("hops", 2.0), ("edge_batches", 2.5), ("max_iterations", 10.0)])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            make_config(**{field: value})
+
+    def test_negative_max_iterations_rejected(self):
+        with pytest.raises(ConfigError, match="max_iterations must be >= 0"):
+            make_config(max_iterations=-1)
 
 
 class TestRunExperiment:
@@ -311,9 +322,13 @@ class TestOneRemovalPath:
 
     @pytest.mark.parametrize(
         "task, full_aggregations",
-        [("feature", 2), ("edge", 2), ("edge-fixed-budget", 2), ("node", 2)],
+        [("feature", 2), ("edge", 3), ("edge-fixed-budget", 3), ("node", 3)],
     )
     def test_full_aggregations_per_seed(self, bench_dataset, monkeypatch, task, full_aggregations):
+        """The split graph and the retrain oracle aggregate from scratch; the
+        first request of an edge or node seed aggregates its edit once more,
+        keeping the hop blocks, while a feature seed takes the zeroed copy of
+        the split graph's aggregation."""
         calls = []
 
         def counting(fn):
@@ -330,6 +345,22 @@ class TestOneRemovalPath:
             rows = run_experiment(config, dataset=bench_dataset)
         assert {r.arm for r in rows if not r.aggregate} == {"pretrained", "unlearn", "retrain"}
         assert len(calls) == 2 * full_aggregations
+
+    @pytest.mark.parametrize("scheme", ["sgc", "gpr"])
+    def test_feature_seed_makes_no_full_pass_in_the_removal(self, bench_dataset, monkeypatch, scheme):
+        """The feature removal runs no aggregation and no full hop: the edited
+        graph carries the zeroed copy of the split graph's aggregation."""
+        passes = []
+
+        def counted(*args, **kwargs):
+            with counting_full_passes() as full:
+                out = sequential_unlearn(*args, **kwargs)
+            passes.append(len(full))
+            return out
+
+        monkeypatch.setattr(experiment, "sequential_unlearn", counted)
+        run_experiment(make_config(scheme=scheme, seeds=(0, 1), **TASK_CONFIGS["feature"]), dataset=bench_dataset)
+        assert passes == [0, 0]
 
     @pytest.mark.parametrize("task", ["edge", "edge-fixed-budget", "feature", "node"])
     @pytest.mark.parametrize("selector", ["proposed", "random"])

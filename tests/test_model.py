@@ -253,6 +253,13 @@ class TestTrain:
         with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
             TrainConfig(**{field: value})
 
+    def test_config_needs_a_non_negative_integer_iteration_count(self):
+        with pytest.raises(ValueError, match="max_iterations must be >= 0"):
+            TrainConfig(max_iterations=-1)
+        with pytest.raises(TypeError):
+            TrainConfig(max_iterations=2.5)
+        assert TrainConfig(max_iterations=np.int64(0)).max_iterations == 0
+
 
 class TestPredict:
     def test_zero_weights_all_label_zero(self):

@@ -1,7 +1,9 @@
 """Command-line entry points: run experiments, inspect dataset stats, sweep a parameter.
 
-Exit codes: 0 on success, 2 on configuration errors, 3 on data validation
-failures.
+Exit codes: 0 on success, 2 on configuration errors (a config file that
+cannot be read among them) and on output that cannot be written, 3 on data
+validation failures (a manifest, edge or feature file that cannot be read
+among them).
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from pathlib import Path
 
 from .data import DatasetManifest, DataValidationError, load_dataset
 from .experiment import (
-    _CONFIG_PARSERS,
+    _CONFIG_KEYS,
     ConfigError,
-    _config_field,
+    _read_setting,
     emit_results,
     parse_config,
     run_experiment,
@@ -82,10 +84,9 @@ def _cmd_stats(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = parse_config(args.config)
-    if args.param not in _CONFIG_PARSERS or args.param in ("manifest", "seeds"):
+    if args.param not in _CONFIG_KEYS or args.param in ("manifest", "seeds"):
         raise ConfigError(f"cannot sweep over {args.param!r}")
-    parse_value = _CONFIG_PARSERS[args.param]
-    field = _config_field(args.param)
+    field = _CONFIG_KEYS[args.param].name
     # The manifest cannot be swept: its files are parsed and validated once.
     dataset = name = None
     if config.manifest is not None:
@@ -94,7 +95,7 @@ def _cmd_sweep(args) -> int:
     for raw in args.values.split(","):
         raw = raw.strip()
         try:
-            variant = replace(config, **{field: parse_value(raw)})
+            variant = replace(config, **{field: _read_setting(args.param, raw)})
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad sweep value {raw!r} for {args.param}: {exc}")
         rows = run_experiment(variant, dataset, name)

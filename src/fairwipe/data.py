@@ -32,6 +32,16 @@ class DataValidationError(ValueError):
     """Dataset files or statistics do not match what the manifest promises."""
 
 
+def _read_text(path: Path, what: str, error: type[Exception] = DataValidationError) -> str:
+    """The text of the file ``path``, or ``error`` naming ``what`` if it is missing or cannot be read as text."""
+    try:
+        return path.read_text()
+    except FileNotFoundError:
+        raise error(f"{what} not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}")
+
+
 @dataclass(frozen=True)
 class DatasetManifest:
     """Where a dataset lives and how to read its columns.
@@ -57,9 +67,7 @@ class DatasetManifest:
     def from_json(cls, path) -> "DatasetManifest":
         path = Path(path)
         try:
-            raw = json.loads(path.read_text())
-        except FileNotFoundError:
-            raise DataValidationError(f"manifest not found: {path}")
+            raw = json.loads(_read_text(path, "manifest"))
         except json.JSONDecodeError as exc:
             raise DataValidationError(f"manifest {path} is not valid JSON: {exc}")
         try:
@@ -79,9 +87,7 @@ class DatasetManifest:
 
 
 def _read_edge_list(path: Path, n_nodes: int) -> sp.csr_matrix:
-    if not path.exists():
-        raise DataValidationError(f"edge file not found: {path}")
-    text = path.read_text()
+    text = _read_text(path, "edge file")
     try:
         with warnings.catch_warnings():
             # An empty list gets its own error below.
@@ -149,9 +155,7 @@ def _read_feature_table(manifest: DatasetManifest) -> tuple[np.ndarray, np.ndarr
     contiguous column.
     """
     path = manifest.features_path
-    if not path.exists():
-        raise DataValidationError(f"feature file not found: {path}")
-    header_line, _, body = path.read_text().strip().partition("\n")
+    header_line, _, body = _read_text(path, "feature file").strip().partition("\n")
     if not body:
         raise DataValidationError(f"{path}: need a header row and at least one node row")
     delimiter = next((cand for cand in ("\t", ",", ";") if cand in header_line), None)
@@ -308,14 +312,18 @@ def make_splits(
     result keeps the input's memoised edge keys and pairs, degree statistics
     and edge scores.
     """
-    fractions = tuple(float(f) for f in fractions)
-    if not all(0 < f < np.inf for f in fractions):
-        raise ValueError("split fractions must be positive and finite")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("split fractions must sum to 1")
+    fractions = _checked_fractions(fractions)
     for attempt_seed in (seed, seed + 977):
         train, val, test = split_masks(dataset.n_nodes, fractions, np.random.default_rng(attempt_seed))
         s_test = dataset.sensitive[test]
         if (s_test == 0).any() and (s_test == 1).any():
             return dataset._edited(train_mask=train, val_mask=val, test_mask=test)
     raise ValueError("test split is missing a sensitive group even after one resample")
+
+
+def _checked_fractions(fractions) -> tuple[float, ...]:
+    """The train/val/test ``fractions`` as floats, once checked to be positive and finite and to sum to 1."""
+    fractions = tuple(float(f) for f in fractions)
+    if not all(0 < f < np.inf for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
+        raise ValueError(f"split fractions must be positive and finite and sum to 1, got {fractions}")
+    return fractions

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fairness, graph
+from . import data, fairness, graph
 from .data import DatasetManifest, load_dataset, make_splits
 from .fairness import select_edges, select_features, select_nodes
 from .graph import GraphDataset, aggregate
@@ -37,12 +37,24 @@ from .unlearn import (
 )
 
 ARMS = ("pretrained", "unlearn", "retrain")
-TASKS = ("feature", "edge", "node")
 _SELECTORS = {"feature": ("proposed", "random"), "edge": fairness.EDGE_KINDS, "node": fairness.NODE_KINDS}
 
 
 class ConfigError(ValueError):
     """The experiment configuration is malformed or inconsistent."""
+
+
+# Readers of config values by the declared type of the :class:`ExperimentConfig` field they set: a
+# tuple field reads each comma- or space-separated word. A field read by `int` holds only integers.
+_READERS = {
+    "Path | None": Path,
+    "str": str,
+    "int": int,
+    "float": float,
+    "float | None": float,
+    "tuple[int, ...]": int,
+    "tuple[str, ...]": str,
+}
 
 
 @dataclass(frozen=True)
@@ -55,7 +67,7 @@ class ExperimentConfig:
     selector: str = "proposed"
     scheme: str = graph.SGC
     hops: int = 3
-    lam: float = 10.0
+    lam: float = TrainConfig.lam
     epsilon: float = 1.0
     delta: float = 1e-4
     epsilon_prime: float | None = None
@@ -64,43 +76,42 @@ class ExperimentConfig:
     val_frac: float = 0.2
     test_frac: float = 0.2
     arms: tuple[str, ...] = ARMS
-    tolerance: float = 1e-8
-    max_iterations: int = 500
+    tolerance: float = TrainConfig.tolerance
+    max_iterations: int = TrainConfig.max_iterations
     node_scope: str = "train"
 
     def __post_init__(self):
-        if self.task not in TASKS:
-            raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
+        if self.task not in _SELECTORS:
+            raise ConfigError(f"task must be one of {tuple(_SELECTORS)}, got {self.task!r}")
         if self.selector not in _SELECTORS[self.task]:
             raise ConfigError(
                 f"selector {self.selector!r} is not valid for task {self.task!r}; "
                 f"expected one of {_SELECTORS[self.task]}"
             )
-        if self.scheme not in (graph.SGC, graph.GPR):
-            raise ConfigError(f"scheme must be 'sgc' or 'gpr', got {self.scheme!r}")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
-        for name in ("k", "hops", "edge_batches", "max_iterations"):
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.k < 1 or self.hops < 0:
-            raise ConfigError(f"k must be >= 1 and hops >= 0, got k = {self.k}, hops = {self.hops}")
-        if self.node_scope not in ("train", "all"):
-            raise ConfigError(f"node_scope must be 'train' or 'all', got {self.node_scope!r}")
-        if not all(0 < f < np.inf for f in self.fractions) or abs(sum(self.fractions) - 1.0) > 1e-9:
-            raise ConfigError("split fractions must be positive and sum to 1")
-        unknown_arms = set(self.arms) - set(ARMS)
-        if unknown_arms:
-            raise ConfigError(f"unknown arms {sorted(unknown_arms)}")
-        if not self.arms:
-            raise ConfigError("at least one arm is required")
+        for f in fields(self):
+            if _READERS[f.type] is int:
+                value, many = getattr(self, f.name), f.type.startswith("tuple[")
+                try:
+                    for v in value if many else (value,):
+                        operator.index(v)
+                except TypeError:
+                    raise ConfigError(f"{f.name} must be {'integers' if many else 'an integer'}, got {value!r}")
+        if self.k < 1:
+            raise ConfigError(f"k must be >= 1, got {self.k}")
+        if self.node_scope not in fairness.NODE_SCOPES:
+            raise ConfigError(f"node_scope must be one of {fairness.NODE_SCOPES}, got {self.node_scope!r}")
+        if not self.arms or not set(self.arms) <= set(ARMS):
+            raise ConfigError(f"arms must be a non-empty subset of {ARMS}, got {self.arms!r}")
         if self.task == "edge" and not (0 < self.edge_fraction <= 1 and self.edge_batches >= 1):
             raise ConfigError("edge task needs edge_fraction in (0,1] and edge_batches >= 1")
         try:
+            graph._check_settings(self.hops, self.scheme)
+            data._checked_fractions(self.fractions)
             CertificationBudget(self.epsilon, self.delta, epsilon_prime=self.epsilon_prime)
-            TrainConfig(self.lam, self.tolerance, self.max_iterations)
+            for seed in self.seeds:
+                TrainConfig(self.lam, self.tolerance, self.max_iterations, seed)
         except ValueError as exc:
             raise ConfigError(str(exc))
         if self.epsilon_prime == np.inf:  # a legal budget, but the noise calibrated to it is infinite
@@ -111,42 +122,24 @@ class ExperimentConfig:
         return (self.train_frac, self.val_frac, self.test_frac)
 
 
-_CONFIG_PARSERS = {
-    "manifest": str,
-    "task": str,
-    "k": int,
-    "edge_fraction": float,
-    "edge_batches": int,
-    "selector": str,
-    "scheme": str,
-    "hops": int,
-    "lambda": float,
-    "epsilon": float,
-    "delta": float,
-    "epsilon_prime": float,
-    "seeds": lambda v: tuple(int(x) for x in v.replace(",", " ").split()),
-    "train_frac": float,
-    "val_frac": float,
-    "test_frac": float,
-    "arms": lambda v: tuple(x for x in v.replace(",", " ").split()),
-    "tolerance": float,
-    "max_iterations": int,
-    "node_scope": str,
-}
+# The field each config key sets: the key is the field's name, but `lambda` sets `lam`.
+_CONFIG_KEYS = {"lambda" if f.name == "lam" else f.name: f for f in fields(ExperimentConfig)}
 
 
-def _config_field(key: str) -> str:
-    """The :class:`ExperimentConfig` field a config key sets: its own name, but ``lambda`` sets ``lam``."""
-    return "lam" if key == "lambda" else key
+def _read_setting(key: str, raw: str):
+    """``raw`` read as a value of the field config key ``key`` sets, by the reader of its declared type."""
+    field = _CONFIG_KEYS[key]
+    read = _READERS[field.type]
+    if field.type.startswith("tuple["):
+        return tuple(read(word) for word in raw.replace(",", " ").split())
+    return read(raw)
 
 
 def parse_config(path) -> ExperimentConfig:
     """Read a `key = value` config file (one setting per line, '#' comments)."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     values: dict = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+    for lineno, line in enumerate(data._read_text(path, "config file", ConfigError).splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -154,20 +147,17 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in _CONFIG_PARSERS:
+        if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
         try:
-            values[_config_field(key)] = _CONFIG_PARSERS[key](raw)
+            values[_CONFIG_KEYS[key].name] = _read_setting(key, raw)
         except (ValueError, TypeError):
             raise ConfigError(f"{path}:{lineno}: cannot parse value for {key!r}: {raw!r}")
     if "task" not in values:
         raise ConfigError(f"{path}: 'task' is required")
     if "manifest" in values:
         values["manifest"] = (path.parent / values["manifest"]).resolve()
-    try:
-        return ExperimentConfig(manifest=values.pop("manifest", None), **values)
-    except TypeError as exc:
-        raise ConfigError(f"{path}: {exc}")
+    return ExperimentConfig(manifest=values.pop("manifest", None), **values)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from .model import LOGISTIC
 
 EDGE_KINDS = ("proposed", "random", "random-intra", "random-inter")
 NODE_KINDS = ("proposed", "random", "bias-term-only", "degree-only")
+NODE_SCOPES = ("train", "all")
 
 
 @dataclass(frozen=True)
@@ -146,17 +147,14 @@ def select_nodes(
     kind: str = "proposed",
     seed: int | None = None,
 ) -> SelectionResult:
-    """Top-k nodes for removal under one of :data:`NODE_KINDS`, from the training set or the whole graph.
+    """Top-k nodes for removal under one of :data:`NODE_KINDS`, from one of :data:`NODE_SCOPES`: training set or graph.
 
     ``bias-term-only`` and ``degree-only`` score by the two factors of :func:`node_bias_scores`.
     """
     _check_kind(kind, NODE_KINDS, "node")
-    if scope == "train":
-        nodes = np.flatnonzero(dataset.train_mask)
-    elif scope == "all":
-        nodes = np.arange(dataset.n_nodes)
-    else:
-        raise ValueError("scope must be 'train' or 'all'")
+    if scope not in NODE_SCOPES:
+        raise ValueError(f"scope must be one of {NODE_SCOPES}, got {scope!r}")
+    nodes = np.flatnonzero(dataset.train_mask) if scope == "train" else np.arange(dataset.n_nodes)
     if not 1 <= k <= len(nodes):
         raise ValueError(f"k must lie in [1, {len(nodes)}] for scope {scope!r}")
     if kind == "random":

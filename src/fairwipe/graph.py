@@ -41,7 +41,7 @@ class GraphDataset:
     ``+ I``) and every stored value 1. The constructor copies any other
     scipy sparse format, or a CSR with unsorted or duplicate entries, to
     canonical CSR; duplicates are summed before the values are checked.
-    Features are 2-D; masks are boolean and select disjoint
+    Features are 2-D and finite; masks are boolean and select disjoint
     train/validation/test node sets.
 
     ``_hop_state`` is private: the aggregation this graph carries for one
@@ -75,6 +75,8 @@ class GraphDataset:
             adjacency.sum_duplicates()
             object.__setattr__(self, "adjacency", adjacency)
         self._check_fields()
+        if not np.isfinite(self.features).all():
+            raise ValueError("features must be finite")
         if self.adjacency.diagonal().any():
             raise ValueError("adjacency must have zero diagonal (no stored self-loops)")
         if (self.adjacency.data != 1.0).any():
@@ -96,7 +98,8 @@ class GraphDataset:
         the binary checks only when the sensitive or label column is replaced.
         The O(nnz) adjacency checks (symmetry, zero diagonal, unit entries)
         hold by construction: an edit keeps the adjacency or removes both
-        directions of entries from a validated one.
+        directions of entries from a validated one. So do the finite
+        features: an edit keeps them or zeroes some of their entries.
         """
         edited = object.__new__(GraphDataset)
         for f in fields(self):
@@ -273,13 +276,18 @@ def _hop(adjacency: sp.csr_matrix, block: np.ndarray, rows=None) -> np.ndarray:
     return out
 
 
-def _carried_state(dataset: GraphDataset, hops, scheme: str) -> tuple[int, tuple | None]:
-    """Checked ``hops`` as an int, and ``dataset``'s state if it is for ``(hops, scheme)``."""
-    hops = operator.index(hops)
+def _check_settings(hops: int, scheme: str) -> None:
+    """Check that the integer ``hops`` is >= 0 and ``scheme`` is SGC or GPR."""
     if hops < 0:
         raise ValueError("hops must be >= 0")
     if scheme not in (SGC, GPR):
         raise ValueError(f"unknown aggregation scheme: {scheme!r}")
+
+
+def _carried_state(dataset: GraphDataset, hops, scheme: str) -> tuple[int, tuple | None]:
+    """Checked ``hops`` as an int, and ``dataset``'s state if it is for ``(hops, scheme)``."""
+    hops = operator.index(hops)
+    _check_settings(hops, scheme)
     state = dataset._hop_state
     if state is None or state[:2] != (hops, scheme):
         return hops, None

@@ -55,6 +55,11 @@ class LossSpec:
 LOGISTIC = LossSpec()
 
 
+def _check_positive_finite(name: str, value) -> None:
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     lam: float = 10.0
@@ -63,12 +68,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.lam < np.inf:
-            raise ValueError("lam must be positive and finite")
-        if not 0 < self.tolerance < np.inf:
-            raise ValueError("tolerance must be positive and finite")
-        if operator.index(self.max_iterations) < 0:
-            raise ValueError("max_iterations must be >= 0")
+        _check_positive_finite("lam", self.lam)
+        _check_positive_finite("tolerance", self.tolerance)
+        for name in ("max_iterations", "seed"):
+            if operator.index(getattr(self, name)) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass(frozen=True)

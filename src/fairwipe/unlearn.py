@@ -10,7 +10,8 @@ it leaves behind is what the certification budget accumulates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -18,46 +19,43 @@ from scipy.special import expit
 
 from . import graph
 from .graph import AggregatedFeatures, GraphDataset
-from .model import LOGISTIC, TrainConfig, TrainedModel, _objective, logistic_hessian, train
+from .model import LOGISTIC, TrainConfig, TrainedModel, _check_positive_finite, _objective, logistic_hessian, train
+
+
+class _Removal:
+    """A removal request's one rule: the list it holds, its only field, is non-empty."""
+
+    def __post_init__(self):
+        (listed,) = fields(self)
+        if len(getattr(self, listed.name)) == 0:
+            raise ValueError("removal request must be non-empty")
 
 
 @dataclass(frozen=True)
-class FeatureRemoval:
+class FeatureRemoval(_Removal):
     """Zero the listed feature columns across all nodes."""
 
     features: tuple[int, ...] | np.ndarray
-
-    def __post_init__(self):
-        if len(self.features) == 0:
-            raise ValueError("removal request must be non-empty")
 
     def apply(self, dataset: GraphDataset) -> GraphDataset:
         return graph.zero_feature_columns(dataset, self.features)
 
 
 @dataclass(frozen=True)
-class EdgeRemoval:
+class EdgeRemoval(_Removal):
     """Drop the listed undirected edges."""
 
     edges: tuple[tuple[int, int], ...] | np.ndarray
-
-    def __post_init__(self):
-        if len(self.edges) == 0:
-            raise ValueError("removal request must be non-empty")
 
     def apply(self, dataset: GraphDataset) -> GraphDataset:
         return graph.remove_edges(dataset, self.edges)
 
 
 @dataclass(frozen=True)
-class NodeRemoval:
+class NodeRemoval(_Removal):
     """Detach the listed nodes (incident edges, features, and mask membership)."""
 
     nodes: tuple[int, ...] | np.ndarray
-
-    def __post_init__(self):
-        if len(self.nodes) == 0:
-            raise ValueError("removal request must be non-empty")
 
     def apply(self, dataset: GraphDataset) -> GraphDataset:
         return graph.remove_nodes(dataset, self.nodes)
@@ -195,6 +193,8 @@ def worstcase_bound_feature(n_features: int, k: int, m: int, lam: float) -> floa
     schemes; F and k count raw features. ``lam`` is the ridge the model is
     trained with: the bound, and the noise calibrated to it, scale as 1/lam².
     """
+    _check_positive_finite("lam", lam)
+    k, m = operator.index(k), operator.index(m)
     if not 0 <= k <= n_features:
         raise ValueError(f"k must lie in [0, {n_features}]")
     if m < 1:

@@ -123,3 +123,29 @@ def write_dataset_files(tmp_path):
         return edge_path, feat_path
 
     return _write
+
+
+# Every config key, each at a value other than its field's default; ``arms``
+# is space-separated so that a sweep can take it as one value.
+EVERY_SETTING = {
+    "manifest": "data/m.json",
+    "task": "edge",
+    "k": "4",
+    "edge_fraction": "0.2",
+    "edge_batches": "3",
+    "selector": "random-intra",
+    "scheme": "gpr",
+    "hops": "1",
+    "lambda": "2.5",
+    "epsilon": "0.5",
+    "delta": "1e-3",
+    "epsilon_prime": "0.25",
+    "seeds": "3, 4",
+    "train_frac": "0.5",
+    "val_frac": "0.25",
+    "test_frac": "0.25",
+    "arms": "unlearn retrain",
+    "tolerance": "1e-6",
+    "max_iterations": "300",
+    "node_scope": "all",
+}

@@ -11,6 +11,8 @@ from fairwipe import cli, data, experiment
 from fairwipe.cli import main
 from fairwipe.synthetic import homophilous_dataset
 
+from conftest import EVERY_SETTING
+
 
 @pytest.fixture
 def toy_workspace(tmp_path):
@@ -110,6 +112,7 @@ class TestRun:
             "train_frac = nan",
             "k = 0",
             "node_scope = test",
+            "seeds = -1",
         ],
     )
     def test_bad_budget_exits_2_before_any_seed(self, toy_workspace, capsys, monkeypatch, setting):
@@ -137,6 +140,36 @@ class TestRun:
         code = main(["run", "--config", str(toy_workspace / "exp.cfg")])
         assert code == 3
         assert f"edges.txt:{n_lines}: node ids must be non-negative integers, got {line!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["directory", "not-utf-8"])
+    @pytest.mark.parametrize(
+        "command, target, code",
+        [
+            ("run", "exp.cfg", 2),
+            ("run", "manifest.json", 3),
+            ("run", "edges.txt", 3),
+            ("run", "features.csv", 3),
+            ("stats", "manifest.json", 3),
+            ("stats", "edges.txt", 3),
+            ("stats", "features.csv", 3),
+        ],
+    )
+    def test_unreadable_input_exits_with_its_code(self, toy_workspace, capsys, command, target, code, damage):
+        """An input that exists but cannot be read as text is a config error (exit 2) or a data error (exit 3)."""
+        path = toy_workspace / target
+        if damage == "directory":
+            path.unlink()
+            path.mkdir()
+        else:
+            path.write_bytes(path.read_bytes() + b"\xe9\n")
+        if command == "run":
+            args = ["run", "--config", str(toy_workspace / "exp.cfg")]
+        else:
+            args = ["stats", "--manifest", str(toy_workspace / "manifest.json")]
+        assert main(args) == code
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " if code == 2 else "data validation error: ")
+        assert "cannot read" in err and str(path) in err
 
     def test_unwritable_output_exits_2(self, toy_workspace, capsys):
         out = toy_workspace / "no" / "such" / "dir" / "results.csv"
@@ -215,6 +248,29 @@ class TestSweep:
         out, err = capsys.readouterr()
         assert "k=2 arm=pretrained" in out and "k=9" not in out
         assert "config error: every seed failed for k=9" in err
+
+    def test_sweeps_every_sweepable_key(self, tmp_path, monkeypatch):
+        """Every key but ``manifest`` and ``seeds`` sweeps its field, read by the field's declared type."""
+
+        class Swept(Exception):
+            pass
+
+        def stop(variant, dataset, name):
+            raise Swept(variant)
+
+        monkeypatch.setattr(cli, "run_experiment", stop)
+        config = tmp_path / "exp.cfg"
+        config.write_text("".join(f"{key} = {raw}\n" for key, raw in EVERY_SETTING.items() if key != "manifest"))
+        base = experiment.parse_config(config)
+        for key, raw in EVERY_SETTING.items():
+            if key in ("manifest", "seeds"):
+                continue
+            with pytest.raises(Swept) as swept:
+                main(["sweep", "--config", str(config), "--param", key, "--values", raw])
+            variant = swept.value.args[0]
+            assert variant == base, key
+            field = "lam" if key == "lambda" else key
+            assert type(getattr(variant, field)) is type(getattr(base, field)), key
 
     def test_unsweepable_param_exits_2(self, toy_workspace):
         code = main(

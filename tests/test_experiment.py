@@ -1,6 +1,7 @@
 import dataclasses
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from fairwipe.graph import aggregate
 from fairwipe.synthetic import homophilous_dataset
 from fairwipe.unlearn import newton_unlearn, sequential_unlearn
 
-from conftest import counting_full_passes
+from conftest import EVERY_SETTING, counting_full_passes
 
 
 def make_config(**overrides):
@@ -126,6 +127,63 @@ class TestParseConfig:
     def test_negative_max_iterations_rejected(self):
         with pytest.raises(ConfigError, match="max_iterations must be >= 0"):
             make_config(max_iterations=-1)
+
+    @pytest.mark.parametrize(
+        "seeds, message",
+        [((0.5, 1), "seeds must be integers"), (("1",), "seeds must be integers"), ((-1,), "seed must be >= 0")],
+    )
+    def test_seeds_must_be_non_negative_integers(self, seeds, message):
+        with pytest.raises(ConfigError, match=message):
+            make_config(seeds=seeds)
+
+    def test_every_field_type_has_a_reader(self):
+        fields = dataclasses.fields(ExperimentConfig)
+        assert {f.name: f.type for f in fields if f.type not in experiment._READERS} == {}
+
+    def test_a_file_sets_every_field(self, tmp_path):
+        """Each key sets its field to a value of the field's declared type; ``lambda`` sets ``lam``."""
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("".join(f"{key} = {raw}\n" for key, raw in EVERY_SETTING.items()))
+        config = parse_config(cfg)
+        expected = ExperimentConfig(
+            manifest=(tmp_path / "data" / "m.json").resolve(),
+            task="edge",
+            k=4,
+            edge_fraction=0.2,
+            edge_batches=3,
+            selector="random-intra",
+            scheme="gpr",
+            hops=1,
+            lam=2.5,
+            epsilon=0.5,
+            delta=1e-3,
+            epsilon_prime=0.25,
+            seeds=(3, 4),
+            train_frac=0.5,
+            val_frac=0.25,
+            test_frac=0.25,
+            arms=("unlearn", "retrain"),
+            tolerance=1e-6,
+            max_iterations=300,
+            node_scope="all",
+        )
+        assert config == expected
+        for f in dataclasses.fields(ExperimentConfig):
+            value = getattr(config, f.name)
+            assert type(value) is type(getattr(expected, f.name)), f.name
+            assert f.default is dataclasses.MISSING or value != f.default, f.name
+        keys = {"lambda" if f.name == "lam" else f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert set(EVERY_SETTING) == keys
+
+    def test_readme_config_block_lists_every_key(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("A config file is `key = value` lines (`#` comments):\n\n```\n", 1)[1].split("```", 1)[0]
+        settings = [line.split("#", 1)[0] for line in block.splitlines()]
+        keys = [line.split("=", 1)[0].strip() for line in settings if line.strip()]
+        assert sorted(keys) == sorted(EVERY_SETTING)
+        cfg = tmp_path / "readme.cfg"
+        cfg.write_text(block)
+        parse_config(cfg)
 
 
 class TestRunExperiment:

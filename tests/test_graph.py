@@ -509,6 +509,14 @@ class TestDatasetValidation:
         with pytest.raises(ValueError, match="2-D"):
             replace(ds, features=ds.features[:, 0])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, value):
+        ds = random_dataset(n=10, f=2, seed=5)
+        features = ds.features.copy()
+        features[3, 1] = value
+        with pytest.raises(ValueError, match="features must be finite"):
+            replace(ds, features=features)
+
     def test_immutability_contract(self):
         ds = random_dataset(n=8, seed=1)
         before = ds.adjacency.toarray().copy()

@@ -260,6 +260,13 @@ class TestTrain:
             TrainConfig(max_iterations=2.5)
         assert TrainConfig(max_iterations=np.int64(0)).max_iterations == 0
 
+    def test_config_needs_a_non_negative_integer_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            TrainConfig(seed=-1)
+        with pytest.raises(TypeError):
+            TrainConfig(seed=0.5)
+        assert TrainConfig(seed=np.int64(3)).seed == 3
+
 
 class TestPredict:
     def test_zero_weights_all_label_zero(self):

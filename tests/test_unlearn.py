@@ -272,6 +272,16 @@ class TestWorstCaseBound:
         with pytest.raises(ValueError):
             worstcase_bound_feature(5, 2, 0, lam=10.0)
 
+    @pytest.mark.parametrize("lam", [-1.0, 0.0, np.nan, np.inf])
+    def test_ridge_must_be_positive_and_finite(self, lam):
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            worstcase_bound_feature(6, 1, 50, lam=lam)
+
+    @pytest.mark.parametrize("k, m", [(1.5, 50), (1, 50.0)])
+    def test_counts_must_be_integers(self, k, m):
+        with pytest.raises(TypeError):
+            worstcase_bound_feature(6, k, m, lam=1.0)
+
 
 class TestNoiseCalibration:
     def test_reference_c0(self):

@@ -12,7 +12,7 @@ import io
 import json
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NoReturn
 
@@ -50,7 +50,8 @@ class DatasetManifest:
     values onto 0/1 (first element maps to 0); without them the columns must
     already be binary numeric. ``expected_stats`` may pin any of: n_nodes,
     n_edges, n_features, s0, s1, inter_edges, intra_edges (undirected edge
-    counts, each edge counted once).
+    counts, each edge counted once). A manifest file's keys are these field
+    names; any other key is an error.
     """
 
     name: str
@@ -70,6 +71,9 @@ class DatasetManifest:
             raw = json.loads(_read_text(path, "manifest"))
         except json.JSONDecodeError as exc:
             raise DataValidationError(f"manifest {path} is not valid JSON: {exc}")
+        unknown = set(raw) - {f.name for f in fields(cls)}
+        if unknown:
+            raise DataValidationError(f"manifest {path} has unknown keys {sorted(unknown)}")
         try:
             return cls(
                 name=raw["name"],
@@ -173,6 +177,8 @@ def _read_feature_table(manifest: DatasetManifest) -> tuple[np.ndarray, np.ndarr
     ]
     excluded = {manifest.sensitive_column, manifest.label_column, *manifest.drop_columns}
     features = [index[name] for name in header if name not in excluded]
+    if not features:
+        raise DataValidationError(f"{path}: no feature column left after the sensitive, label and dropped columns")
     read = {i for _, _, i in binary} | set(features)
     converters = {i: lambda cell: 0.0 for i in range(len(header)) if i not in read}
     for _, value_map, i in binary:
@@ -266,7 +272,7 @@ def load_dataset(manifest: DatasetManifest) -> GraphDataset:
     train, val, test = split_masks(n, (0.6, 0.2, 0.2), np.random.default_rng(0))
     dataset = GraphDataset(
         adjacency=adjacency,
-        features=np.ascontiguousarray(x),
+        features=x,
         sensitive=sensitive,
         labels=labels,
         train_mask=train,

@@ -287,7 +287,7 @@ def _run_seed(config: ExperimentConfig, base: GraphDataset, name: str, seed: int
             row(
                 "unlearn",
                 metrics,
-                residual=sum(r.residual_norm for r in results),
+                residual=budget.accumulated_residual,
                 bound=epsilon_prime,
                 certified=budget.certified,
                 wall=select_wall + unlearn_wall,

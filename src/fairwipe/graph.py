@@ -1,13 +1,14 @@
 """Graph data model, normalized propagation, multi-hop aggregation, and structural edits.
 
-All values are immutable after construction: structural edits (edge/node removal,
-feature zeroing) return new :class:`GraphDataset` instances. A graph carries
-one aggregation, for one ``(hops, scheme)``: :func:`aggregate` returns it, or
-propagates from scratch and keeps the result, without hop blocks, in place of
-what the graph carried. What it hands out is never written. Hop blocks are
-built only by the private step of ``unlearn.sequential_unlearn``, on the
-graph it returns; the next call moves them over to the edited copy and
-recomputes only the rows the edit can reach.
+A graph owns its arrays: the constructor checks them once and marks them
+read-only, and so does every structural edit (edge/node removal, feature
+zeroing), which returns a new :class:`GraphDataset` and runs no check. A
+graph carries one aggregation, for one ``(hops, scheme)``: :func:`aggregate`
+returns it, or propagates from scratch and keeps the result, without hop
+blocks, in place of what the graph carried. What it hands out is read-only.
+Hop blocks are built only by the private step of
+``unlearn.sequential_unlearn``, on the graph it returns; the next call moves
+them over to the edited copy and recomputes only the rows the edit can reach.
 Graphs are unweighted, so a hop applies ``P = D⁻¹(A + I)`` as
 ``D⁻¹(A @ B + B)`` with ``D`` read off the CSR row lengths: no matrix or degree
 vector is built. A hop acts on each feature column on its own, so zeroing raw
@@ -41,8 +42,17 @@ class GraphDataset:
     ``+ I``) and every stored value 1. The constructor copies any other
     scipy sparse format, or a CSR with unsorted or duplicate entries, to
     canonical CSR; duplicates are summed before the values are checked.
-    Features are 2-D and finite; masks are boolean and select disjoint
-    train/validation/test node sets.
+    Features are 2-D, with at least one column, and finite; masks are boolean
+    and select disjoint train/validation/test node sets.
+
+    The graph owns its arrays. The constructor keeps an array that is already
+    canonical and owns its data (C-contiguous float64 features, int64 0/1
+    sensitive and label columns, boolean masks, canonical CSR), and copies a
+    view or any other dtype or layout first. It is the only place the arrays
+    are checked. Every array, the CSR's ``data``, ``indices`` and ``indptr``
+    and the arrays scipy keeps them as views of included, is then read-only
+    for good, so a write raises instead of changing a graph that edits,
+    memos and carried aggregations were built from.
 
     ``_hop_state`` is private: the aggregation this graph carries for one
     ``(hops, scheme)`` and its hop blocks (None unless the graph was returned
@@ -68,21 +78,47 @@ class GraphDataset:
     _memo: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not sp.issparse(self.adjacency):
-            raise ValueError(f"adjacency must be a scipy sparse matrix, not {type(self.adjacency).__name__}")
-        if self.adjacency.format != "csr" or not self.adjacency.has_canonical_format:
-            adjacency = self.adjacency.tocsr(copy=True)
+        adjacency = self.adjacency
+        if not sp.issparse(adjacency):
+            raise ValueError(f"adjacency must be a scipy sparse matrix, not {type(adjacency).__name__}")
+        if adjacency.format != "csr" or not adjacency.has_canonical_format:
+            adjacency = adjacency.tocsr(copy=True)
             adjacency.sum_duplicates()
-            object.__setattr__(self, "adjacency", adjacency)
-        self._check_fields()
-        if not np.isfinite(self.features).all():
+        n = adjacency.shape[0]
+        if adjacency.shape != (n, n):
+            raise ValueError("adjacency must be square")
+        features = np.asarray(self.features)
+        if features.ndim != 2:
+            raise ValueError(f"features must be 2-D (nodes x features), not {features.ndim}-D")
+        if features.shape[0] != n:
+            raise ValueError(f"features have {features.shape[0]} rows, expected {n}")
+        if features.shape[1] == 0:
+            raise ValueError("features must have at least one column")
+        owned = {"adjacency": adjacency, "features": _owned(features, np.float64)}
+        for name in ("sensitive", "labels", "train_mask", "val_mask", "test_mask"):
+            v = np.asarray(getattr(self, name))
+            mask = name.endswith("_mask")
+            if v.shape != (n,):
+                raise ValueError(f"{name} must have length {n}")
+            if mask and v.dtype != bool:
+                raise ValueError(f"{name} must be boolean, not {v.dtype}")
+            if not mask and not np.isin(v, (0, 1)).all():
+                raise ValueError(f"{name} must be binary 0/1")
+            owned[name] = _owned(v, bool if mask else np.int64)
+        train, val, test = owned["train_mask"], owned["val_mask"], owned["test_mask"]
+        if ((train & val) | (train & test) | (val & test)).any():
+            raise ValueError("train/val/test masks must be pairwise disjoint")
+        if not np.isfinite(owned["features"]).all():
             raise ValueError("features must be finite")
-        if self.adjacency.diagonal().any():
+        if adjacency.diagonal().any():
             raise ValueError("adjacency must have zero diagonal (no stored self-loops)")
-        if (self.adjacency.data != 1.0).any():
+        if (adjacency.data != 1.0).any():
             raise ValueError("adjacency must be unweighted: every stored entry must be 1")
-        if (self.adjacency != self.adjacency.T).nnz != 0:
+        if (adjacency != adjacency.T).nnz != 0:
             raise ValueError("adjacency must be symmetric")
+        for name, value in owned.items():
+            object.__setattr__(self, name, value)
+        _freeze(self)
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -90,16 +126,19 @@ class GraphDataset:
         state.pop("_memo", None)
         return state
 
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        _freeze(self)
+
     def _edited(self, memo: dict | None = None, **changes) -> GraphDataset:
         """This graph with ``changes`` applied and ``memo`` as its memo, for the structural edits below.
 
         Without ``memo``, a result that keeps the adjacency and the sensitive
-        column gets a copy of this graph's memo. Only the O(n) checks run, and
-        the binary checks only when the sensitive or label column is replaced.
-        The O(nnz) adjacency checks (symmetry, zero diagonal, unit entries)
-        hold by construction: an edit keeps the adjacency or removes both
-        directions of entries from a validated one. So do the finite
-        features: an edit keeps them or zeroes some of their entries.
+        column gets a copy of this graph's memo. No check runs: every array an
+        edit passes is one it built, of the canonical dtype and layout, from
+        this graph's checked arrays, keeping their entries or removing both
+        directions of some edges, zeroing some features or clearing some mask
+        entries. The arrays are marked read-only here.
         """
         edited = object.__new__(GraphDataset)
         for f in fields(self):
@@ -110,7 +149,7 @@ class GraphDataset:
             memo = dict(self._memo)
         object.__setattr__(edited, "_hop_state", None)
         object.__setattr__(edited, "_memo", memo)
-        edited._check_fields(binary=edited.sensitive is not self.sensitive or edited.labels is not self.labels)
+        _freeze(edited)
         return edited
 
     def _memoised(self, key: str, compute):
@@ -120,33 +159,6 @@ class GraphDataset:
         if key not in self._memo:
             self._memo[key] = compute(self)
         return self._memo[key]
-
-    def _check_fields(self, binary: bool = True) -> None:
-        """The O(n) checks: shapes, boolean masks, binary sensitive and label columns (if ``binary``), disjoint masks."""
-        n = self.adjacency.shape[0]
-        if self.adjacency.shape != (n, n):
-            raise ValueError("adjacency must be square")
-        if self.features.ndim != 2:
-            raise ValueError(f"features must be 2-D (nodes x features), not {self.features.ndim}-D")
-        if self.features.shape[0] != n:
-            raise ValueError(f"features have {self.features.shape[0]} rows, expected {n}")
-        for name in ("sensitive", "labels", "train_mask", "val_mask", "test_mask"):
-            v = getattr(self, name)
-            if v.shape != (n,):
-                raise ValueError(f"{name} must have length {n}")
-            if name.endswith("_mask") and v.dtype != bool:
-                raise ValueError(f"{name} must be boolean, not {v.dtype}")
-        for name in ("sensitive", "labels") if binary else ():
-            v = np.asarray(getattr(self, name))
-            if not np.isin(v, (0, 1)).all():
-                raise ValueError(f"{name} must be binary 0/1")
-        overlap = (
-            (self.train_mask & self.val_mask)
-            | (self.train_mask & self.test_mask)
-            | (self.val_mask & self.test_mask)
-        )
-        if overlap.any():
-            raise ValueError("train/val/test masks must be pairwise disjoint")
 
     @property
     def n_nodes(self) -> int:
@@ -206,6 +218,21 @@ def _frozen(*arrays: np.ndarray):
     for a in arrays:
         a.setflags(write=False)
     return arrays[0]
+
+
+def _owned(value: np.ndarray, dtype) -> np.ndarray:
+    """``value`` if it is a C-contiguous ``dtype`` ndarray that owns its data, or else such a copy of it."""
+    if type(value) is np.ndarray and value.dtype == dtype and value.flags.c_contiguous and value.flags.owndata:
+        return value
+    return np.array(value, dtype=dtype, order="C")
+
+
+def _freeze(dataset: GraphDataset) -> None:
+    """Mark every array of ``dataset`` read-only: the adjacency's data, indices and indptr, and the arrays they view."""
+    csr = [dataset.adjacency.data, dataset.adjacency.indices, dataset.adjacency.indptr]
+    csr += [a.base for a in csr if isinstance(a.base, np.ndarray)]
+    _frozen(*csr, dataset.features, dataset.sensitive, dataset.labels)
+    _frozen(dataset.train_mask, dataset.val_mask, dataset.test_mask)
 
 
 def _edge_keys(dataset: GraphDataset) -> np.ndarray:
@@ -319,15 +346,13 @@ def aggregate(dataset: GraphDataset, hops: int, scheme: str) -> AggregatedFeatur
     it is: it equals the one computed here bit for bit. Otherwise the graph's
     own adjacency and features are propagated, and the graph keeps the
     result, without its hop blocks, in place of whatever it carried. What
-    this returns is read-only, unless it is the graph's own feature array
-    (SGC with no hop, left as it is), and is never written.
+    this returns is read-only and is never written.
     """
     hops, state = _carried_state(dataset, hops, scheme)
     if state is None:
         state = (hops, scheme, _aggregate(dataset, hops, scheme)[0], None, None, None)
         object.__setattr__(dataset, "_hop_state", state)
-    if state[2].values is not dataset.features:
-        state[2].values.setflags(write=False)
+    _frozen(state[2].values)
     return state[2]
 
 
@@ -372,8 +397,11 @@ def _reaggregate(
     graph ``before`` was edited from. Only the rows the previous call
     recomputed (all after a full hop) are refreshed, then this edit's rows are
     written, so an edge request allocates nothing the size of the aggregation.
-    ``after`` keeps ``before``'s aggregation as its spare if it is writable and
-    not ``before``'s feature array: one handed out by :func:`aggregate` is not.
+    ``after`` keeps ``before``'s aggregation as its spare if it is writable:
+    one handed out by :func:`aggregate` is not, nor is SGC's with no hop, the
+    graph's read-only feature array. Hop block 0 is that array too; the other
+    blocks, GPR's aggregation and the spare are this module's buffers and stay
+    writable until :func:`aggregate` hands them out.
     An aggregation returned here thus stays valid only until ``after`` is
     passed to this function again, so the step is
     ``unlearn.sequential_unlearn``'s alone, and the aggregations it returns
@@ -432,9 +460,8 @@ def _reaggregate(
             elif rows.size:
                 values[rows, cols] = blocks[k][rows] / (hops + 1)
     updated = AggregatedFeatures(values=blocks[hops] if values is None else values)
-    # The write flag is the recycle rule; with no hop, SGC's is the graph's own feature array.
-    old = aggregated.values
-    spare = old if old.flags.writeable and old is not before.features else None
+    # The write flag is the recycle rule.
+    spare = aggregated.values if aggregated.values.flags.writeable else None
     object.__setattr__(after, "_hop_state", (hops, scheme, updated, blocks, spare, rows))
     return aggregated, updated, rows
 
@@ -525,13 +552,12 @@ def remove_nodes(dataset: GraphDataset, nodes) -> GraphDataset:
     new_adj = _delete_entries(adj, np.flatnonzero(~(row_kept & keep[adj.indices])))
     new_x = dataset.features.copy()
     new_x[nodes, :] = 0.0
-    masks = []
-    for mask in (dataset.train_mask, dataset.val_mask, dataset.test_mask):
-        m = mask.copy()
-        m[nodes] = False
-        masks.append(m)
     return dataset._edited(
-        adjacency=new_adj, features=new_x, train_mask=masks[0], val_mask=masks[1], test_mask=masks[2]
+        adjacency=new_adj,
+        features=new_x,
+        train_mask=dataset.train_mask & keep,
+        val_mask=dataset.val_mask & keep,
+        test_mask=dataset.test_mask & keep,
     )
 
 
@@ -541,19 +567,20 @@ def zero_feature_columns(dataset: GraphDataset, columns) -> GraphDataset:
     A hop acts on each column on its own, so when ``dataset`` carries an
     aggregation, the result carries a copy of it with the columns zeroed in
     every hop block: its aggregation bit for bit, without a propagation. It
-    carries no hop blocks.
+    carries no hop blocks. Features and aggregations are float64, so both
+    copies are zeroed with a float64 zero and keep their dtype.
     """
     cols = _sorted_unique(_indices(columns, dataset.n_features, "feature"))
     if cols.size == 0:
         return dataset
     keep = np.ones(dataset.n_features, dtype=bool)
     keep[cols] = False
-    # One pass each copies and zeroes; a zero of the array's own dtype keeps its dtype.
-    edited = dataset._edited(features=np.where(keep, dataset.features, dataset.features.dtype.type(0)))
+    # One pass each copies and zeroes.
+    edited = dataset._edited(features=np.where(keep, dataset.features, 0.0))
     state = dataset._hop_state
     if state is not None:
         values = state[2].values
-        zeroed = np.where(np.tile(keep, values.shape[1] // keep.size), values, values.dtype.type(0))
+        zeroed = np.where(np.tile(keep, values.shape[1] // keep.size), values, 0.0)
         object.__setattr__(edited, "_hop_state", (*state[:2], AggregatedFeatures(values=zeroed), None, None, None))
     return edited
 
@@ -570,7 +597,7 @@ def degree_stats(dataset: GraphDataset) -> DegreeStats:
 
 def _count_degrees(dataset: GraphDataset) -> DegreeStats:
     """:func:`degree_stats` from scratch."""
-    s = np.asarray(dataset.sensitive, dtype=np.int64)
+    s = dataset.sensitive
     degree = np.diff(dataset.adjacency.indptr).astype(np.int64)
     # Neighbours in group 1, counted by one product: every stored entry is 1.
     in_group1 = (dataset.adjacency @ s).astype(np.int64)
@@ -604,6 +631,6 @@ def _proposed_edge_scores(dataset: GraphDataset) -> np.ndarray:
 
     def score(ds: GraphDataset) -> np.ndarray:
         i, j = np.divmod(_edge_keys(ds), ds.n_nodes)
-        return _frozen(_edge_scores(i, j, np.asarray(ds.sensitive), np.diff(ds.adjacency.indptr)))
+        return _frozen(_edge_scores(i, j, ds.sensitive, np.diff(ds.adjacency.indptr)))
 
     return dataset._memoised("edge_scores", score)

@@ -173,13 +173,14 @@ def train(
 
     The perturbation vector is drawn i.i.d. Normal(0, noise_std^2) from
     ``config.seed`` unless an explicit vector is supplied (used by the retrain
-    oracle so weight comparisons isolate the update approximation). L-BFGS gets
+    oracle so weight comparisons isolate the update approximation);
+    ``noise_std`` must be finite and at least 0, so NaN and inf raise. L-BFGS gets
     the solution close; damped Newton steps then push the gradient norm below
     ``config.tolerance``, which the certification accounting relies on, or
     :class:`ConvergenceError` reports the gradient norm where they stopped.
     """
-    if noise_std < 0:
-        raise ValueError("noise_std must be >= 0")
+    if not 0 <= noise_std < np.inf:
+        raise ValueError("noise_std must be >= 0 and finite")
     z_tr = aggregated.values[dataset.train_mask]
     y_tr = np.asarray(dataset.labels, dtype=np.float64)[dataset.train_mask]
     m, d = z_tr.shape

@@ -64,15 +64,14 @@ def sbm_adjacency(s: np.ndarray, p_in: float, p_out: float, rng: np.random.Gener
 
 
 def split_masks(n: int, fractions: tuple[float, float, float], rng: np.random.Generator):
-    """Disjoint boolean masks from a uniform node permutation."""
+    """Disjoint boolean masks from a uniform node permutation, each an array of its own."""
     perm = rng.permutation(n)
     n_train = int(round(fractions[0] * n))
     n_val = int(round(fractions[1] * n))
-    masks = np.zeros((3, n), dtype=bool)
-    masks[0, perm[:n_train]] = True
-    masks[1, perm[n_train : n_train + n_val]] = True
-    masks[2, perm[n_train + n_val :]] = True
-    return masks[0], masks[1], masks[2]
+    masks = tuple(np.zeros(n, dtype=bool) for _ in range(3))
+    for mask, part in zip(masks, np.split(perm, [n_train, n_train + n_val])):
+        mask[part] = True
+    return masks
 
 
 def feature_unlearning_instance(

@@ -1,12 +1,14 @@
 """The public contract: the names the package offers, and the settings every certified call states."""
 
 import types
+from dataclasses import fields, is_dataclass, replace
 
+import numpy as np
 import pytest
 
 import fairwipe
 from fairwipe import graph
-from fairwipe.graph import aggregate
+from fairwipe.graph import aggregate, degree_stats, remove_edges
 from fairwipe.model import TrainConfig, train
 from fairwipe.unlearn import (
     CertificationBudget,
@@ -124,3 +126,91 @@ def test_certified_settings_have_no_defaults():
     ):
         with pytest.raises(TypeError, match="missing"):
             call()
+
+
+def copied(value, writeable: bool):
+    """A copy of ``value``, or of a dataclass of arrays, with every array's write flag set to ``writeable``."""
+    if is_dataclass(value):
+        return replace(value, **{f.name: copied(getattr(value, f.name), writeable) for f in fields(value)})
+    if not isinstance(value, np.ndarray):
+        return value
+    value = value.copy()
+    value.setflags(write=writeable)
+    return value
+
+
+def leaves(value):
+    """The arrays and scalars of a result, dataclasses and tuples opened."""
+    if is_dataclass(value):
+        return [leaf for f in fields(value) for leaf in leaves(getattr(value, f.name))]
+    if isinstance(value, tuple | list):
+        return [leaf for item in value for leaf in leaves(item)]
+    return [np.asarray(value)]
+
+
+def public_entry_calls():
+    """Each public entry that takes arrays, as a call on a dict of its inputs."""
+    config = TrainConfig(lam=1.0, seed=0)
+    return {
+        "pearson_correlations": lambda a: fairwipe.pearson_correlations(a["features"], a["sensitive"]),
+        "select_features": lambda a: fairwipe.select_features(a["features"], a["sensitive"], 2),
+        "fairness_metrics": lambda a: fairwipe.fairness_metrics(
+            a["predictions"], a["labels"], a["sensitive"], a["test_mask"]
+        ),
+        "raw_sp_and_bound": lambda a: fairwipe.raw_sp_and_bound(
+            a["aggregated"].values, a["model"].weights, a["sensitive"], 1.0
+        ),
+        "edge_bias_scores": lambda a: fairwipe.edge_bias_scores(a["pairs"], a["sensitive"], a["stats"]),
+        "node_bias_scores": lambda a: fairwipe.node_bias_scores(a["nodes"], a["stats"]),
+        "loss_and_gradient": lambda a: fairwipe.loss_and_gradient(
+            a["model"].weights, a["rows"], a["row_labels"], 1.0, a["model"].perturbation
+        ),
+        "hessian": lambda a: fairwipe.hessian(a["model"].weights, a["rows"], a["row_labels"], 1.0),
+        "predict": lambda a: fairwipe.predict(a["model"], a["aggregated"]),
+        "train": lambda a: train(
+            a["graph"], a["aggregated"], config, noise_std=0.05, perturbation=a["model"].perturbation
+        ),
+        "newton_unlearn": lambda a: fairwipe.newton_unlearn(
+            a["model"], a["aggregated"], a["aggregated_new"], a["labels"], a["train_mask"], a["train_mask_new"]
+        ),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(public_entry_calls()))
+def test_public_entries_take_read_only_arrays(entry):
+    """A graph's arrays and every aggregation ``aggregate`` hands out are read-only, so each public
+    entry that takes arrays must read read-only ones, leave them as they were, and give what it
+    gives on writable copies."""
+    ds = random_dataset(n=40, f=4, seed=3)
+    agg = aggregate(ds, 2, graph.SGC)
+    model = train(ds, agg, TrainConfig(lam=1.0, seed=0), noise_std=0.05)
+    edited = fairwipe.remove_nodes(remove_edges(ds, ds.edge_pairs()[:3]), [int(np.flatnonzero(ds.train_mask)[0])])
+    inputs = {
+        "graph": ds,
+        "features": ds.features,
+        "sensitive": ds.sensitive,
+        "labels": ds.labels,
+        "test_mask": ds.test_mask,
+        "train_mask": ds.train_mask,
+        "train_mask_new": edited.train_mask,
+        "predictions": fairwipe.predict(model, agg)[0],
+        "pairs": ds.edge_pairs(),
+        "nodes": np.arange(ds.n_nodes),
+        "stats": degree_stats(ds),
+        "rows": agg.values[ds.train_mask],
+        "row_labels": ds.labels[ds.train_mask].astype(np.float64),
+        "model": model,
+        "aggregated": agg,
+        "aggregated_new": aggregate(edited, 2, graph.SGC),
+    }
+    frozen = {name: value if name == "graph" else copied(value, False) for name, value in inputs.items()}
+    kept = {name: [leaf.copy() for leaf in leaves(value)] for name, value in frozen.items() if name != "graph"}
+    call = public_entry_calls()[entry]
+    got = call(frozen)
+    for name, was in kept.items():
+        for leaf, before in zip(leaves(frozen[name]), was, strict=True):
+            assert not leaf.flags.writeable or leaf.ndim == 0, name
+            np.testing.assert_array_equal(leaf, before, err_msg=name)
+    expected = call({name: value if name == "graph" else copied(value, True) for name, value in inputs.items()})
+    for leaf, want in zip(leaves(got), leaves(expected), strict=True):
+        np.testing.assert_array_equal(leaf, want)

@@ -58,6 +58,14 @@ class TestStats:
         assert "nodes:        60" in out
         assert "alpha1:" in out and "intra edges:" in out
 
+    def test_unknown_manifest_key_exits_3(self, toy_workspace, capsys):
+        manifest = json.loads((toy_workspace / "manifest.json").read_text())
+        manifest["drop_colums"] = ["f0"]
+        (toy_workspace / "manifest.json").write_text(json.dumps(manifest))
+        code = main(["stats", "--manifest", str(toy_workspace / "manifest.json")])
+        assert code == 3
+        assert "unknown keys ['drop_colums']" in capsys.readouterr().err
+
     def test_validation_failure_exits_3(self, toy_workspace, capsys):
         manifest = json.loads((toy_workspace / "manifest.json").read_text())
         manifest["expected_stats"]["n_nodes"] = 61

@@ -54,6 +54,7 @@ MALFORMED = {
     "bad-manifest": ({}, lambda e, f, m: m.write_text("{"), r"manifest\.json is not valid JSON"),
     "no-edge-file": ({}, lambda e, f, m: e.unlink(), r"edge file not found: .*edges\.txt"),
     "no-feature-file": ({}, lambda e, f, m: f.unlink(), r"feature file not found: .*features\.csv"),
+    "no-feature-column": (dict(extra_features=0), None, r"features\.csv: no feature column left"),
 }
 
 
@@ -77,6 +78,14 @@ class TestManifest:
             DatasetManifest.from_json(path)
 
 
+    def test_unknown_key_fails_validation(self, tmp_path, write_dataset_files):
+        """A misspelt key is an error, not ignored: ignored, the column it names would become a feature."""
+        edge_path, feat_path = write_dataset_files()
+        path = write_manifest(tmp_path, edge_path, feat_path, drop_colums=["f0"])
+        with pytest.raises(DataValidationError, match=r"unknown keys \['drop_colums'\]"):
+            DatasetManifest.from_json(path)
+
+
 class TestLoadDataset:
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_input_message(self, tmp_path, write_dataset_files, case):
@@ -87,6 +96,12 @@ class TestLoadDataset:
             breaks(edge_path, feat_path, manifest_path)
         with pytest.raises(DataValidationError, match=message):
             load_dataset(DatasetManifest.from_json(manifest_path))
+
+    def test_every_feature_column_dropped_is_rejected(self, tmp_path, write_dataset_files):
+        edge_path, feat_path = write_dataset_files()
+        manifest = DatasetManifest.from_json(write_manifest(tmp_path, edge_path, feat_path, drop_columns=["f0", "f1"]))
+        with pytest.raises(DataValidationError, match="no feature column left after the sensitive, label and dropped"):
+            load_dataset(manifest)
 
     def test_basic_load(self, tmp_path, write_dataset_files):
         edge_path, feat_path = write_dataset_files()

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 from dataclasses import fields, replace
 from pathlib import Path
@@ -509,6 +511,12 @@ class TestDatasetValidation:
         with pytest.raises(ValueError, match="2-D"):
             replace(ds, features=ds.features[:, 0])
 
+    def test_featureless_graph_rejected(self):
+        """Unchecked, such a graph runs a whole edge experiment to chance-level rows with empty weights."""
+        ds = random_dataset(n=10, f=2, seed=5)
+        with pytest.raises(ValueError, match="at least one column"):
+            replace(ds, features=np.zeros((10, 0)))
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, value):
         ds = random_dataset(n=10, f=2, seed=5)
@@ -584,7 +592,7 @@ def rebuilt(ds):
 
 
 class TestIncrementalValidation:
-    """Edits skip the O(nnz) adjacency checks; graphs built from outside data keep them."""
+    """Edits run no check; graphs built from outside data run them all."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -619,26 +627,16 @@ class TestIncrementalValidation:
             remove_nodes(ds, [0, 5])
             zero_feature_columns(ds, [1])
 
-    def test_edits_keep_the_linear_checks(self):
-        ds = random_dataset(n=30, seed=3)
-        bad = GraphDataset._edited
-        with pytest.raises(ValueError, match="length"):
-            bad(ds, labels=ds.labels[:-1])
-        with pytest.raises(ValueError, match="binary"):
-            bad(ds, sensitive=ds.sensitive * 2)
-        with pytest.raises(ValueError, match="^labels must be binary"):
-            bad(ds, labels=ds.labels + 2)
-        with pytest.raises(ValueError, match="disjoint"):
-            bad(ds, val_mask=ds.train_mask)
-
     def test_edits_keeping_both_columns_skip_the_binary_checks(self):
+        """No edit checks what it passes, whichever columns it replaces: the arrays come from checked ones."""
         ds = random_dataset(n=30, seed=3)
         with mock.patch.object(np, "isin", side_effect=AssertionError("binary check ran")):
             remove_edges(ds, [tuple(ds.edge_pairs()[0])])
             remove_nodes(ds, [0, 5])
             zero_feature_columns(ds, [1])
-            with pytest.raises(AssertionError, match="binary check ran"):
-                ds._edited(labels=ds.labels.copy())
+            data.make_splits(ds, (0.5, 0.25, 0.25), seed=1)
+            unchecked = ds._edited(labels=ds.labels + 2, val_mask=ds.train_mask)
+        assert unchecked.labels.max() == 3 and (unchecked.val_mask & unchecked.train_mask).any()
 
     @pytest.mark.parametrize("problem", sorted(BAD_ADJACENCIES))
     def test_constructor_rejects(self, problem):
@@ -687,6 +685,177 @@ class TestIncrementalValidation:
             after = (ds.adjacency.data, ds.adjacency.indices, ds.adjacency.indptr, ds.features)
             for array, was in zip(after, before):
                 np.testing.assert_array_equal(array, was)
+
+
+# The dtype of each dense array a graph keeps.
+CANONICAL_DTYPES = {
+    "features": np.float64,
+    "sensitive": np.int64,
+    "labels": np.int64,
+    "train_mask": np.bool_,
+    "val_mask": np.bool_,
+    "test_mask": np.bool_,
+}
+
+
+def graph_arrays(ds):
+    """Every array of ``ds`` by name, the adjacency's data, indices and indptr among them."""
+    adj = ds.adjacency
+    arrays = {"adjacency.data": adj.data, "adjacency.indices": adj.indices, "adjacency.indptr": adj.indptr}
+    arrays.update((name, getattr(ds, name)) for name in CANONICAL_DTYPES)
+    return arrays
+
+
+def assert_owns_read_only_arrays(ds):
+    """Every array of ``ds`` is read-only and a write raises; each dense one is canonical and its own."""
+    assert ds.adjacency.format == "csr" and ds.adjacency.has_canonical_format
+    for name, a in graph_arrays(ds).items():
+        assert not a.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+        # An unpickled array views the immutable bytes it was read from.
+        if name in CANONICAL_DTYPES:
+            assert a.base is None or type(a.base) is bytes, name
+            assert a.flags.c_contiguous and a.dtype == CANONICAL_DTYPES[name], name
+        else:
+            # scipy keeps the data and indices as views, here of arrays as read-only as they are.
+            assert not isinstance(a.base, np.ndarray) or not a.base.flags.writeable, name
+
+
+def assert_same_graph(ds, expected):
+    for name, a in graph_arrays(expected).items():
+        np.testing.assert_array_equal(graph_arrays(ds)[name], a, err_msg=name)
+
+
+def built_from_views(ref, rng):
+    """``ref`` rebuilt from views: every dense array a strided view of a larger writable one, and a CSR
+    over the caller's own index arrays. Returns the graph and the arrays it was built from."""
+    n, f = ref.features.shape
+    wide = rng.normal(size=(n, 2 * f))
+    wide[:, ::2] = ref.features
+    columns = np.stack([ref.sensitive, ref.labels])
+    masks = np.stack([ref.train_mask, ref.val_mask, ref.test_mask])
+    adj = ref.adjacency
+    csr = [adj.data.copy(), adj.indices.copy(), adj.indptr.copy()]
+    ds = GraphDataset(sp.csr_matrix(tuple(csr), shape=adj.shape), wide[:, ::2], *columns, *masks)
+    return ds, (wide, columns, masks), csr
+
+
+def built_from_other_dtypes(ref, rng):
+    """``ref`` with features of another dtype or layout, binary columns of other dtypes and a non-canonical CSR."""
+    pick = lambda options: options[int(rng.integers(len(options)))]  # noqa: E731
+    features = pick([np.asfortranarray(ref.features), ref.features.astype(np.float32), ref.features.tolist()])
+    layout = pick(["unsorted", "duplicates", "coo", "csc"])
+    if layout in ("coo", "csc"):
+        adjacency = ref.adjacency.asformat(layout)
+    else:
+        adjacency = stored_differently(ref.adjacency, layout, rng)
+    return GraphDataset(
+        adjacency,
+        features,
+        ref.sensitive.astype(pick([np.bool_, np.int32, np.float64])),
+        ref.labels.astype(pick([np.uint8, np.float32])),
+        ref.train_mask,
+        ref.val_mask,
+        ref.test_mask,
+    )
+
+
+def derived(ds, step, rng):
+    """``ds`` through one edit, split, copy or round trip."""
+    if step == "edges":
+        pairs = ds.edge_pairs()
+        return remove_edges(ds, pairs[rng.choice(len(pairs), size=min(len(pairs), 2), replace=False)])
+    if step == "nodes":
+        return remove_nodes(ds, rng.choice(ds.n_nodes, size=2))
+    if step == "features":
+        aggregate(ds, int(rng.integers(0, 3)), (graph.SGC, graph.GPR)[int(rng.integers(2))])
+        return zero_feature_columns(ds, [int(rng.integers(ds.n_features))])
+    if step == "splits":
+        return data.make_splits(ds, (0.4, 0.2, 0.4), seed=int(rng.integers(100)))
+    if step == "replace":
+        return replace(ds)
+    if step == "pickle":
+        return pickle.loads(pickle.dumps(ds))
+    return {"copy": copy.copy, "deepcopy": copy.deepcopy}[step](ds)
+
+
+class TestOwnership:
+    """A graph keeps canonical arrays of its own, read-only for good, through every edit, copy and split."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        source=st.sampled_from(("feature_unlearning_instance", "homophilous_dataset", "views", "dtypes")),
+        steps=st.lists(
+            st.sampled_from(("edges", "nodes", "features", "splits", "replace", "copy", "deepcopy", "pickle")),
+            max_size=5,
+        ),
+    )
+    def test_every_graph_owns_read_only_arrays(self, seed, source, steps):
+        rng = np.random.default_rng(seed)
+        n, f = int(rng.integers(16, 40)), int(rng.integers(2, 5))
+        if source == "feature_unlearning_instance":
+            ds = synthetic.feature_unlearning_instance(n=n, f=f, seed=seed)
+        elif source == "homophilous_dataset":
+            ds = synthetic.homophilous_dataset(n=n, f=f, seed=seed, fractions=(0.4, 0.2, 0.4))
+        else:
+            ref = random_dataset(n=n, f=f, seed=seed)
+            ds = built_from_views(ref, rng)[0] if source == "views" else built_from_other_dtypes(ref, rng)
+            np.testing.assert_allclose(ds.features, ref.features, rtol=1e-6)
+            for name in ("sensitive", "labels", "train_mask", "val_mask", "test_mask"):
+                np.testing.assert_array_equal(getattr(ds, name), getattr(ref, name))
+            assert (ds.adjacency != ref.adjacency).nnz == 0
+        assert_owns_read_only_arrays(ds)
+        for step in steps:
+            ds = derived(ds, step, rng)
+            assert_owns_read_only_arrays(ds)
+
+    def test_the_loader_builds_read_only_arrays(self, tmp_path, write_dataset_files):
+        edges_path, features_path = write_dataset_files(n=5, sensitive=(0, 1, 1, 0, 1), labels=(0, 1, 0, 1, 1))
+        manifest = DatasetManifest("tiny", edges_path, features_path, "sens", "label")
+        assert_owns_read_only_arrays(load_dataset(manifest))
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_a_graph_built_from_views_stays_the_same_when_they_are_written(self, seed):
+        rng = np.random.default_rng(seed)
+        ref = random_dataset(n=int(rng.integers(4, 30)), f=int(rng.integers(1, 4)), seed=seed)
+        ds, bases, csr = built_from_views(ref, rng)
+        for base in bases:
+            base[...] = 1
+        assert_same_graph(ds, ref)
+        # The CSR keeps the caller's index arrays, which are read-only now.
+        for a in csr:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+        assert_same_graph(ds, ref)
+
+    def test_arrays_the_graph_owns_are_not_copied(self):
+        ds = random_dataset(n=20, seed=2)
+        again = replace(ds)
+        assert all(getattr(again, f.name) is getattr(ds, f.name) for f in fields(ds) if f.init)
+
+    def test_a_feature_write_raises_and_the_carry_stays_valid(self):
+        """A write that went through would leave the carried aggregation stale, unlike a fresh one."""
+        ds = synthetic.homophilous_dataset(n=100, f=4, seed=0)
+        carried = aggregate(ds, 2, graph.SGC)
+        with pytest.raises(ValueError, match="read-only"):
+            ds.features[:, 1] = 0
+        np.testing.assert_array_equal(carried.values, aggregate(replace(ds), 2, graph.SGC).values)
+
+    def test_a_mask_write_raises(self):
+        ds = synthetic.homophilous_dataset(n=100, f=4, seed=0)
+        with pytest.raises(ValueError, match="read-only"):
+            ds.val_mask[:] = ds.train_mask
+        assert not (ds.val_mask & ds.train_mask).any()
+
+    def test_an_adjacency_write_raises(self):
+        ds = synthetic.homophilous_dataset(n=100, f=4, seed=0)
+        for a in (ds.adjacency.data, ds.adjacency.indices, ds.adjacency.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                a[:] = 2
+        assert (ds.adjacency.data == 1.0).all()
 
 
 @settings(max_examples=40, deadline=None)

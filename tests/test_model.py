@@ -247,6 +247,13 @@ class TestTrain:
         with pytest.raises(ValueError, match="empty"):
             train(empty, agg, TrainConfig(lam=1.0), noise_std=0.0)
 
+    @pytest.mark.parametrize("noise_std", [np.nan, np.inf, -1.0])
+    def test_noise_std_must_be_non_negative_and_finite(self, noise_std):
+        """NaN would train noise-free without a word, and inf would fail inside scipy after RuntimeWarnings."""
+        ds = random_dataset(n=30, f=3, seed=0)
+        with pytest.raises(ValueError, match="noise_std must be >= 0 and finite"):
+            train(ds, aggregate(ds, 1, "sgc"), TrainConfig(lam=1.0), noise_std=noise_std)
+
     @pytest.mark.parametrize("field", ["lam", "tolerance"])
     @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
     def test_config_needs_positive_finite_settings(self, field, value):

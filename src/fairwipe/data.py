@@ -12,7 +12,7 @@ import io
 import json
 import re
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NoReturn
 
@@ -42,6 +42,23 @@ def _read_text(path: Path, what: str, error: type[Exception] = DataValidationErr
         raise error(f"cannot read {what} {path}: {exc}")
 
 
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+_REQUIRED = ("name", "edges_path", "features_path", "sensitive_column", "label_column")
+# What each manifest key must hold: a check, and what it checks for.
+_MANIFEST_VALUES = {
+    **dict.fromkeys(_REQUIRED, (lambda v: isinstance(v, str), "a string")),
+    "drop_columns": (_strings, "a list of strings"),
+    **dict.fromkeys(
+        ("sensitive_values", "label_values"), (lambda v: _strings(v) and len(v) == 2, "a list of two strings")
+    ),
+    "expected_stats": (lambda v: isinstance(v, dict) and all(type(c) is int for c in v.values()), "an object of integers"),
+}
+_STATS = ("n_nodes", "n_edges", "n_features", "s0", "s1", "inter_edges", "intra_edges")
+
+
 @dataclass(frozen=True)
 class DatasetManifest:
     """Where a dataset lives and how to read its columns.
@@ -51,7 +68,7 @@ class DatasetManifest:
     already be binary numeric. ``expected_stats`` may pin any of: n_nodes,
     n_edges, n_features, s0, s1, inter_edges, intra_edges (undirected edge
     counts, each edge counted once). A manifest file's keys are these field
-    names; any other key is an error.
+    names; any other key, or a value of another type, is an error.
     """
 
     name: str
@@ -71,23 +88,24 @@ class DatasetManifest:
             raw = json.loads(_read_text(path, "manifest"))
         except json.JSONDecodeError as exc:
             raise DataValidationError(f"manifest {path} is not valid JSON: {exc}")
-        unknown = set(raw) - {f.name for f in fields(cls)}
+        if not isinstance(raw, dict):
+            raise DataValidationError(f"manifest {path} must be a JSON object, not {type(raw).__name__}")
+        unknown = set(raw) - set(_MANIFEST_VALUES)
         if unknown:
             raise DataValidationError(f"manifest {path} has unknown keys {sorted(unknown)}")
-        try:
-            return cls(
-                name=raw["name"],
-                edges_path=(path.parent / raw["edges_path"]).resolve(),
-                features_path=(path.parent / raw["features_path"]).resolve(),
-                sensitive_column=raw["sensitive_column"],
-                label_column=raw["label_column"],
-                drop_columns=tuple(raw.get("drop_columns", ())),
-                sensitive_values=tuple(raw["sensitive_values"]) if "sensitive_values" in raw else None,
-                label_values=tuple(raw["label_values"]) if "label_values" in raw else None,
-                expected_stats=dict(raw.get("expected_stats", {})),
-            )
-        except KeyError as exc:
-            raise DataValidationError(f"manifest {path} is missing required key {exc}")
+        for key, value in raw.items():
+            check, what = _MANIFEST_VALUES[key]
+            if not check(value):
+                raise DataValidationError(f"manifest {path}: {key} must be {what}, got {value!r}")
+        unknown = set(raw.get("expected_stats", ())) - set(_STATS)
+        if unknown:
+            raise DataValidationError(f"manifest {path} has unknown expected_stats keys {sorted(unknown)}")
+        missing = [key for key in _REQUIRED if key not in raw]
+        if missing:
+            raise DataValidationError(f"manifest {path} is missing required key {missing[0]!r}")
+        values = {key: tuple(v) if isinstance(v, list) else v for key, v in raw.items()}
+        paths = {key: (path.parent / raw[key]).resolve() for key in ("edges_path", "features_path")}
+        return cls(**values | paths)
 
 
 def _read_edge_list(path: Path, n_nodes: int) -> sp.csr_matrix:
@@ -288,20 +306,10 @@ def _validate_expected_stats(dataset: GraphDataset, manifest: DatasetManifest) -
     if not expected:
         return
     stats = degree_stats(dataset)
-    actual = {
-        "n_nodes": dataset.n_nodes,
-        "n_edges": dataset.n_edges,
-        "n_features": dataset.n_features,
-        "s0": stats.group_sizes[0],
-        "s1": stats.group_sizes[1],
-        "inter_edges": stats.inter_edges,
-        "intra_edges": stats.intra_edges,
-    }
-    unknown = set(expected) - set(actual)
-    if unknown:
-        raise DataValidationError(f"manifest {manifest.name}: unknown expected_stats keys {sorted(unknown)}")
+    counts = (dataset.n_nodes, dataset.n_edges, dataset.n_features, *stats.group_sizes)
+    actual = dict(zip(_STATS, (*counts, stats.inter_edges, stats.intra_edges)))
     mismatches = {
-        key: (expected[key], actual[key]) for key in expected if expected[key] != actual[key]
+        key: (expected[key], actual.get(key)) for key in expected if expected[key] != actual.get(key)
     }
     if mismatches:
         detail = ", ".join(f"{k}: expected {e}, got {a}" for k, (e, a) in sorted(mismatches.items()))

@@ -22,7 +22,7 @@ NODE_KINDS = ("proposed", "random", "bias-term-only", "degree-only")
 NODE_SCOPES = ("train", "all")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SelectionResult:
     """Top-k candidates in descending score order (ties break by lowest index)."""
 
@@ -117,7 +117,7 @@ def _check_kind(kind: str, kinds: tuple[str, ...], what: str) -> None:
 def select_edges(dataset: GraphDataset, k: int, kind: str = "proposed", seed: int | None = None) -> SelectionResult:
     """Top-k edges for removal under one of :data:`EDGE_KINDS`.
 
-    ``proposed`` ranks by the scores memoised on the graph, which
+    ``proposed`` ranks by the scores memoised for the graph, which
     :func:`graph.remove_edges` carries to its result re-scored only where the
     degrees changed. The random kinds rank by a seeded uniform draw, plus 1
     on intra- (``random-intra``) or inter-edges (``random-inter``). Edges

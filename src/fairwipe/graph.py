@@ -2,11 +2,13 @@
 
 A graph owns its arrays: the constructor checks them once and marks them
 read-only, and so does every structural edit (edge/node removal, feature
-zeroing), which returns a new :class:`GraphDataset` and runs no check. A
-graph carries one aggregation, for one ``(hops, scheme)``: :func:`aggregate`
-returns it, or propagates from scratch and keeps the result, without hop
-blocks, in place of what the graph carried. What it hands out is read-only.
-Hop blocks are built only by the private step of
+zeroing), which returns a new :class:`GraphDataset` and runs no check. A graph
+is never written after it is built: what it carries and its memo live in two
+weak tables of this module keyed by the graph object, and every record that
+holds arrays compares by identity. A graph carries one aggregation, for one
+``(hops, scheme)``: :func:`aggregate` returns it, or propagates from scratch and
+keeps the result, without hop blocks, in place of what the graph carried. What
+it hands out is read-only. Hop blocks are built only by the private step of
 ``unlearn.sequential_unlearn``, on the graph it returns; the next call moves
 them over to the edited copy and recomputes only the rows the edit can reach.
 Graphs are unweighted, so a hop applies ``P = D⁻¹(A + I)`` as
@@ -15,7 +17,7 @@ vector is built. A hop acts on each feature column on its own, so zeroing raw
 column j to +0.0 zeroes column j of every hop block and leaves every other
 entry as it was, bit for bit: :func:`zero_feature_columns` zeroes the columns
 of the aggregation the graph carries instead of propagating again.
-Edge keys, degree statistics and edge scores are memoised on the graph.
+Edge keys, degree statistics and edge scores are memoised per graph.
 :func:`remove_edges` carries the keys and scores over to its result, updated
 for the edit, and the result counts its degrees once, on first use;
 :func:`zero_feature_columns` keeps the whole memo as it is.
@@ -24,7 +26,8 @@ for the edit, and the result counts its degrees once, on first use;
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, fields
+import weakref
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,7 +36,14 @@ SGC = "sgc"
 GPR = "gpr"
 
 
-@dataclass(frozen=True)
+# Keyed by graph object, an entry going with its graph: ``_carried[g]`` is g's
+# ``(hops, scheme, aggregation, blocks, spare, stale)`` (see `_reaggregate`),
+# ``_memos[g]`` its read-only edge keys and pairs, degree stats and edge scores.
+_carried = weakref.WeakKeyDictionary()
+_memos = weakref.WeakKeyDictionary()
+
+
+@dataclass(frozen=True, eq=False)
 class GraphDataset:
     """An attributed graph with a binary sensitive attribute and binary labels.
 
@@ -54,17 +64,12 @@ class GraphDataset:
     for good, so a write raises instead of changing a graph that edits,
     memos and carried aggregations were built from.
 
-    ``_hop_state`` is private: the aggregation this graph carries for one
-    ``(hops, scheme)`` and its hop blocks (None unless the graph was returned
-    by ``unlearn.sequential_unlearn``), and a spare buffer of the aggregation's
-    shape with the rows where it is stale; only this module sets, moves and
-    reads it. ``_memo`` is private too: the read-only edge keys and pairs,
-    degree statistics and edge scores computed for this graph so far. Neither
-    is an ``__init__`` argument; both are excluded from ``repr`` and ``==``,
-    and are dropped by ``dataclasses.replace``, copies and pickles, so no two
-    graphs share them. The memo depends only on the adjacency and the sensitive
-    column: edits and splits that keep both copy it to their result, and
-    :func:`remove_edges` carries its edge keys and scores.
+    A graph is never written after it is built, and ``==`` and ``hash`` go by
+    identity. What it carries and its memo live beside it, in this module's
+    weak tables keyed by the graph object, so ``dataclasses.replace``, copies
+    and pickles start with neither. The memo depends only on the adjacency and
+    the sensitive column: edits and splits that keep both copy it to their
+    result, and :func:`remove_edges` carries its edge keys and scores.
     """
 
     adjacency: sp.csr_matrix
@@ -74,8 +79,6 @@ class GraphDataset:
     train_mask: np.ndarray
     val_mask: np.ndarray
     test_mask: np.ndarray
-    _hop_state: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _memo: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         adjacency = self.adjacency
@@ -120,12 +123,6 @@ class GraphDataset:
             object.__setattr__(self, name, value)
         _freeze(self)
 
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state.pop("_hop_state", None)
-        state.pop("_memo", None)
-        return state
-
     def __setstate__(self, state):
         self.__dict__.update(state)
         _freeze(self)
@@ -142,23 +139,20 @@ class GraphDataset:
         """
         edited = object.__new__(GraphDataset)
         for f in fields(self):
-            if f.init:
-                object.__setattr__(edited, f.name, changes.pop(f.name, getattr(self, f.name)))
-        kept = edited.adjacency is self.adjacency and edited.sensitive is self.sensitive
-        if memo is None and self._memo and kept:
-            memo = dict(self._memo)
-        object.__setattr__(edited, "_hop_state", None)
-        object.__setattr__(edited, "_memo", memo)
+            object.__setattr__(edited, f.name, changes.pop(f.name, getattr(self, f.name)))
+        if memo is None and edited.adjacency is self.adjacency and edited.sensitive is self.sensitive:
+            memo = dict(_memos.get(self, {}))
+        if memo:
+            _memos[edited] = memo
         _freeze(edited)
         return edited
 
     def _memoised(self, key: str, compute):
         """``memo[key]``, computed as ``compute(self)`` on first use."""
-        if self._memo is None:
-            object.__setattr__(self, "_memo", {})
-        if key not in self._memo:
-            self._memo[key] = compute(self)
-        return self._memo[key]
+        memo = _memos.setdefault(self, {})
+        if key not in memo:
+            memo[key] = compute(self)
+        return memo[key]
 
     @property
     def n_nodes(self) -> int:
@@ -181,7 +175,7 @@ class GraphDataset:
         return self._memoised("edge_pairs", lambda ds: _frozen(np.column_stack(np.divmod(_edge_keys(ds), ds.n_nodes))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AggregatedFeatures:
     """Multi-hop aggregated node representations.
 
@@ -196,7 +190,7 @@ class AggregatedFeatures:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DegreeStats:
     """Per-node degree decomposition by sensitive group, plus global counts.
 
@@ -315,7 +309,7 @@ def _carried_state(dataset: GraphDataset, hops, scheme: str) -> tuple[int, tuple
     """Checked ``hops`` as an int, and ``dataset``'s state if it is for ``(hops, scheme)``."""
     hops = operator.index(hops)
     _check_settings(hops, scheme)
-    state = dataset._hop_state
+    state = _carried.get(dataset)
     if state is None or state[:2] != (hops, scheme):
         return hops, None
     return hops, state
@@ -350,8 +344,7 @@ def aggregate(dataset: GraphDataset, hops: int, scheme: str) -> AggregatedFeatur
     """
     hops, state = _carried_state(dataset, hops, scheme)
     if state is None:
-        state = (hops, scheme, _aggregate(dataset, hops, scheme)[0], None, None, None)
-        object.__setattr__(dataset, "_hop_state", state)
+        state = _carried[dataset] = (hops, scheme, _aggregate(dataset, hops, scheme)[0], None, None, None)
     _frozen(state[2].values)
     return state[2]
 
@@ -414,13 +407,12 @@ def _reaggregate(
     means some hop was the full product, or no blocks were edited.
     """
     hops, state = _carried_state(before, hops, scheme)
-    object.__setattr__(before, "_hop_state", None)
+    _carried.pop(before, None)
     if state is None or state[3] is None:
         aggregated = _aggregate(before, hops, scheme)[0] if state is None else state[2]
         _, state = _carried_state(after, hops, scheme)
         if state is None:
-            state = (hops, scheme, *_aggregate(after, hops, scheme), None, None)
-            object.__setattr__(after, "_hop_state", state)
+            state = _carried[after] = (hops, scheme, *_aggregate(after, hops, scheme), None, None)
         return aggregated, state[2], None
     aggregated, blocks, spare, stale = state[2:]
     n = after.n_nodes
@@ -462,7 +454,7 @@ def _reaggregate(
     updated = AggregatedFeatures(values=blocks[hops] if values is None else values)
     # The write flag is the recycle rule.
     spare = aggregated.values if aggregated.values.flags.writeable else None
-    object.__setattr__(after, "_hop_state", (hops, scheme, updated, blocks, spare, rows))
+    _carried[after] = (hops, scheme, updated, blocks, spare, rows)
     return aggregated, updated, rows
 
 
@@ -506,10 +498,9 @@ def remove_edges(dataset: GraphDataset, edges) -> GraphDataset:
         missing = np.flatnonzero(~present)[0]
         raise ValueError(f"edge ({lo[missing]}, {hi[missing]}) not present; rejecting the whole request")
     new_adj = _delete_entries(adj, np.sort(pos))
-    memo = None
-    if dataset._memo and "edge_keys" in dataset._memo:
-        memo = _memo_after_removal(dataset._memo, new_adj, dataset.sensitive, keys)
-    return dataset._edited(memo=memo, adjacency=new_adj)
+    memo = _memos.get(dataset, {})
+    carried = _memo_after_removal(memo, new_adj, dataset.sensitive, keys) if "edge_keys" in memo else None
+    return dataset._edited(memo=carried, adjacency=new_adj)
 
 
 def _memo_after_removal(memo: dict, adj: sp.csr_matrix, sensitive: np.ndarray, removed: np.ndarray) -> dict:
@@ -577,11 +568,11 @@ def zero_feature_columns(dataset: GraphDataset, columns) -> GraphDataset:
     keep[cols] = False
     # One pass each copies and zeroes.
     edited = dataset._edited(features=np.where(keep, dataset.features, 0.0))
-    state = dataset._hop_state
+    state = _carried.get(dataset)
     if state is not None:
         values = state[2].values
         zeroed = np.where(np.tile(keep, values.shape[1] // keep.size), values, 0.0)
-        object.__setattr__(edited, "_hop_state", (*state[:2], AggregatedFeatures(values=zeroed), None, None, None))
+        _carried[edited] = (*state[:2], AggregatedFeatures(values=zeroed), None, None, None)
     return edited
 
 

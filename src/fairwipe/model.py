@@ -75,7 +75,7 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainedModel:
     """Optimized weights together with the perturbation they were trained under."""
 

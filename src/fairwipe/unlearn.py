@@ -31,7 +31,7 @@ class _Removal:
             raise ValueError("removal request must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureRemoval(_Removal):
     """Zero the listed feature columns across all nodes."""
 
@@ -41,7 +41,7 @@ class FeatureRemoval(_Removal):
         return graph.zero_feature_columns(dataset, self.features)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeRemoval(_Removal):
     """Drop the listed undirected edges."""
 
@@ -51,7 +51,7 @@ class EdgeRemoval(_Removal):
         return graph.remove_edges(dataset, self.edges)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NodeRemoval(_Removal):
     """Detach the listed nodes (incident edges, features, and mask membership)."""
 
@@ -101,7 +101,7 @@ class CertificationBudget:
         return replace(self, accumulated_residual=self.accumulated_residual + residual)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnlearnResult:
     updated_weights: np.ndarray
     delta_vector: np.ndarray
@@ -237,7 +237,7 @@ def sequential_unlearn(
     for SGC the width does not show the hop count, so nothing else checks it.
     Every edited aggregation comes from a private step of :mod:`graph`, which
     alone builds, moves and drops the hop blocks ``X, PX, ..., PᴸX`` that ride
-    on the graphs. On a graph that carries them for ``(hops, scheme)``, a
+    beside the graphs. On a graph that carries them for ``(hops, scheme)``, a
     request recomputes only the rows it can change and passes them to
     :func:`newton_unlearn` as ``changed_rows``: feeding each call the graph the
     previous one returned keeps every request about the size of its edit. On

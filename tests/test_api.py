@@ -1,10 +1,12 @@
 """The public contract: the names the package offers, and the settings every certified call states."""
 
 import types
+import typing
 from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import fairwipe
 from fairwipe import graph
@@ -107,6 +109,36 @@ def test_public_names_are_pinned():
     """A name joins or leaves the public surface only with an edit here, so no private step is re-exported silently."""
     assert public_names(fairwipe) == FAIRWIPE_NAMES
     assert public_names(graph) == GRAPH_NAMES
+
+
+def holds_arrays(record) -> bool:
+    """Whether a field of the dataclass ``record`` is annotated ``np.ndarray`` or ``sp.csr_matrix``, alone or in a union."""
+    for hint in typing.get_type_hints(record).values():
+        union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+        if {np.ndarray, sp.csr_matrix} & set(typing.get_args(hint) if union else (hint,)):
+            return True
+    return False
+
+
+def test_array_records_compare_by_identity():
+    """A generated ``==`` compares arrays, which raises for two equal records that do not share
+    them, and leaves the record unhashable, so no graph could key a weak table."""
+    records = [
+        value for value in map(vars(fairwipe).get, FAIRWIPE_NAMES) if is_dataclass(value) and holds_arrays(value)
+    ]
+    assert sorted(record.__name__ for record in records) == [
+        "AggregatedFeatures",
+        "DegreeStats",
+        "EdgeRemoval",
+        "FeatureRemoval",
+        "GraphDataset",
+        "NodeRemoval",
+        "SelectionResult",
+        "TrainedModel",
+        "UnlearnResult",
+    ]
+    for record in records:
+        assert "__eq__" not in vars(record), record.__name__
 
 
 def test_certified_settings_have_no_defaults():

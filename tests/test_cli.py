@@ -66,6 +66,39 @@ class TestStats:
         assert code == 3
         assert "unknown keys ['drop_colums']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("name", 3, "name must be a string, got 3"),
+            ("edges_path", ["edges.txt"], "edges_path must be a string"),
+            ("features_path", None, "features_path must be a string, got None"),
+            ("sensitive_column", 0, "sensitive_column must be a string"),
+            ("label_column", {"name": "label"}, "label_column must be a string"),
+            ("drop_columns", "f0", "drop_columns must be a list of strings, got 'f0'"),
+            ("drop_columns", ["f0", 1], "drop_columns must be a list of strings"),
+            ("sensitive_values", "MF", "sensitive_values must be a list of two strings, got 'MF'"),
+            ("sensitive_values", ["M", "F", "X"], "sensitive_values must be a list of two strings"),
+            ("label_values", [-1, 1], "label_values must be a list of two strings"),
+            ("expected_stats", [60], "expected_stats must be an object of integers"),
+            ("expected_stats", {"n_nodes": 60.0}, "expected_stats must be an object of integers"),
+            ("expected_stats", {"n_nodes": True}, "expected_stats must be an object of integers"),
+            ("expected_stats", {"n_node": 60}, "unknown expected_stats keys ['n_node']"),
+        ],
+    )
+    def test_manifest_value_of_the_wrong_type_exits_3(self, tmp_path, capsys, key, value, message):
+        """The files it names do not exist, so only the value can be what is reported."""
+        manifest = {
+            "name": "absent",
+            "edges_path": "no-edges.txt",
+            "features_path": "no-features.csv",
+            "sensitive_column": "sens",
+            "label_column": "label",
+        }
+        (tmp_path / "manifest.json").write_text(json.dumps({**manifest, key: value}))
+        assert main(["stats", "--manifest", str(tmp_path / "manifest.json")]) == 3
+        err = capsys.readouterr().err
+        assert message in err and "not found" not in err
+
     def test_validation_failure_exits_3(self, toy_workspace, capsys):
         manifest = json.loads((toy_workspace / "manifest.json").read_text())
         manifest["expected_stats"]["n_nodes"] = 61
@@ -73,6 +106,36 @@ class TestStats:
         code = main(["stats", "--manifest", str(toy_workspace / "manifest.json")])
         assert code == 3
         assert "validation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, code, output",
+    [
+        pytest.param(
+            ["stats", "--manifest", "isolated.json"],
+            0,
+            "alpha2:       undefined (all nodes of group 1 are isolated; degree-ratio mean undefined)",
+            id="stats on an isolated group",
+        ),
+        pytest.param(
+            ["sweep", "--config", "exp.cfg", "--param", "hops", "--values", "two"],
+            2,
+            "config error: bad sweep value 'two' for hops",
+            id="unreadable sweep value",
+        ),
+    ],
+)
+def test_edge_cases_are_reported(toy_workspace, capsys, monkeypatch, command, code, output):
+    # Group 1 (nodes 3 and 4) has no edge, so its degree ratio has no mean.
+    (toy_workspace / "isolated-edges.txt").write_text("0 1\n1 2\n")
+    (toy_workspace / "isolated.csv").write_text("sens,label,f0\n0,0,0.1\n0,1,0.2\n0,0,0.3\n1,1,0.4\n1,0,0.5\n")
+    manifest = {"name": "isolated", "edges_path": "isolated-edges.txt", "features_path": "isolated.csv"}
+    manifest.update(sensitive_column="sens", label_column="label")
+    (toy_workspace / "isolated.json").write_text(json.dumps(manifest))
+    monkeypatch.chdir(toy_workspace)
+    assert main(command) == code
+    captured = capsys.readouterr()
+    assert output in captured.out + captured.err
 
 
 class TestRun:

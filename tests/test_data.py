@@ -71,6 +71,13 @@ class TestManifest:
         with pytest.raises(DataValidationError, match="not found"):
             DatasetManifest.from_json(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize("payload, kind", [([], "list"), (3, "int"), ("name", "str"), (None, "NoneType")])
+    def test_manifest_must_be_an_object(self, tmp_path, payload, kind):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataValidationError, match=f"must be a JSON object, not {kind}"):
+            DatasetManifest.from_json(path)
+
     def test_missing_key_fails_validation(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps({"name": "x"}))
@@ -247,10 +254,14 @@ class TestLoadDataset:
 
     def test_unknown_stats_key_rejected(self, tmp_path, write_dataset_files):
         edge_path, feat_path = write_dataset_files()
-        manifest = DatasetManifest.from_json(
-            write_manifest(tmp_path, edge_path, feat_path, expected_stats={"edges": 3})
-        )
-        with pytest.raises(DataValidationError, match="unknown expected_stats"):
+        path = write_manifest(tmp_path, edge_path, feat_path, expected_stats={"edges": 3})
+        with pytest.raises(DataValidationError, match=r"unknown expected_stats keys \['edges'\]"):
+            DatasetManifest.from_json(path)
+
+    def test_unknown_stats_key_of_a_manifest_built_in_python_fails_validation(self, tmp_path, write_dataset_files):
+        edge_path, feat_path = write_dataset_files()
+        manifest = DatasetManifest("toy", edge_path, feat_path, "sens", "label", expected_stats={"edges": 3})
+        with pytest.raises(DataValidationError, match="edges: expected 3, got None"):
             load_dataset(manifest)
 
     def test_expected_stats_count_carries_to_splits(self, tmp_path, write_dataset_files, monkeypatch):

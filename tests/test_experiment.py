@@ -51,6 +51,31 @@ def non_timing_fields(row):
     }
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("task = graph\n", "task must be one of", id="task"),
+        pytest.param("task = feature\nseeds =\n", "at least one seed is required", id="seeds"),
+        pytest.param(
+            "task = edge\nedge_fraction = 0\n",
+            r"edge task needs edge_fraction in \(0,1\] and edge_batches >= 1",
+            id="edge_fraction",
+        ),
+        pytest.param(
+            "task = edge\nedge_batches = 0\n",
+            r"edge task needs edge_fraction in \(0,1\] and edge_batches >= 1",
+            id="edge_batches",
+        ),
+        pytest.param("task = edge\nk 4\n", r"exp.cfg:2: expected 'key = value', got 'k 4'", id="no equals sign"),
+    ],
+)
+def test_bad_config_file_is_rejected(tmp_path, text, message):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(text)
+    with pytest.raises(ConfigError, match=message):
+        parse_config(cfg)
+
+
 class TestParseConfig:
     def test_full_file(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

@@ -24,6 +24,7 @@ from fairwipe.fairness import (
 )
 from fairwipe.graph import (
     DegreeStats,
+    _memos,
     aggregate,
     degree_stats,
     remove_edges,
@@ -47,6 +48,32 @@ def exact_rho_matrix(coefficients):
     v = np.array([1.0, -1.0, 0.0, 0.0]) / np.sqrt(2)
     cols = [rho * u + np.sqrt(1 - rho**2) * v for rho in coefficients]
     return np.column_stack(cols), s
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda ds: pearson_correlations(np.zeros((4, 2)), [0, 2, 1, 0]),
+            "sensitive attribute must be binary 0/1",
+            id="non-binary",
+        ),
+        pytest.param(
+            lambda ds: pearson_correlations(np.zeros(4), [0, 1, 1, 0]), "columns must be a 2-D matrix", id="1-D"
+        ),
+        pytest.param(
+            lambda ds: pearson_correlations(np.zeros((5, 2)), [0, 1, 1, 0]),
+            "sensitive vector must align with matrix rows",
+            id="misaligned",
+        ),
+        pytest.param(lambda ds: select_edges(ds, 0), r"k must lie in \[1, 3\]", id="k=0"),
+        pytest.param(lambda ds: select_edges(ds, 4), r"k must lie in \[1, 3\]", id="k>edges"),
+    ],
+)
+def test_bad_input_is_rejected(call, message):
+    ds = tiny_dataset(sp.csr_matrix(np.array([[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])))
+    with pytest.raises(ValueError, match=message):
+        call(ds)
 
 
 class TestPearson:
@@ -323,7 +350,7 @@ class TestAblationVariants:
         ds = random_dataset(n=30, seed=3)
         for kind in ("random", "random-intra", "random-inter"):
             fresh = replace(ds)
-            assert fresh._memo is None
+            assert _memos.get(fresh) is None
             select_edges(fresh, 3, kind=kind, seed=0)
         assert counted == []
 
@@ -674,9 +701,9 @@ class TestMemoisedSelection:
             # Either direction, and one pair repeated.
             edges = [tuple(pairs[i][::-1]) if rng.random() < 0.5 else tuple(pairs[i]) for i in take]
             current = remove_edges(current, edges + edges[:1])
-            assert set(current._memo) == CARRIED_KEYS
+            assert set(_memos.get(current)) == CARRIED_KEYS
             fresh = replace(current)
-            assert fresh._memo is None
+            assert _memos.get(fresh) is None
             np.testing.assert_array_equal(current.edge_pairs(), fresh.edge_pairs())
             assert current.edge_pairs().dtype == fresh.edge_pairs().dtype
             np.testing.assert_array_equal(current.edge_pairs(), reference_edge_pairs(current.adjacency))
@@ -693,21 +720,22 @@ class TestMemoisedSelection:
         select_edges(ds, 1)
         degree_stats(ds)
         edited = remove_edges(ds, [tuple(ds.edge_pairs()[0])])
-        assert set(ds._memo) == MEMO_KEYS
-        assert set(edited._memo) == CARRIED_KEYS
+        assert set(_memos.get(ds)) == MEMO_KEYS
+        assert set(_memos.get(edited)) == CARRIED_KEYS
         for g in (ds, edited):
             for other in (replace(g), copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
-                assert other._memo is None
-            assert replace(g) == g
-            assert "_memo" not in repr(g)
+                assert _memos.get(other) is None
+            # `replace` keeps the arrays a graph owns; the memo is not in it.
+            assert all(getattr(replace(g), f.name) is getattr(g, f.name) for f in dataclasses.fields(g))
+            assert set(vars(g)) == {f.name for f in dataclasses.fields(g)}
         # Edits that change more than edges start afresh.
-        assert remove_nodes(ds, [0])._memo is None
+        assert _memos.get(remove_nodes(ds, [0])) is None
         # A feature edit keeps adjacency and sensitive column: it keeps the
         # input's read-only entries, in a memo of its own.
         zeroed = zero_feature_columns(ds, [0])
-        assert zeroed._memo is not ds._memo
-        assert all(zeroed._memo[key] is entry for key, entry in ds._memo.items())
-        assert set(zeroed._memo) == MEMO_KEYS
+        assert _memos.get(zeroed) is not _memos.get(ds)
+        assert all(_memos.get(zeroed)[key] is entry for key, entry in _memos.get(ds).items())
+        assert set(_memos.get(zeroed)) == MEMO_KEYS
         fresh = replace(zeroed)
         np.testing.assert_array_equal(zeroed.edge_pairs(), fresh.edge_pairs())
         assert_same_stats(degree_stats(zeroed), degree_stats(fresh))

@@ -1,6 +1,8 @@
 import copy
+import gc
 import pickle
 import re
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from fairwipe import data, graph, synthetic
 from fairwipe.data import DatasetManifest, load_dataset
-from fairwipe.fairness import EDGE_KINDS, select_edges
+from fairwipe.fairness import EDGE_KINDS, select_edges, select_features, select_nodes
 from fairwipe.graph import (
     DegreeStats,
     GraphDataset,
@@ -23,7 +25,9 @@ from fairwipe.graph import (
     remove_nodes,
     zero_feature_columns,
 )
+from fairwipe.model import TrainConfig, train
 from fairwipe.synthetic import random_adjacency
+from fairwipe.unlearn import CertificationBudget, EdgeRemoval, FeatureRemoval, NodeRemoval, sequential_unlearn
 
 from conftest import random_dataset
 
@@ -511,6 +515,25 @@ class TestDatasetValidation:
         with pytest.raises(ValueError, match="2-D"):
             replace(ds, features=ds.features[:, 0])
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            pytest.param(
+                lambda ds: replace(ds, adjacency=sp.csr_matrix((10, 11))), "adjacency must be square", id="adjacency"
+            ),
+            pytest.param(
+                lambda ds: replace(ds, features=np.zeros((11, 2))), "features have 11 rows, expected 10", id="features"
+            ),
+            pytest.param(
+                lambda ds: replace(ds, val_mask=np.zeros(9, dtype=bool)), "val_mask must have length 10", id="mask"
+            ),
+            pytest.param(lambda ds: remove_edges(ds, [[0, 1, 2]]), r"edges must be \(i, j\) pairs", id="edges"),
+        ],
+    )
+    def test_misshapen_input_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build(random_dataset(n=10, f=2, seed=5))
+
     def test_featureless_graph_rejected(self):
         """Unchecked, such a graph runs a whole edge experiment to chance-level rows with empty weights."""
         ds = random_dataset(n=10, f=2, seed=5)
@@ -834,7 +857,7 @@ class TestOwnership:
     def test_arrays_the_graph_owns_are_not_copied(self):
         ds = random_dataset(n=20, seed=2)
         again = replace(ds)
-        assert all(getattr(again, f.name) is getattr(ds, f.name) for f in fields(ds) if f.init)
+        assert all(getattr(again, f.name) is getattr(ds, f.name) for f in fields(ds))
 
     def test_a_feature_write_raises_and_the_carry_stays_valid(self):
         """A write that went through would leave the carried aggregation stale, unlike a fresh one."""
@@ -856,6 +879,142 @@ class TestOwnership:
             with pytest.raises(ValueError, match="read-only"):
                 a[:] = 2
         assert (ds.adjacency.data == 1.0).all()
+
+
+BUDGET = CertificationBudget(1.0, 1e-4, epsilon_prime=1.0)
+COPIES = ("replace", "copy", "deepcopy", "pickle")
+
+
+def assert_unwritten(ds, before):
+    """``ds`` has the attributes ``before`` lists, each the very same object."""
+    after = vars(ds)
+    assert after.keys() == before.keys()
+    assert all(after[name] is value for name, value in before.items())
+
+
+def carries_nothing(ds):
+    return graph._carried.get(ds) is None and graph._memos.get(ds) is None
+
+
+def assert_compares_by_identity(x):
+    """``x`` equals itself and nothing else, a deep copy included, and hashes; returns that copy."""
+    twin = copy.deepcopy(x)
+    assert x == x and not x != x
+    assert x != twin and not x == twin
+    assert hash(x) == hash(x) and len({x, twin}) == 2
+    return twin
+
+
+class TestSideTables:
+    """A graph is never written after it is built: what it carries and its memo
+    live in `graph`'s weak tables, keyed by the graph object, and go with it."""
+
+    def test_a_graph_is_never_written(self):
+        ds = synthetic.homophilous_dataset(n=60, f=4, seed=3)
+        model = train(ds, aggregate(ds, 2, graph.GPR), TrainConfig(lam=1.0, seed=3))
+        pair = tuple(ds.edge_pairs()[0])
+        before = dict(vars(ds))
+        aggregate(ds, 2, graph.SGC)
+        aggregate(ds, 2, graph.GPR)
+        degree_stats(ds)
+        select_edges(ds, 3)
+        ds.edge_pairs()
+        remove_edges(ds, [pair])
+        remove_nodes(ds, [0])
+        zero_feature_columns(ds, [1])
+        data.make_splits(ds, (0.4, 0.2, 0.4), seed=1)
+        _, _, edited = sequential_unlearn(model, ds, [EdgeRemoval((pair,))], BUDGET, graph.GPR, 2)
+        assert_unwritten(ds, before)
+        # The next call takes the hop blocks the returned graph carries off it, without writing it.
+        before = dict(vars(edited))
+        assert graph._carried[edited][3] is not None
+        sequential_unlearn(model, edited, [FeatureRemoval((0,))], BUDGET, graph.GPR, 2)
+        assert graph._carried.get(edited) is None
+        assert_unwritten(edited, before)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        source=st.sampled_from(("feature_unlearning_instance", "homophilous_dataset")),
+        steps=st.lists(st.sampled_from(("edges", "nodes", "features", "splits", *COPIES)), min_size=1, max_size=4),
+    )
+    def test_graphs_compare_by_identity(self, seed, source, steps):
+        rng = np.random.default_rng(seed)
+        n, f = int(rng.integers(16, 40)), int(rng.integers(2, 5))
+        if source == "feature_unlearning_instance":
+            ds = synthetic.feature_unlearning_instance(n=n, f=f, seed=seed)
+        else:
+            ds = synthetic.homophilous_dataset(n=n, f=f, seed=seed, fractions=(0.4, 0.2, 0.4))
+        self.assert_steps_follow_the_rule(ds, steps, rng)
+
+    def test_a_loaded_graph_compares_by_identity(self, tmp_path, write_dataset_files):
+        edges_path, features_path = write_dataset_files(
+            edges=((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)), n=5, sensitive=(0, 1, 1, 0, 1), labels=(0, 1, 0, 1, 1)
+        )
+        ds = load_dataset(DatasetManifest("tiny", edges_path, features_path, "sens", "label"))
+        steps = ["edges", "nodes", "features", *COPIES]
+        self.assert_steps_follow_the_rule(ds, steps, np.random.default_rng(0))
+
+    @staticmethod
+    def assert_steps_follow_the_rule(ds, steps, rng):
+        """Each graph along ``steps`` compares by identity; copies of it carry nothing."""
+        for step in steps:
+            # Something to carry and memoise, for the step to keep or drop.
+            aggregate(ds, 2, graph.GPR)
+            degree_stats(ds)
+            assert carries_nothing(assert_compares_by_identity(ds))
+            ds = derived(ds, step, rng)
+            if step in COPIES:
+                assert carries_nothing(ds)
+        assert_compares_by_identity(ds)
+
+    def test_every_array_record_compares_by_identity(self):
+        ds = synthetic.homophilous_dataset(n=60, f=4, seed=5)
+        agg = aggregate(ds, 2, graph.GPR)
+        model = train(ds, agg, TrainConfig(lam=1.0, seed=5))
+        requests = [FeatureRemoval((0,)), EdgeRemoval((tuple(ds.edge_pairs()[0]),)), NodeRemoval((1,))]
+        results, _, _ = sequential_unlearn(model, ds, requests, BUDGET, graph.GPR, 2)
+        selections = [select_edges(ds, 2), select_features(ds.features, ds.sensitive, 2), select_nodes(ds, 2)]
+        records = [agg, degree_stats(ds), model, *selections, *results, *requests]
+        assert {type(r).__name__ for r in records} == {
+            "AggregatedFeatures",
+            "DegreeStats",
+            "TrainedModel",
+            "SelectionResult",
+            "UnlearnResult",
+            "FeatureRemoval",
+            "EdgeRemoval",
+            "NodeRemoval",
+        }
+        for record in records:
+            assert_compares_by_identity(record)
+
+    def test_the_tables_free_with_their_graphs(self):
+        gc.collect()
+        sizes = len(graph._carried), len(graph._memos)
+        ds = random_dataset(n=40, seed=4)
+        aggregate(ds, 2, graph.GPR)
+        degree_stats(ds)
+        zeroed = zero_feature_columns(ds, [0])
+        assert (len(graph._carried), len(graph._memos)) == (sizes[0] + 2, sizes[1] + 2)
+        dropped = [weakref.ref(ds), weakref.ref(zeroed)]
+        del ds, zeroed
+        gc.collect()
+        assert all(ref() is None for ref in dropped)
+        assert (len(graph._carried), len(graph._memos)) == sizes
+
+    def test_a_request_stream_keeps_the_tables_the_same_size(self):
+        """Over 50 single-edge requests, each fed the graph the last one returned,
+        the graphs left behind free their entries as they go."""
+        ds = random_dataset(n=200, f=3, seed=9)
+        model = train(ds, aggregate(ds, 2, graph.GPR), TrainConfig(lam=1.0, seed=9))
+        gc.collect()
+        current, sizes = ds, []
+        for _ in range(50):
+            request = lambda g: EdgeRemoval(select_edges(g, 1).chosen)  # noqa: E731
+            _, _, current = sequential_unlearn(model, current, [request], BUDGET, graph.GPR, 2)
+            sizes.append((len(graph._carried), len(graph._memos)))
+        assert sizes == sizes[:1] * 50
 
 
 @settings(max_examples=40, deadline=None)

@@ -33,6 +33,36 @@ def random_instance(seed, m=12, d=4):
     return w, z, y, lam, b
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda ds: loss_and_gradient(np.zeros(2), np.zeros(3), np.zeros(3), 1.0),
+            "feature rows must be a 2-D matrix",
+            id="1-D rows",
+        ),
+        pytest.param(
+            lambda ds: hessian(np.zeros(2), np.zeros((3, 2)), np.zeros(2), 1.0),
+            "labels must align with feature rows",
+            id="labels",
+        ),
+        pytest.param(
+            lambda ds: loss_and_gradient(np.zeros(2), np.zeros((3, 2)), np.zeros(3), 1.0, np.zeros(3)),
+            "perturbation must match weight dimension",
+            id="perturbation",
+        ),
+        pytest.param(
+            lambda ds: train(ds, aggregate(ds, 1, "sgc"), TrainConfig(), perturbation=np.zeros(ds.n_features + 1)),
+            "perturbation must match aggregation width",
+            id="train perturbation",
+        ),
+    ],
+)
+def test_misshapen_input_is_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(random_dataset(n=20, f=3, seed=1))
+
+
 class TestLossAndGradient:
     def test_single_sample_at_zero_weights(self):
         z = np.array([[0.3, -0.7]])

@@ -10,7 +10,7 @@ scratch on a copy that carries nothing.
 import copy
 import pickle
 import tracemalloc
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from unittest import mock
 
@@ -25,6 +25,7 @@ from fairwipe.fairness import select_edges
 from fairwipe.graph import (
     GPR,
     SGC,
+    _carried,
     _reaggregate,
     aggregate,
     remove_edges,
@@ -122,7 +123,7 @@ class TestReaggregate:
         old, new, _ = _reaggregate(ds, edited, hops, scheme)
         assert old is agg
         assert_close(new.values, full_values(edited, hops, scheme))
-        for block, expected in zip(edited._hop_state[3], dense_blocks(edited, hops)):
+        for block, expected in zip(_carried.get(edited)[3], dense_blocks(edited, hops)):
             assert_close(block, expected)
         np.testing.assert_array_equal(agg.values, before)
 
@@ -312,7 +313,7 @@ def assert_same_result(actual, expected):
 
 def carries(ds, hops, scheme):
     """Whether ``ds`` carries hop blocks for these settings."""
-    return ds._hop_state is not None and ds._hop_state[:2] == (hops, scheme) and ds._hop_state[3] is not None
+    return _carried.get(ds) is not None and _carried.get(ds)[:2] == (hops, scheme) and _carried.get(ds)[3] is not None
 
 
 def assert_same_bytes(actual, expected):
@@ -321,8 +322,8 @@ def assert_same_bytes(actual, expected):
 
 def assert_carries_its_own_hops(ds, hops, scheme):
     assert carries(ds, hops, scheme)
-    _, _, agg, blocks, *_ = ds._hop_state
-    assert len(ds._hop_state) == 6
+    _, _, agg, blocks, *_ = _carried.get(ds)
+    assert len(_carried.get(ds)) == 6
     assert_close(agg.values, full_values(ds, hops, scheme))
     assert len(blocks) == hops + 1
     for block, expected in zip(blocks, dense_blocks(ds, hops)):
@@ -347,7 +348,7 @@ def expected_aggregations(current, request, hops, scheme):
     """
     if carries(current, hops, scheme):
         return 0, True
-    carried = current._hop_state is not None and current._hop_state[:2] == (hops, scheme)
+    carried = _carried.get(current) is not None and _carried.get(current)[:2] == (hops, scheme)
     zeroed = carried and isinstance(request, FeatureRemoval)
     return (not carried) + (not zeroed), not zeroed
 
@@ -357,8 +358,8 @@ def assert_carries_its_aggregation(ds, hops, scheme, blocks):
     if blocks:
         assert_carries_its_own_hops(ds, hops, scheme)
     else:
-        assert ds._hop_state[:2] == (hops, scheme) and ds._hop_state[3] is None
-        assert_same_bytes(ds._hop_state[2].values, full_values(ds, hops, scheme))
+        assert _carried.get(ds)[:2] == (hops, scheme) and _carried.get(ds)[3] is None
+        assert_same_bytes(_carried.get(ds)[2].values, full_values(ds, hops, scheme))
 
 
 class TestCarriedAggregation:
@@ -374,7 +375,7 @@ class TestCarriedAggregation:
         with counting_full_passes() as full:
             old, new, rows = _reaggregate(ds, edited, 2, scheme)
         assert len(full) == 2 and aggregations(full)[0] is ds and aggregations(full)[1] is edited
-        assert rows is None and ds._hop_state is None
+        assert rows is None and _carried.get(ds) is None
         assert_same_bytes(old.values, full_values(ds, 2, scheme))
         assert_same_bytes(new.values, full_values(edited, 2, scheme))
         assert_carries_its_own_hops(edited, 2, scheme)
@@ -386,7 +387,7 @@ class TestCarriedAggregation:
         edited = remove_edges(ds, [tuple(ds.edge_pairs()[0])])
         with counting_full_passes() as full:
             _, new, _ = _reaggregate(ds, edited, 2, scheme)
-            assert ds._hop_state is None
+            assert _carried.get(ds) is None
             assert aggregate(edited, 2, scheme) is new
         assert full == []
         assert_carries_its_own_hops(edited, 2, scheme)
@@ -400,9 +401,9 @@ class TestCarriedAggregation:
         with counting_full_passes() as full:
             agg = aggregate(ds, 2, scheme)
             assert aggregate(ds, 2, scheme) is agg
-            assert ds._hop_state[2] is agg and not carries(ds, 2, scheme)
+            assert _carried.get(ds)[2] is agg and not carries(ds, 2, scheme)
             one_hop = aggregate(ds, 1, scheme)
-            assert ds._hop_state[2] is one_hop and not carries(ds, 1, scheme)
+            assert _carried.get(ds)[2] is one_hop and not carries(ds, 1, scheme)
         assert len(full) == 2
         carried = with_hop_blocks(ds, 2, scheme)
         with counting_full_passes() as full:
@@ -438,7 +439,7 @@ class TestCarriedAggregation:
         with counting_full_passes() as full:
             agg = aggregate(ds, 2, GPR)
         assert len(full) == 1
-        assert ds._hop_state[:2] == (2, GPR) and not carries(ds, 2, GPR)
+        assert _carried.get(ds)[:2] == (2, GPR) and not carries(ds, 2, GPR)
         assert_same_bytes(agg.values, full_values(ds, 2, GPR))
         carried = with_hop_blocks(ds, 1, SGC)
         assert_same_bytes(carried.values, full_values(ds, 1, SGC))
@@ -447,7 +448,7 @@ class TestCarriedAggregation:
         with counting_full_passes() as full:
             old, new, _ = _reaggregate(ds, edited, 2, SGC)
         assert len(full) == 2 and aggregations(full)[0] is ds and aggregations(full)[1] is edited
-        assert ds._hop_state is None
+        assert _carried.get(ds) is None
         assert_same_bytes(old.values, full_values(ds, 2, SGC))
         assert_same_bytes(new.values, full_values(edited, 2, SGC))
         assert_carries_its_own_hops(edited, 2, SGC)
@@ -466,14 +467,14 @@ class TestCarriedAggregation:
         if carried:
             with_hop_blocks(ds, 2, SGC if scheme == "gcn" else scheme)
             aggregate(edited, 1, GPR)
-        states = ds._hop_state, edited._hop_state
+        states = _carried.get(ds), _carried.get(edited)
         for call in (
             lambda: aggregate(ds, hops, scheme),
             lambda: _reaggregate(ds, edited, hops, scheme),
         ):
             with pytest.raises(error):
                 call()
-            assert ds._hop_state is states[0] and edited._hop_state is states[1]
+            assert _carried.get(ds) is states[0] and _carried.get(edited) is states[1]
 
 
 def spying_on(name):
@@ -533,7 +534,7 @@ class TestFullPassOnlyOnTheSeed:
         for byte."""
         ds = random_dataset(n=60, f=3, seed=10)
         model = trained_model(ds, 2, scheme, 10)
-        assert ds._hop_state[:2] == (2, scheme)
+        assert _carried.get(ds)[:2] == (2, scheme)
         with counting_full_passes() as full:
             (result,), _, edited = sequential_unlearn(model, ds, [FeatureRemoval((1,))], BUDGET, scheme, 2)
         assert full == []
@@ -580,7 +581,7 @@ class TestCarriedHops:
             result, edited, full = one_call(model, current, request, hops, scheme)
             assert full == passes
             assert_same_result(result, expected)
-            assert current._hop_state is None
+            assert _carried.get(current) is None
             assert_carries_its_aggregation(edited, hops, scheme, blocks)
             model = replace(model, weights=result.updated_weights)
             current = edited
@@ -603,7 +604,7 @@ class TestCarriedHops:
             result, edited, full = one_call(model, current, request, hops, scheme)
             assert full == passes
             assert_same_result(result, expected)
-            assert current._hop_state is None
+            assert _carried.get(current) is None
             assert_carries_its_aggregation(edited, hops, scheme, blocks)
             model = replace(model, weights=result.updated_weights)
             current = edited
@@ -645,9 +646,10 @@ class TestCarriedHops:
             pickle.loads(pickle.dumps(edited)),
         ]
         for other in copies:
-            assert other._hop_state is None
-        assert replace(edited) == edited
-        assert "_hop_state" not in repr(edited)
+            assert _carried.get(other) is None
+        # `replace` keeps the arrays a graph owns; nothing the graph carries is in it.
+        assert all(getattr(replace(edited), f.name) is getattr(edited, f.name) for f in fields(edited))
+        assert set(vars(edited)) == {f.name for f in fields(edited)}
         assert_carries_its_own_hops(edited, 2, GPR)
 
     @pytest.mark.parametrize("scheme", [SGC, GPR])
@@ -656,7 +658,7 @@ class TestCarriedHops:
         ds = random_dataset(n=40, f=3, seed=3)
         model = trained_model(ds, 2, scheme, 3)
         _, _, current = sequential_unlearn(model, ds, [EdgeRemoval((tuple(ds.edge_pairs()[0]),))], BUDGET, scheme, 2)
-        _, _, agg, blocks, *_ = current._hop_state
+        _, _, agg, blocks, *_ = _carried.get(current)
         snapshot = [agg.values.copy()] + [b.copy() for b in blocks]
         adjacency = [a.copy() for a in (current.adjacency.data, current.adjacency.indices, current.adjacency.indptr)]
         n = current.n_nodes
@@ -672,7 +674,7 @@ class TestCarriedHops:
                 sequential_unlearn(model, current, [request], BUDGET, scheme, 2)
             with pytest.raises(error):
                 request.apply(current)
-            carried = current._hop_state
+            carried = _carried.get(current)
             assert carried[2] is agg and carried[3] is blocks
             for array, before in zip([agg.values, *blocks], snapshot):
                 np.testing.assert_array_equal(array, before)
@@ -737,17 +739,17 @@ class TestZeroedColumns:
                 _, _, edited = sequential_unlearn(model, ds, [request], BUDGET, scheme, hops)
             if source == "aggregate":
                 # The zeroed copy is taken as it is: no aggregation and no full hop.
-                assert full == [] and edited._hop_state[3] is None
+                assert full == [] and _carried.get(edited)[3] is None
             else:
                 assert aggregations(full) == []
                 scratch = graph._aggregate(replace(edited), hops, scheme)[1]
-                for block, want in zip(edited._hop_state[3], scratch):
+                for block, want in zip(_carried.get(edited)[3], scratch):
                     assert_same_bytes(block, want)
         else:
             with counting_full_passes() as full:
                 edited = zero_feature_columns(ds, columns)
             assert full == []
-            assert edited._hop_state[:2] == (hops, scheme) and edited._hop_state[3] is None
+            assert _carried.get(edited)[:2] == (hops, scheme) and _carried.get(edited)[3] is None
         with counting_full_passes() as full:
             values = aggregate(edited, hops, scheme).values
         assert full == []
@@ -767,8 +769,8 @@ class TestZeroedColumns:
             pickle.loads(pickle.dumps(ds)),
         ]
         for other in others:
-            assert other._hop_state is None
-        assert ds._hop_state[:2] == (2, GPR)
+            assert _carried.get(other) is None
+        assert _carried.get(ds)[:2] == (2, GPR)
 
 
 class TestEditSizedNewton:
@@ -911,6 +913,6 @@ def test_retrain_oracle_builds_its_own_aggregation(scheme):
     assert_same_bytes(oracle.weights, fresh.weights)
     # A wrong aggregation planted on the graph is what `aggregate` reads, but not the oracle.
     wrong = graph.AggregatedFeatures(values=np.ones_like(full_values(edited, 2, scheme)))
-    object.__setattr__(edited, "_hop_state", (2, scheme, wrong, None, None, None))
+    _carried[edited] = (2, scheme, wrong, None, None, None)
     assert aggregate(edited, 2, scheme) is wrong
     assert_same_bytes(retrain_oracle(edited, config, model.perturbation, scheme, 2).weights, fresh.weights)

@@ -283,6 +283,20 @@ class TestWorstCaseBound:
             worstcase_bound_feature(6, k, m, lam=1.0)
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        pytest.param(dict(epsilon=0.0), "epsilon must be positive", id="epsilon"),
+        pytest.param(dict(delta=1.5), r"delta must lie in \(0, 1.5\)", id="delta"),
+        pytest.param(dict(epsilon_prime=-1.0), "epsilon_prime must be >= 0", id="epsilon_prime"),
+        pytest.param(dict(accumulated_residual=-1e-9), "accumulated residual cannot be negative", id="residual"),
+    ],
+)
+def test_bad_budget_is_rejected(changes, message):
+    with pytest.raises(ValueError, match=message):
+        CertificationBudget(**{"epsilon": 1.0, "delta": 1e-4, **changes})
+
+
 class TestNoiseCalibration:
     def test_reference_c0(self):
         budget = CertificationBudget(epsilon=1.0, delta=1e-4, epsilon_prime=1.0)

@@ -12,7 +12,7 @@ import io
 import json
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import NoReturn
 
@@ -43,18 +43,18 @@ def _read_text(path: Path, what: str, error: type[Exception] = DataValidationErr
 
 
 def _strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    return isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
 
 
-_REQUIRED = ("name", "edges_path", "features_path", "sensitive_column", "label_column")
-# What each manifest key must hold: a check, and what it checks for.
-_MANIFEST_VALUES = {
-    **dict.fromkeys(_REQUIRED, (lambda v: isinstance(v, str), "a string")),
-    "drop_columns": (_strings, "a list of strings"),
-    **dict.fromkeys(
-        ("sensitive_values", "label_values"), (lambda v: _strings(v) and len(v) == 2, "a list of two strings")
+# What a :class:`DatasetManifest` field of each declared type must hold, and what it is stored as.
+_FIELD_RULES = {
+    "str": (lambda v: isinstance(v, str), "a string", str),
+    "Path": (lambda v: isinstance(v, (str, Path)), "a string", Path),
+    "tuple[str, ...]": (_strings, "a list of strings", tuple),
+    "tuple[str, str] | None": (
+        lambda v: v is None or _strings(v) and len(v) == 2, "a list of two strings", lambda v: v and tuple(v)
     ),
-    "expected_stats": (lambda v: isinstance(v, dict) and all(type(c) is int for c in v.values()), "an object of integers"),
+    "dict": (lambda v: isinstance(v, dict) and all(type(c) is int for c in v.values()), "an object of integers", dict),
 }
 _STATS = ("n_nodes", "n_edges", "n_features", "s0", "s1", "inter_edges", "intra_edges")
 
@@ -67,8 +67,8 @@ class DatasetManifest:
     values onto 0/1 (first element maps to 0); without them the columns must
     already be binary numeric. ``expected_stats`` may pin any of: n_nodes,
     n_edges, n_features, s0, s1, inter_edges, intra_edges (undirected edge
-    counts, each edge counted once). A manifest file's keys are these field
-    names; any other key, or a value of another type, is an error.
+    counts, each edge counted once). Construction checks each field by its
+    declared type; a path may be a string and a tuple a list.
     """
 
     name: str
@@ -81,8 +81,20 @@ class DatasetManifest:
     label_values: tuple[str, str] | None = None
     expected_stats: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        for f in fields(self):
+            check, what, convert = _FIELD_RULES[f.type]
+            value = getattr(self, f.name)
+            if not check(value):
+                raise DataValidationError(f"{f.name} must be {what}, got {value!r}")
+            object.__setattr__(self, f.name, convert(value))
+        unknown = set(self.expected_stats) - set(_STATS)
+        if unknown:
+            raise DataValidationError(f"unknown expected_stats keys {sorted(unknown)}")
+
     @classmethod
     def from_json(cls, path) -> "DatasetManifest":
+        """The manifest in the JSON file ``path``, keyed by field name; its paths resolve against the file's folder."""
         path = Path(path)
         try:
             raw = json.loads(_read_text(path, "manifest"))
@@ -90,22 +102,18 @@ class DatasetManifest:
             raise DataValidationError(f"manifest {path} is not valid JSON: {exc}")
         if not isinstance(raw, dict):
             raise DataValidationError(f"manifest {path} must be a JSON object, not {type(raw).__name__}")
-        unknown = set(raw) - set(_MANIFEST_VALUES)
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise DataValidationError(f"manifest {path} has unknown keys {sorted(unknown)}")
-        for key, value in raw.items():
-            check, what = _MANIFEST_VALUES[key]
-            if not check(value):
-                raise DataValidationError(f"manifest {path}: {key} must be {what}, got {value!r}")
-        unknown = set(raw.get("expected_stats", ())) - set(_STATS)
-        if unknown:
-            raise DataValidationError(f"manifest {path} has unknown expected_stats keys {sorted(unknown)}")
-        missing = [key for key in _REQUIRED if key not in raw]
+        missing = [f.name for f in fields(cls) if f.default is f.default_factory is MISSING and f.name not in raw]
         if missing:
             raise DataValidationError(f"manifest {path} is missing required key {missing[0]!r}")
-        values = {key: tuple(v) if isinstance(v, list) else v for key, v in raw.items()}
-        paths = {key: (path.parent / raw[key]).resolve() for key in ("edges_path", "features_path")}
-        return cls(**values | paths)
+        try:
+            manifest = cls(**raw)
+        except DataValidationError as exc:
+            raise DataValidationError(f"manifest {path}: {exc}")
+        paths = {key: (path.parent / getattr(manifest, key)).resolve() for key in ("edges_path", "features_path")}
+        return replace(manifest, **paths)
 
 
 def _read_edge_list(path: Path, n_nodes: int) -> sp.csr_matrix:
@@ -308,9 +316,7 @@ def _validate_expected_stats(dataset: GraphDataset, manifest: DatasetManifest) -
     stats = degree_stats(dataset)
     counts = (dataset.n_nodes, dataset.n_edges, dataset.n_features, *stats.group_sizes)
     actual = dict(zip(_STATS, (*counts, stats.inter_edges, stats.intra_edges)))
-    mismatches = {
-        key: (expected[key], actual.get(key)) for key in expected if expected[key] != actual.get(key)
-    }
+    mismatches = {key: (expected[key], actual[key]) for key in expected if expected[key] != actual[key]}
     if mismatches:
         detail = ", ".join(f"{k}: expected {e}, got {a}" for k, (e, a) in sorted(mismatches.items()))
         raise DataValidationError(f"dataset {manifest.name} failed validation: {detail}")
@@ -319,14 +325,13 @@ def _validate_expected_stats(dataset: GraphDataset, manifest: DatasetManifest) -
 def make_splits(
     dataset: GraphDataset, fractions: tuple[float, float, float], seed: int
 ) -> GraphDataset:
-    """Reassign train/val/test masks from a seeded uniform node permutation.
+    """Reassign train/val/test masks drawn by :func:`split_masks` from a seeded node permutation.
 
     If the test set misses a sensitive group, one reseeded resample is
     attempted before giving up (fairness metrics need both groups). The
     result keeps the input's memoised edge keys and pairs, degree statistics
     and edge scores.
     """
-    fractions = _checked_fractions(fractions)
     for attempt_seed in (seed, seed + 977):
         train, val, test = split_masks(dataset.n_nodes, fractions, np.random.default_rng(attempt_seed))
         s_test = dataset.sensitive[test]
@@ -334,10 +339,3 @@ def make_splits(
             return dataset._edited(train_mask=train, val_mask=val, test_mask=test)
     raise ValueError("test split is missing a sensitive group even after one resample")
 
-
-def _checked_fractions(fractions) -> tuple[float, ...]:
-    """The train/val/test ``fractions`` as floats, once checked to be positive and finite and to sum to 1."""
-    fractions = tuple(float(f) for f in fractions)
-    if not all(0 < f < np.inf for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"split fractions must be positive and finite and sum to 1, got {fractions}")
-    return fractions

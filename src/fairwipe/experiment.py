@@ -10,6 +10,7 @@ wall times; aggregates report mean and standard deviation over seeds.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import operator
 import time
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import data, fairness, graph
+from . import data, fairness, graph, synthetic
 from .data import DatasetManifest, load_dataset, make_splits
 from .fairness import select_edges, select_features, select_nodes
 from .graph import GraphDataset, aggregate
@@ -108,7 +109,7 @@ class ExperimentConfig:
             raise ConfigError("edge task needs edge_fraction in (0,1] and edge_batches >= 1")
         try:
             graph._check_settings(self.hops, self.scheme)
-            data._checked_fractions(self.fractions)
+            synthetic._checked_fractions(self.fractions)
             CertificationBudget(self.epsilon, self.delta, epsilon_prime=self.epsilon_prime)
             for seed in self.seeds:
                 TrainConfig(self.lam, self.tolerance, self.max_iterations, seed)
@@ -162,6 +163,8 @@ def parse_config(path) -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class ResultRow:
+    """One arm of one seed, or (seed -1, ``aggregate`` "mean" or "std") of all seeds; the float fields are metrics."""
+
     dataset: str
     task: str
     selector: str
@@ -182,8 +185,9 @@ class ResultRow:
     aggregate: str = ""
 
 
-_FIXED_FIELDS = ("accuracy", "delta_sp", "delta_eo", "raw_sp", "rho_norm", "alpha1", "alpha2", "wall_time")
-_SCI_FIELDS = ("residual_norm", "worstcase_bound")
+_METRICS = tuple(f.name for f in fields(ResultRow) if f.type in ("float", "float | None"))
+# The metrics written in scientific notation, so that values below 1e-4 survive.
+_SCIENTIFIC = ("residual_norm", "worstcase_bound")
 
 
 def _evaluate(dataset: GraphDataset, agg, model: TrainedModel) -> dict:
@@ -332,75 +336,50 @@ def run_experiment(
 
 
 def _aggregate_rows(rows: list[ResultRow]) -> list[ResultRow]:
+    """A mean and a std row per arm, each metric reduced over the seed rows, or None if any seed's is None."""
     aggregates = []
     for arm in ARMS:
         arm_rows = [r for r in rows if r.arm == arm and not r.aggregate]
         if not arm_rows:
             continue
-        for stat in ("mean", "std"):
-            # Population std over the reported seed list (std of {1, 3} is 1.0).
-            def reduce(field):
-                values = [getattr(r, field) for r in arm_rows]
-                if any(v is None for v in values):
-                    return None
-                if stat == "mean":
-                    return float(np.mean(values))
-                return float(np.std(values))
-
-            template = arm_rows[0]
-            aggregates.append(
-                replace(
-                    template,
-                    seed=-1,
-                    aggregate=stat,
-                    certified=None,
-                    **{f: reduce(f) for f in (*_FIXED_FIELDS, *_SCI_FIELDS)},
-                )
-            )
+        columns = {name: [getattr(r, name) for r in arm_rows] for name in _METRICS}
+        # Population std over the reported seed list (std of {1, 3} is 1.0).
+        for stat, reduce in (("mean", np.mean), ("std", np.std)):
+            metrics = {name: None if None in values else float(reduce(values)) for name, values in columns.items()}
+            aggregates.append(replace(arm_rows[0], seed=-1, aggregate=stat, certified=None, **metrics))
     return aggregates
 
 
-def _format_value(field: str, value):
+def _format_value(name: str, value, text: bool = True):
+    """A row's ``name`` cell as CSV text, or else as a JSON value; a metric is rounded to four digits."""
+    if name in _METRICS and value is not None:
+        rounded = f"{value:.4e}" if name in _SCIENTIFIC else f"{value:.4f}"
+        return rounded if text else float(rounded)
+    if not text:
+        return value
     if value is None:
         return ""
-    if field in _FIXED_FIELDS:
-        return f"{value:.4f}"
-    if field in _SCI_FIELDS:
-        return f"{value:.4e}"
-    if field == "certified":
+    if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
 
 
 def emit_results(rows: list[ResultRow], format: str = "csv", path=None) -> str:
-    """Write rows in a stable column order with 4-decimal floats.
+    """Write rows as CSV or JSON, a column or key per :class:`ResultRow` field, in declaration order.
 
-    Bounded metrics use fixed-point notation; residuals and bounds use
-    scientific notation so sub-1e-4 values survive. Returns the rendered text;
+    A JSON metric is ``float`` of its CSV cell. Returns the rendered text;
     writes it to ``path`` when given.
     """
     if not rows:
         raise ValueError("no result rows to emit")
-    names = [f.name for f in fields(ResultRow)]
     if format == "csv":
-        import io
-
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(names)
-        for r in rows:
-            writer.writerow([_format_value(n, getattr(r, n)) for n in names])
+        writer.writerow([f.name for f in fields(ResultRow)])
+        writer.writerows([_format_value(n, v) for n, v in vars(r).items()] for r in rows)
         text = buffer.getvalue()
     elif format == "json":
-        payload = []
-        for r in rows:
-            entry = {}
-            for n in names:
-                v = getattr(r, n)
-                if v is not None and n in (*_FIXED_FIELDS, *_SCI_FIELDS):
-                    v = float(_format_value(n, v))
-                entry[n] = v
-            payload.append(entry)
+        payload = [{n: _format_value(n, v, text=False) for n, v in vars(r).items()} for r in rows]
         text = json.dumps(payload, indent=2) + "\n"
     else:
         raise ValueError(f"unknown output format {format!r}")

@@ -9,13 +9,14 @@ bound, and the structural diagnostics alpha1/alpha2 live here too.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import graph
 from .graph import DegreeStats, GraphDataset, degree_stats
-from .model import LOGISTIC
+from .model import LOGISTIC, _check_positive_finite
 
 EDGE_KINDS = ("proposed", "random", "random-intra", "random-inter")
 NODE_KINDS = ("proposed", "random", "bias-term-only", "degree-only")
@@ -68,9 +69,13 @@ def pearson_correlations(columns: np.ndarray, s: np.ndarray) -> np.ndarray:
 def _top_k(scores: np.ndarray, candidates: np.ndarray, k: int) -> np.ndarray:
     """Sort by descending score, ties by lowest candidate, and take the first k.
 
-    Only the candidates scoring at least the k-th highest score can be chosen,
-    so a partition keeps those and the sort runs on them alone.
+    ``k`` must be an integer in [1, len(candidates)]. Only the candidates scoring
+    at least the k-th highest score can be chosen, so a partition keeps those
+    and the sort runs on them alone.
     """
+    k = operator.index(k)
+    if not 1 <= k <= len(candidates):
+        raise ValueError(f"k must lie in [1, {len(candidates)}]")
     kth = -np.partition(-scores, k - 1)[k - 1]
     keep = np.flatnonzero(scores >= kth)
     top = candidates[keep]
@@ -81,8 +86,6 @@ def select_features(features: np.ndarray, s: np.ndarray, k: int) -> SelectionRes
     """Pick the k columns most correlated (in magnitude) with the sensitive attribute."""
     features = np.asarray(features)
     n_features = features.shape[1]
-    if not 1 <= k <= n_features:
-        raise ValueError(f"k must lie in [1, {n_features}]")
     scores = np.abs(pearson_correlations(features, s))
     return SelectionResult(chosen=_top_k(scores, np.arange(n_features), k), scores=scores)
 
@@ -126,8 +129,6 @@ def select_edges(dataset: GraphDataset, k: int, kind: str = "proposed", seed: in
     """
     _check_kind(kind, EDGE_KINDS, "edge")
     keys = graph._edge_keys(dataset)
-    if not 1 <= k <= len(keys):
-        raise ValueError(f"k must lie in [1, {len(keys)}]")
     if kind == "proposed":
         scores = graph._proposed_edge_scores(dataset)
     else:
@@ -155,8 +156,6 @@ def select_nodes(
     if scope not in NODE_SCOPES:
         raise ValueError(f"scope must be one of {NODE_SCOPES}, got {scope!r}")
     nodes = np.flatnonzero(dataset.train_mask) if scope == "train" else np.arange(dataset.n_nodes)
-    if not 1 <= k <= len(nodes):
-        raise ValueError(f"k must lie in [1, {len(nodes)}] for scope {scope!r}")
     if kind == "random":
         scores = np.random.default_rng(seed).random(len(nodes))
     elif kind == "proposed":
@@ -201,6 +200,7 @@ def raw_sp_and_bound(matrix: np.ndarray, weights: np.ndarray, s: np.ndarray, lam
     over all columns (zeroed columns included, so the bound shrinks as columns
     are removed).
     """
+    _check_positive_finite("lam", lam)
     matrix = np.asarray(matrix, dtype=np.float64)
     s = _check_binary_groups(s)
     raw_sp = _score_gap(matrix @ np.asarray(weights, dtype=np.float64), s)

@@ -34,6 +34,11 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
+def _check_positive_finite(name: str, value) -> None:
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite")
+
+
 @dataclass(frozen=True)
 class LossSpec:
     """Smoothness constants of the per-sample loss.
@@ -48,16 +53,11 @@ class LossSpec:
     gamma2: float = 0.25
 
     def __post_init__(self):
-        if min(self.c, self.c1, self.gamma2) <= 0:
-            raise ValueError("loss constants must be positive")
+        for name in ("c", "c1", "gamma2"):
+            _check_positive_finite(name, getattr(self, name))
 
 
 LOGISTIC = LossSpec()
-
-
-def _check_positive_finite(name: str, value) -> None:
-    if not 0 < value < np.inf:
-        raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)

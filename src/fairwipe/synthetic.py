@@ -63,8 +63,17 @@ def sbm_adjacency(s: np.ndarray, p_in: float, p_out: float, rng: np.random.Gener
     return _symmetric_adjacency(iu[0][present], iu[1][present], n)
 
 
+def _checked_fractions(fractions) -> tuple[float, ...]:
+    """The train/val/test ``fractions`` as floats, once checked to be positive and finite and to sum to 1."""
+    fractions = tuple(float(f) for f in fractions)
+    if not all(0 < f < np.inf for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
+        raise ValueError(f"split fractions must be positive and finite and sum to 1, got {fractions}")
+    return fractions
+
+
 def split_masks(n: int, fractions: tuple[float, float, float], rng: np.random.Generator):
-    """Disjoint boolean masks from a uniform node permutation, each an array of its own."""
+    """Disjoint train/val/test masks, each an array of its own, from a node permutation cut at checked ``fractions``."""
+    fractions = _checked_fractions(fractions)
     perm = rng.permutation(n)
     n_train = int(round(fractions[0] * n))
     n_val = int(round(fractions[1] * n))
@@ -74,6 +83,16 @@ def split_masks(n: int, fractions: tuple[float, float, float], rng: np.random.Ge
     return masks
 
 
+def _both_groups(n: int, rng: np.random.Generator) -> np.ndarray:
+    """A uniform 0/1 draw per node, drawn again until both groups are non-empty."""
+    if n < 2:
+        raise ValueError(f"both sensitive groups need n >= 2 nodes, got {n}")
+    sensitive = rng.integers(0, 2, size=n)
+    while sensitive.sum() in (0, n):
+        sensitive = rng.integers(0, 2, size=n)
+    return sensitive
+
+
 def feature_unlearning_instance(
     n: int = 200,
     f: int = 10,
@@ -81,16 +100,14 @@ def feature_unlearning_instance(
     avg_degree: float = 6.0,
     fractions: tuple[float, float, float] = (0.6, 0.2, 0.2),
 ) -> GraphDataset:
-    """Random graph with assumption-compliant features and hyperplane labels."""
+    """Random graph with assumption-compliant features, hyperplane labels and a two-group sensitive draw (n >= 2)."""
     rng = np.random.default_rng(seed)
     x = gaussian_features(n, f, rng)
     adj = random_adjacency(n, avg_degree, rng)
     direction = rng.normal(size=f)
     margin = x @ direction + 0.05 * rng.normal(size=n)
     labels = (margin > np.median(margin)).astype(np.int64)
-    sensitive = rng.integers(0, 2, size=n)
-    while sensitive.sum() in (0, n):
-        sensitive = rng.integers(0, 2, size=n)
+    sensitive = _both_groups(n, rng)
     train, val, test = split_masks(n, fractions, rng)
     return GraphDataset(
         adjacency=adj,
@@ -118,7 +135,7 @@ def homophilous_dataset(
     Column 0 mixes the centered sensitive attribute with noise at the common
     per-column scale; labels follow a signal column plus a sensitive-leaning
     tilt (``label_tilt``), so a trained model exhibits a measurable parity gap
-    that structural edits can move.
+    that structural edits can move. :func:`split_masks` checks ``fractions``.
     """
     rng = np.random.default_rng(seed)
     sensitive = np.zeros(n, dtype=np.int64)
@@ -154,11 +171,10 @@ def planted_bias_features(
     """Noise features plus one column correlated with a random binary attribute.
 
     Returns ``(features, sensitive)``; every column has the same marginal scale
-    so correlation alone distinguishes the planted one.
+    so correlation alone distinguishes the planted one. Both groups are drawn,
+    so ``n`` must be at least 2.
     """
-    sensitive = rng.integers(0, 2, size=n)
-    while sensitive.sum() in (0, n):
-        sensitive = rng.integers(0, 2, size=n)
+    sensitive = _both_groups(n, rng)
     sigma = 1.0 / (5.0 * np.sqrt(f))
     x = gaussian_features(n, f, rng, sigma=sigma)
     s_centered = (sensitive - sensitive.mean()) / max(sensitive.std(), 1e-12)

@@ -82,8 +82,8 @@ class CertificationBudget:
             raise ValueError("delta must lie in (0, 1.5)")
         if self.epsilon_prime is not None and not self.epsilon_prime >= 0:
             raise ValueError("epsilon_prime must be >= 0")
-        if self.accumulated_residual < 0:
-            raise ValueError("accumulated residual cannot be negative")
+        if not self.accumulated_residual >= 0:
+            raise ValueError("accumulated residual cannot be negative or NaN")
 
     @property
     def c0(self) -> float:
@@ -194,7 +194,9 @@ def worstcase_bound_feature(n_features: int, k: int, m: int, lam: float) -> floa
     trained with: the bound, and the noise calibrated to it, scale as 1/lam².
     """
     _check_positive_finite("lam", lam)
-    k, m = operator.index(k), operator.index(m)
+    n_features, k, m = operator.index(n_features), operator.index(k), operator.index(m)
+    if n_features < 1:
+        raise ValueError("n_features must be >= 1")
     if not 0 <= k <= n_features:
         raise ValueError(f"k must lie in [0, {n_features}]")
     if m < 1:

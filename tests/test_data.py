@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tempfile
 import warnings
@@ -84,6 +85,37 @@ class TestManifest:
         with pytest.raises(DataValidationError, match="missing required key"):
             DatasetManifest.from_json(path)
 
+
+    def test_manifest_built_in_python_loads_like_its_file_twin(self, tmp_path, write_dataset_files, monkeypatch):
+        """Paths may be strings and tuples lists; a JSON null value map means none."""
+        edge_path, feat_path = write_dataset_files()
+        twin = DatasetManifest.from_json(
+            write_manifest(tmp_path, edge_path, feat_path, drop_columns=["f0"], label_values=None)
+        )
+        monkeypatch.chdir(tmp_path)
+        manifest = DatasetManifest("toy", "edges.txt", "features.csv", "sens", "label", drop_columns=["f0"])
+        assert manifest.edges_path == Path("edges.txt") and manifest.features_path == Path("features.csv")
+        assert manifest.drop_columns == ("f0",) and twin.label_values is None
+        assert manifest == dataclasses.replace(twin, edges_path=Path("edges.txt"), features_path=Path("features.csv"))
+        got, want = load_dataset(manifest), load_dataset(twin)
+        for name in ("features", "sensitive", "labels", "train_mask", "val_mask", "test_mask"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert (got.adjacency != want.adjacency).nnz == 0
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (dict(drop_columns="f0"), "drop_columns must be a list of strings, got 'f0'"),
+            (dict(sensitive_values=("M", "F", "X")), "sensitive_values must be a list of two strings"),
+            (dict(expected_stats={"n_nodes": 4.0}), "expected_stats must be an object of integers"),
+            (dict(edges_path=None), "edges_path must be a string, got None"),
+        ],
+    )
+    def test_manifest_built_in_python_is_checked_at_construction(self, changes, message):
+        """The files need not exist: the fields are checked before anything is read."""
+        with pytest.raises(DataValidationError, match=f"^{message}"):
+            DatasetManifest(**{**dict(name="x", edges_path="e.txt", features_path="f.csv",
+                                      sensitive_column="s", label_column="l"), **changes})
 
     def test_unknown_key_fails_validation(self, tmp_path, write_dataset_files):
         """A misspelt key is an error, not ignored: ignored, the column it names would become a feature."""
@@ -260,9 +292,8 @@ class TestLoadDataset:
 
     def test_unknown_stats_key_of_a_manifest_built_in_python_fails_validation(self, tmp_path, write_dataset_files):
         edge_path, feat_path = write_dataset_files()
-        manifest = DatasetManifest("toy", edge_path, feat_path, "sens", "label", expected_stats={"edges": 3})
-        with pytest.raises(DataValidationError, match="edges: expected 3, got None"):
-            load_dataset(manifest)
+        with pytest.raises(DataValidationError, match=r"^unknown expected_stats keys \['edges'\]$"):
+            DatasetManifest("toy", edge_path, feat_path, "sens", "label", expected_stats={"edges": 3})
 
     def test_expected_stats_count_carries_to_splits(self, tmp_path, write_dataset_files, monkeypatch):
         counted = []

@@ -1,4 +1,7 @@
+import csv
 import dataclasses
+import io
+import json
 import sys
 import warnings
 from pathlib import Path
@@ -21,6 +24,8 @@ from fairwipe.synthetic import homophilous_dataset
 from fairwipe.unlearn import newton_unlearn, sequential_unlearn
 
 from conftest import EVERY_SETTING, counting_full_passes
+
+METRICS = [f.name for f in dataclasses.fields(ResultRow) if f.type in ("float", "float | None")]
 
 
 def make_config(**overrides):
@@ -566,6 +571,31 @@ class TestEmitResults:
         assert mean.accuracy == pytest.approx(2.0)
         assert std.accuracy == pytest.approx(1.0)
         assert mean.seed == -1
+
+    def test_the_metrics_are_the_float_fields(self):
+        assert METRICS == [
+            "accuracy", "delta_sp", "delta_eo", "raw_sp", "rho_norm", "alpha1", "alpha2",
+            "residual_norm", "worstcase_bound", "wall_time",
+        ]
+
+    @pytest.mark.parametrize("name", METRICS)
+    def test_every_metric_is_written_and_reduced(self, name):
+        """JSON holds the number in the CSV cell; the aggregates reduce the metric, or hold None if a seed does."""
+        rows = [dataclasses.replace(r, **{name: value}) for r, value in zip(self.rows(), (0.123456789, 3.000049))]
+        rows += experiment._aggregate_rows(rows)
+        assert [getattr(r, name) for r in rows[2:]] == [pytest.approx(1.5617528945), pytest.approx(1.4382961055)]
+        cells = self.csv_cells(rows)
+        assert [r[name] for r in json.loads(emit_results(rows, "json"))] == [float(c[name]) for c in cells]
+
+        rows = [dataclasses.replace(self.rows()[0], **{name: None}), self.rows()[1]]
+        aggregates = experiment._aggregate_rows(rows)
+        assert [getattr(r, name) for r in aggregates] == [None, None]
+        assert [c[name] for c in self.csv_cells(aggregates)] == ["", ""]
+        assert [r[name] for r in json.loads(emit_results(aggregates, "json"))] == [None, None]
+
+    @staticmethod
+    def csv_cells(rows):
+        return list(csv.DictReader(io.StringIO(emit_results(rows, "csv"))))
 
     def test_empty_rows_rejected(self):
         with pytest.raises(ValueError, match="no result rows"):

@@ -68,12 +68,34 @@ def exact_rho_matrix(coefficients):
         ),
         pytest.param(lambda ds: select_edges(ds, 0), r"k must lie in \[1, 3\]", id="k=0"),
         pytest.param(lambda ds: select_edges(ds, 4), r"k must lie in \[1, 3\]", id="k>edges"),
+        pytest.param(lambda ds: select_nodes(ds, 5, scope="all"), r"k must lie in \[1, 4\]$", id="k>nodes"),
+        pytest.param(
+            lambda ds: raw_sp_and_bound(ds.features, np.zeros(ds.n_features), ds.sensitive, lam=0.0),
+            "lam must be positive and finite",
+            id="lam=0",
+        ),
     ],
 )
 def test_bad_input_is_rejected(call, message):
     ds = tiny_dataset(sp.csr_matrix(np.array([[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])))
     with pytest.raises(ValueError, match=message):
         call(ds)
+
+
+@pytest.mark.parametrize(
+    "select",
+    [
+        pytest.param(lambda ds, k: select_features(ds.features, ds.sensitive, k), id="features"),
+        pytest.param(lambda ds, k: select_edges(ds, k), id="edges"),
+        pytest.param(lambda ds, k: select_nodes(ds, k, scope="all"), id="nodes"),
+    ],
+)
+def test_fractional_k_is_rejected(select):
+    """One rule for every selector: k is an integer, so 2.5 is an error, not a partition index."""
+    ds = tiny_dataset(sp.csr_matrix(np.array([[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])))
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        select(ds, 2.5)
+    assert len(select(ds, 2).chosen) == 2
 
 
 class TestPearson:

@@ -10,6 +10,7 @@ from fairwipe.graph import GraphDataset, aggregate
 from fairwipe.model import (
     LOGISTIC,
     ConvergenceError,
+    LossSpec,
     TrainConfig,
     hessian,
     loss_and_gradient,
@@ -56,6 +57,7 @@ def random_instance(seed, m=12, d=4):
             "perturbation must match aggregation width",
             id="train perturbation",
         ),
+        pytest.param(lambda ds: LossSpec(gamma2=np.nan), "gamma2 must be positive and finite", id="NaN loss constant"),
     ],
 )
 def test_misshapen_input_is_rejected(call, message):

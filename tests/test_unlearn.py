@@ -271,16 +271,21 @@ class TestWorstCaseBound:
             worstcase_bound_feature(5, 6, 10, lam=10.0)
         with pytest.raises(ValueError):
             worstcase_bound_feature(5, 2, 0, lam=10.0)
+        with pytest.raises(ValueError, match="n_features must be >= 1"):
+            worstcase_bound_feature(0, 0, 10, lam=10.0)
 
     @pytest.mark.parametrize("lam", [-1.0, 0.0, np.nan, np.inf])
     def test_ridge_must_be_positive_and_finite(self, lam):
         with pytest.raises(ValueError, match="lam must be positive and finite"):
             worstcase_bound_feature(6, 1, 50, lam=lam)
 
-    @pytest.mark.parametrize("k, m", [(1.5, 50), (1, 50.0)])
-    def test_counts_must_be_integers(self, k, m):
+    @pytest.mark.parametrize(
+        "f, k, m",
+        [pytest.param(6, 1.5, 50, id="1.5-50"), pytest.param(6, 1, 50.0, id="1-50.0"), pytest.param(2.5, 1, 50, id="f=2.5")],
+    )
+    def test_counts_must_be_integers(self, f, k, m):
         with pytest.raises(TypeError):
-            worstcase_bound_feature(6, k, m, lam=1.0)
+            worstcase_bound_feature(f, k, m, lam=1.0)
 
 
 @pytest.mark.parametrize(
@@ -290,6 +295,7 @@ class TestWorstCaseBound:
         pytest.param(dict(delta=1.5), r"delta must lie in \(0, 1.5\)", id="delta"),
         pytest.param(dict(epsilon_prime=-1.0), "epsilon_prime must be >= 0", id="epsilon_prime"),
         pytest.param(dict(accumulated_residual=-1e-9), "accumulated residual cannot be negative", id="residual"),
+        pytest.param(dict(accumulated_residual=np.nan), "accumulated residual cannot be negative or NaN", id="NaN"),
     ],
 )
 def test_bad_budget_is_rejected(changes, message):

@@ -99,6 +99,8 @@ class ExperimentConfig:
                         operator.index(v)
                 except TypeError:
                     raise ConfigError(f"{f.name} must be {'integers' if many else 'an integer'}, got {value!r}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must be distinct, got {self.seeds!r}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.node_scope not in fairness.NODE_SCOPES:
@@ -137,9 +139,10 @@ def _read_setting(key: str, raw: str):
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Read a `key = value` config file (one setting per line, '#' comments)."""
+    """Read a `key = value` config file (one setting per line, each key at most once, '#' comments)."""
     path = Path(path)
     values: dict = {}
+    set_on: dict = {}  # the line that set each key
     for lineno, line in enumerate(data._read_text(path, "config file", ConfigError).splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -150,6 +153,9 @@ def parse_config(path) -> ExperimentConfig:
         key, raw = key.strip(), raw.strip()
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
+        if key in set_on:
+            raise ConfigError(f"{path}:{lineno}: {key!r} is already set on line {set_on[key]}")
+        set_on[key] = lineno
         try:
             values[_CONFIG_KEYS[key].name] = _read_setting(key, raw)
         except (ValueError, TypeError):
@@ -256,24 +262,13 @@ def _run_seed(config: ExperimentConfig, base: GraphDataset, name: str, seed: int
     model = train(dataset, agg, train_cfg, noise_std=noise_std)
     train_wall = time.perf_counter() - train_start
 
-    def row(arm, metrics, residual=None, bound=None, certified=None, wall=0.0, k=config.k):
-        return ResultRow(
-            dataset=name,
-            task=config.task,
-            selector=config.selector,
-            arm=arm,
-            seed=seed,
-            k=k,
-            **metrics,
-            residual_norm=residual,
-            worstcase_bound=bound,
-            certified=certified,
-            wall_time=wall,
-        )
-
+    row = partial(
+        ResultRow, dataset=name, task=config.task, selector=config.selector, seed=seed, k=config.k,
+        residual_norm=None, worstcase_bound=None, certified=None,
+    )
     rows = []
     if "pretrained" in config.arms:
-        rows.append(row("pretrained", _evaluate(dataset, agg, model), wall=train_wall))
+        rows.append(row(arm="pretrained", **_evaluate(dataset, agg, model), wall_time=train_wall))
     if not ({"unlearn", "retrain"} & set(config.arms)):
         return rows
 
@@ -283,27 +278,21 @@ def _run_seed(config: ExperimentConfig, base: GraphDataset, name: str, seed: int
     )
     unlearn_wall = time.perf_counter() - unlearn_start
     agg_edited = aggregate(edited, config.hops, config.scheme)
-    removed = config.k if config.task != "edge" else dataset.n_edges - edited.n_edges
+    if config.task == "edge":
+        row = partial(row, k=dataset.n_edges - edited.n_edges)
 
     if "unlearn" in config.arms:
         metrics = _evaluate(edited, agg_edited, replace(model, weights=results[-1].updated_weights))
         rows.append(
-            row(
-                "unlearn",
-                metrics,
-                residual=budget.accumulated_residual,
-                bound=epsilon_prime,
-                certified=budget.certified,
-                wall=select_wall + unlearn_wall,
-                k=removed,
-            )
+            row(arm="unlearn", **metrics, residual_norm=budget.accumulated_residual, worstcase_bound=epsilon_prime,
+                certified=budget.certified, wall_time=select_wall + unlearn_wall)
         )
     if "retrain" in config.arms:
         retrain_start = time.perf_counter()
         oracle = retrain_oracle(edited, train_cfg, model.perturbation, config.scheme, config.hops)
         retrain_wall = time.perf_counter() - retrain_start
         metrics = _evaluate(edited, agg_edited, oracle)
-        rows.append(row("retrain", metrics, residual=oracle.optimizer_residual, wall=retrain_wall, k=removed))
+        rows.append(row(arm="retrain", **metrics, residual_norm=oracle.optimizer_residual, wall_time=retrain_wall))
     return rows
 
 

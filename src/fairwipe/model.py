@@ -6,9 +6,12 @@ Hessian's smallest eigenvalue is at least ``lam * m``. An optional linear
 perturbation ``b`` is added to the objective so that post-unlearning gradient
 residuals can be hidden within calibrated noise.
 
-The loss and gradient are written once, in ``_objective``. ``train`` and
-``unlearn.newton_unlearn`` call it and ``logistic_hessian`` on pre-sliced rows
-without checks; only the public ``loss_and_gradient`` and ``hessian`` check inputs.
+The loss and gradient are written once, in ``_objective``, which gives ``train``
+its loss and gradient and ``unlearn.newton_unlearn`` its certified residual;
+``logistic_hessian`` gives both Hessians (``train``'s Newton polish and the
+Newton step). The step's correction, a masked data-gradient difference, is
+written once in ``newton_unlearn``. All run on pre-sliced rows without checks;
+only the public ``loss_and_gradient`` and ``hessian`` check inputs.
 """
 
 from __future__ import annotations

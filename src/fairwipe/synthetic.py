@@ -83,10 +83,14 @@ def split_masks(n: int, fractions: tuple[float, float, float], rng: np.random.Ge
     return masks
 
 
-def _both_groups(n: int, rng: np.random.Generator) -> np.ndarray:
-    """A uniform 0/1 draw per node, drawn again until both groups are non-empty."""
+def _check_two_nodes(n: int) -> None:
     if n < 2:
         raise ValueError(f"both sensitive groups need n >= 2 nodes, got {n}")
+
+
+def _both_groups(n: int, rng: np.random.Generator) -> np.ndarray:
+    """A uniform 0/1 draw per node, drawn again until both groups are non-empty."""
+    _check_two_nodes(n)
     sensitive = rng.integers(0, 2, size=n)
     while sensitive.sum() in (0, n):
         sensitive = rng.integers(0, 2, size=n)
@@ -101,6 +105,7 @@ def feature_unlearning_instance(
     fractions: tuple[float, float, float] = (0.6, 0.2, 0.2),
 ) -> GraphDataset:
     """Random graph with assumption-compliant features, hyperplane labels and a two-group sensitive draw (n >= 2)."""
+    _check_two_nodes(n)
     rng = np.random.default_rng(seed)
     x = gaussian_features(n, f, rng)
     adj = random_adjacency(n, avg_degree, rng)
@@ -135,8 +140,10 @@ def homophilous_dataset(
     Column 0 mixes the centered sensitive attribute with noise at the common
     per-column scale; labels follow a signal column plus a sensitive-leaning
     tilt (``label_tilt``), so a trained model exhibits a measurable parity gap
-    that structural edits can move. :func:`split_masks` checks ``fractions``.
+    that structural edits can move. The groups are the two halves of the node
+    range (n >= 2). :func:`split_masks` checks ``fractions``.
     """
+    _check_two_nodes(n)
     rng = np.random.default_rng(seed)
     sensitive = np.zeros(n, dtype=np.int64)
     sensitive[n // 2 :] = 1

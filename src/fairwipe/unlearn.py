@@ -140,9 +140,10 @@ def newton_unlearn(
     :func:`sequential_unlearn` recomputes them; the correction is then summed
     over those rows and the rows whose mask changed. Without ``changed_rows``
     (that step passes None once its rows cover more than half the graph, and
-    when its input carried no hop blocks), both gradients are full passes. The
-    post-edit training rows are copied out once; the sigmoid at the current
-    weights on them serves the Hessian and, on the full path, the gradient.
+    when its input carried no hop blocks), both gradients are full passes; the
+    pre-edit one is the same masked sum either way. The post-edit training rows
+    are copied out once; their sigmoid at the current weights serves the
+    Hessian and, on the full path, the post-edit gradient.
     """
     if aggregated.width != aggregated_new.width:
         raise ValueError("pre/post aggregation widths differ")
@@ -160,18 +161,16 @@ def newton_unlearn(
         raise ValueError("post-removal training set is empty")
 
     sig_new = expit(z_new @ w)
+    rows = slice(None)
+    if changed_rows is not None:
+        rows = graph._sorted_unique(np.concatenate([changed_rows, np.flatnonzero(train_mask != mask_new)]))
+    z = aggregated.values[rows]
+    delta = z.T @ np.where(train_mask[rows], expit(z @ w) - y[rows], 0.0)
     if changed_rows is None:
-        z_old = aggregated.values
-        delta = z_old.T @ np.where(train_mask, expit(z_old @ w) - y, 0.0)
         delta -= z_new.T @ (sig_new - y_new)
     else:
-        rows = graph._sorted_unique(np.concatenate([changed_rows, np.flatnonzero(train_mask != mask_new)]))
-
-        def row_terms(values, mask):
-            z = values[rows]
-            return z.T @ np.where(mask[rows], expit(z @ w) - y[rows], 0.0)
-
-        delta = row_terms(aggregated.values, train_mask) - row_terms(aggregated_new.values, mask_new)
+        z = aggregated_new.values[rows]
+        delta -= z.T @ np.where(mask_new[rows], expit(z @ w) - y[rows], 0.0)
     delta += lam * (m_old - m_new) * w
 
     h = logistic_hessian(z_new, sig_new, lam)

@@ -50,6 +50,13 @@ def toy_workspace(tmp_path):
     return tmp_path
 
 
+def set_settings(config, text):
+    """Rewrite ``config`` with the ``key = value`` lines of ``text``, each in place of the line that set its key."""
+    keys = {line.split("=", 1)[0].strip() for line in text.splitlines()}
+    kept = [line for line in config.read_text().splitlines() if line.split("=", 1)[0].strip() not in keys]
+    config.write_text("\n".join(kept + text.splitlines()) + "\n")
+
+
 class TestStats:
     def test_prints_counts(self, toy_workspace, capsys):
         code = main(["stats", "--manifest", str(toy_workspace / "manifest.json")])
@@ -190,10 +197,21 @@ class TestRun:
         seeds = []
         monkeypatch.setattr(experiment, "_run_seed", lambda *args: seeds.append(args))
         config = toy_workspace / "exp.cfg"
-        config.write_text(config.read_text() + setting + "\n")
+        set_settings(config, setting)
         code = main(["run", "--config", str(config)])
         assert code == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err and "already set" not in err
+        assert seeds == []
+
+    def test_repeated_setting_exits_2_before_any_seed(self, toy_workspace, capsys, monkeypatch):
+        seeds = []
+        monkeypatch.setattr(experiment, "_run_seed", lambda *args: seeds.append(args))
+        config = toy_workspace / "exp.cfg"
+        config.write_text(config.read_text() + "k = 3\n")
+        code = main(["run", "--config", str(config)])
+        assert code == 2
+        assert f"config error: {config}:8: 'k' is already set on line 3" in capsys.readouterr().err
         assert seeds == []
 
     def test_data_error_exits_3(self, toy_workspace, capsys):
@@ -252,7 +270,7 @@ class TestRun:
         """Removing more features than the 5 the dataset has fails each seed:
         the run warns once per seed and exits 2, with nothing on stdout."""
         config = toy_workspace / "exp.cfg"
-        config.write_text(config.read_text() + "k = 9\n")
+        set_settings(config, "k = 9")
         with pytest.warns(UserWarning, match="seed .* failed") as caught:
             code = main(["run", "--config", str(config)])
         assert code == 2 and len(caught) == 2

@@ -72,6 +72,7 @@ def non_timing_fields(row):
             id="edge_batches",
         ),
         pytest.param("task = edge\nk 4\n", r"exp.cfg:2: expected 'key = value', got 'k 4'", id="no equals sign"),
+        pytest.param("task = feature\nseeds = 1, 1, 2\n", r"seeds must be distinct, got \(1, 1, 2\)", id="repeated seed"),
     ],
 )
 def test_bad_config_file_is_rejected(tmp_path, text, message):
@@ -204,6 +205,16 @@ class TestParseConfig:
             assert f.default is dataclasses.MISSING or value != f.default, f.name
         keys = {"lambda" if f.name == "lam" else f.name for f in dataclasses.fields(ExperimentConfig)}
         assert set(EVERY_SETTING) == keys
+
+    @pytest.mark.parametrize("key", EVERY_SETTING)
+    def test_a_repeated_key_is_rejected(self, tmp_path, key):
+        """The last line used to win silently; a key set twice, even to the same value, names both lines."""
+        lines = [f"{k} = {raw}\n" for k, raw in EVERY_SETTING.items()]
+        first = list(EVERY_SETTING).index(key) + 1
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("".join(lines) + f"{key} = {EVERY_SETTING[key]}\n")
+        with pytest.raises(ConfigError, match=rf"exp.cfg:{len(lines) + 1}: '{key}' is already set on line {first}$"):
+            parse_config(cfg)
 
     def test_readme_config_block_lists_every_key(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

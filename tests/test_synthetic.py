@@ -29,9 +29,13 @@ def test_split_masks_checks_its_fractions(fractions):
     [
         pytest.param(lambda n: feature_unlearning_instance(n=n), id="feature_unlearning_instance"),
         pytest.param(lambda n: planted_bias_features(n, 3, 0, np.random.default_rng(0)), id="planted_bias_features"),
+        pytest.param(lambda n: homophilous_dataset(n=n), id="homophilous_dataset"),
     ],
 )
 def test_one_node_cannot_hold_both_groups(generate):
-    """The both-groups draw redrew forever over one node; it is an error now."""
-    with pytest.raises(ValueError, match="both sensitive groups need n >= 2 nodes, got 1"):
-        generate(1)
+    """The both-groups draw redrew forever over one node; it is an error now.
+    ``homophilous_dataset`` returned a one-group graph at n=1 and raised
+    ``IndexError`` at n=0."""
+    for n in (1, 0):
+        with pytest.raises(ValueError, match=f"both sensitive groups need n >= 2 nodes, got {n}$"):
+            generate(n)
